@@ -8,13 +8,19 @@ key-distinguishing measurement attack, and key-reuse entangling attacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_TOL
-from .linalg import dagger, eig_hermitian, haar_random_unitary, matrix_to_json, tensor
+from .linalg import (
+    dagger,
+    eig_hermitian,
+    haar_random_unitary,
+    is_unitary,
+    matrix_to_json,
+    tensor,
+)
 from .protocol import (
     ACCEPT_PROJECTOR,
     I2,
@@ -23,7 +29,9 @@ from .protocol import (
     TaggingUnitary,
     as_tagging_unitary,
     decode,
+    encode,
     joint_state,
+    key_fidelity,
     measurement_distribution,
     singlet,
 )
@@ -124,7 +132,7 @@ def no_message_optimal(u) -> AttackResult:
     The witnessing strategy is a top eigenvector of Q.
     """
     u = as_tagging_unitary(u)
-    eig = eig_hermitian(forgery_operator(u))
+    eig = eig_hermitian(forgery_operator(u), u.tol)
     lam = float(eig.eigenvalues[-1])
     vec = eig.eigenvectors[:, -1]
     return AttackResult(probability=lam / 2, strategy=vec, method="eigen_optimal")
@@ -162,9 +170,7 @@ def message_attack_pf(u, v: np.ndarray, p0: float = 0.5, p1: float = 0.5) -> flo
     u = as_tagging_unitary(u)
     _check_priors(p0, p1)
     v = np.asarray(v, dtype=complex)
-    from .linalg import is_unitary
-
-    ok, dev = is_unitary(v, DEFAULT_TOL.unitary)
+    ok, dev = is_unitary(v, u.tol.unitary)
     if not ok:
         raise ValueError(f"attack operation must be unitary (deviation {dev:.3e})")
     w = dagger(u.u) @ v @ u.u
@@ -178,8 +184,6 @@ def message_attack_pf(u, v: np.ndarray, p0: float = 0.5, p1: float = 0.5) -> flo
 def message_attack_distribution(u, v: np.ndarray, message: int) -> np.ndarray:
     """Bob's outcome distribution when Eve applies ``v`` to an honest round."""
     u = as_tagging_unitary(u)
-    from .protocol import encode
-
     state = encode(u, message)
     state = tensor(I2, I2, np.asarray(v, dtype=complex)) @ state
     return measurement_distribution(decode(u, state))
@@ -233,6 +237,18 @@ def _map_frames(sources, targets, dim: int = 2) -> Optional[np.ndarray]:
     return t
 
 
+def swap_mismatch(u) -> float:
+    """Distance of the M0 columns from the relation c0 = e^{ig} S(d) sigma_x c1.
+
+    With both phases free the relation reduces to moduli equality between
+    swapped components; the return value is the worst moduli mismatch
+    (0 means the relation is satisfiable).
+    """
+    u = as_tagging_unitary(u)
+    c0, c1 = u.col(0, 0), u.col(0, 1)
+    return float(max(abs(abs(c0[0]) - abs(c1[1])), abs(abs(c0[1]) - abs(c1[0]))))
+
+
 def perfect_message_attack(u) -> Optional[np.ndarray]:
     """Construct a certainty substitution attack if one exists.
 
@@ -245,11 +261,11 @@ def perfect_message_attack(u) -> Optional[np.ndarray]:
     Gram matrices agree).  Returns None when no perfect attack exists.
     """
     u = as_tagging_unitary(u)
-    tol = DEFAULT_TOL.phase_equiv
+    tol = u.tol.phase_equiv
+    if swap_mismatch(u) > tol:
+        return None
     c00, c01 = u.col(0, 0), u.col(0, 1)
     c20, c21 = u.col(2, 0), u.col(2, 1)
-    if abs(abs(c00[0]) - abs(c01[1])) > tol or abs(abs(c00[1]) - abs(c01[0])) > tol:
-        return None
     gamma = np.angle(c00[0] / c01[1]) if abs(c01[1]) > tol else 0.0
     gd = np.angle(c00[1] / c01[0]) if abs(c01[0]) > tol else gamma
     delta = gd - gamma
@@ -267,7 +283,7 @@ def perfect_message_attack(u) -> Optional[np.ndarray]:
     v = np.zeros((4, 4), dtype=complex)
     v[:2, :2] = m0e
     v[2:, 2:] = m1e
-    if message_attack_pf(u, v) < 1 - DEFAULT_TOL.strict:
+    if message_attack_pf(u, v) < 1 - u.tol.strict:
         return None
     return v
 
@@ -302,7 +318,7 @@ def unitary_from_params(p: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(1j * w)) @ dagger(vecs)
 
 
-def _params_of_unitary(v: np.ndarray) -> np.ndarray:
+def params_of_unitary(v: np.ndarray) -> np.ndarray:
     """A Hermitian logarithm chart point for a given unitary."""
     w, vecs = np.linalg.eig(v)
     h = (vecs * np.angle(w)) @ np.linalg.inv(vecs)
@@ -344,13 +360,13 @@ def best_message_attack(
     swap = np.zeros((4, 4), dtype=complex)
     swap[:2, :2] = SIGMA_X
     swap[2:, 2:] = I2
-    starts.append(_params_of_unitary(swap))
+    starts.append(params_of_unitary(swap))
     perfect = perfect_message_attack(u)
     if perfect is not None:
-        starts.append(_params_of_unitary(perfect))
+        starts.append(params_of_unitary(perfect))
     n_restarts = max(len(starts), min(12, budget // 300))
     while len(starts) < n_restarts:
-        starts.append(_params_of_unitary(haar_random_unitary(4, rng)))
+        starts.append(params_of_unitary(haar_random_unitary(4, rng)))
 
     evals = 0
     best_val, best_p = -1.0, None
@@ -415,7 +431,7 @@ def key_distinguishability(u) -> KeyDistinguishabilityReport:
     u = as_tagging_unitary(u)
     gram = u.block(0).copy()
     return KeyDistinguishabilityReport(
-        distinguishable=bool(np.abs(gram).max() <= DEFAULT_TOL.strict), gram=gram
+        distinguishable=bool(np.abs(gram).max() <= u.tol.strict), gram=gram
     )
 
 
@@ -443,7 +459,7 @@ def key_reuse_feasibility(u) -> KeyReuseFeasibilityReport:
     """
     u = as_tagging_unitary(u)
     diag = (abs(complex(u.u[0, 0])), abs(complex(u.u[1, 1])))
-    witness = next((i for i in (0, 1) if diag[i] > DEFAULT_TOL.strict), None)
+    witness = next((i for i in (0, 1) if diag[i] > u.tol.strict), None)
     return KeyReuseFeasibilityReport(
         ruled_out=witness is not None, witness=witness, diagonal_overlaps=diag
     )
@@ -495,12 +511,10 @@ _DIMS = (2, 2, 4, 2)  # key A, key B, message E, Eve ancilla
 
 
 def _reuse_operators(u: TaggingUnitary, interaction: np.ndarray):
-    from .linalg import is_unitary
-
     interaction = np.asarray(interaction, dtype=complex)
     if interaction.shape != (8, 8):
         raise ValueError("Eve's interaction must act on message ⊗ ancilla (8-dim)")
-    ok, dev = is_unitary(interaction, DEFAULT_TOL.unitary)
+    ok, dev = is_unitary(interaction, u.tol.unitary)
     if not ok:
         raise ValueError(f"Eve's interaction must be unitary (deviation {dev:.3e})")
     i_anc = np.eye(2, dtype=complex)
@@ -533,14 +547,6 @@ def _replace_message(state: np.ndarray, new_bit: int) -> np.ndarray:
     fresh = np.zeros_like(amps)
     fresh[:, :, new_bit, :] = sub / np.linalg.norm(sub)
     return fresh.reshape(-1)
-
-
-def _key_fidelity_joint(state: np.ndarray) -> float:
-    from .linalg import partial_trace
-
-    rho = partial_trace(np.outer(state, state.conj()), list(_DIMS), keep={0, 1})
-    psi = singlet()
-    return float(np.real(psi.conj() @ rho @ psi))
 
 
 def simulate_key_reuse(
@@ -586,7 +592,7 @@ def simulate_key_reuse(
                 break
         if not alive:
             continue
-        fidelities.append(_key_fidelity_joint(state))
+        fidelities.append(key_fidelity(state, _DIMS))
         # Reuse round: Eve forges using her ancilla as the encoding control.
         state = _replace_message(state, forge_bit)
         state = dec @ (forge_enc @ state)

@@ -7,15 +7,11 @@ unitaries surface in the report instead of being silently classified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_TOL
-from .linalg import is_unitary
+from .adversary import best_message_attack, no_message_optimal, swap_mismatch
 from .protocol import as_tagging_unitary
-
-STRICT = DEFAULT_TOL.strict
 
 
 def ec_gorda_lhs(x: float, y: float, z: float) -> float:
@@ -60,12 +56,12 @@ def check_case1(u) -> ConditionCheck:
     """Non-overlapping rows: both M0 row norms must stay strictly below 1."""
     u = as_tagging_unitary(u)
     x, y, z = row_parameters(u)
-    applies = y <= STRICT
+    applies = y <= u.tol.strict
     n0sq = float(np.linalg.norm(u.row(0, 0)) ** 2)
     n1sq = float(np.linalg.norm(u.row(0, 1)) ** 2)
     margin = min(1 - n0sq, 1 - n1sq)
     return ConditionCheck(
-        satisfied=applies and margin > STRICT,
+        satisfied=applies and margin > u.tol.strict,
         margin=margin,
         applies=applies,
         details={"row0_norm_sq": n0sq, "row1_norm_sq": n1sq, "y": y},
@@ -76,53 +72,44 @@ def check_case2(u) -> ConditionCheck:
     """Overlapping rows: the closed-form maximum must stay strictly below 1."""
     u = as_tagging_unitary(u)
     x, y, z = row_parameters(u)
-    applies = y > STRICT
+    applies = y > u.tol.strict
     if not applies:
         return ConditionCheck(
             satisfied=False, margin=float("nan"), applies=False, details={"y": y}
         )
     lhs = ec_gorda_lhs(x, y, z)
     return ConditionCheck(
-        satisfied=lhs < 1 - STRICT,
+        satisfied=lhs < 1 - u.tol.strict,
         margin=1 - lhs,
         applies=True,
         details={"lhs": lhs, "x": x, "y": y, "z": z},
     )
 
 
-def _phase_equiv_swap(c0: np.ndarray, c1: np.ndarray) -> float:
-    """Distance of (c0, c1) from the relation c0 = e^{ig} S(d) sigma_x c1.
-
-    With both phases free the relation reduces to moduli equality between
-    swapped components; the return value is the worst moduli mismatch
-    (0 means the relation is satisfiable).
-    """
-    return float(max(abs(abs(c0[0]) - abs(c1[1])), abs(abs(c0[1]) - abs(c1[0]))))
-
-
 def check_condition3(u) -> ConditionCheck:
     """No certainty substitution attack.
 
     Satisfied iff the M0 columns are NOT phase-equivalent under the
-    phase-shifted swap; when they are, a certainty attack is always
-    constructible (the bottom-block completion exists for every unitary,
-    so the auxiliary M2-column clause never rescues security — it is
-    reported in the details for reference only).
+    phase-shifted swap, decided on ``tol.phase_equiv`` exactly as
+    :func:`~qmac.adversary.perfect_message_attack` decides it.  When they
+    are, a certainty attack is always constructible (the bottom-block
+    completion exists for every unitary, so the auxiliary M2-column clause
+    never rescues security — it is reported in the details for reference
+    only).
     """
     u = as_tagging_unitary(u)
-    c00, c01 = u.col(0, 0), u.col(0, 1)
     c20, c21 = u.col(2, 0), u.col(2, 1)
-    mismatch = _phase_equiv_swap(c00, c01)
+    mismatch = swap_mismatch(u)
     m2_inner = abs(np.vdot(c20, c21))
     n20, n21 = np.linalg.norm(c20), np.linalg.norm(c21)
-    if n20 > STRICT and n21 > STRICT:
+    if n20 > u.tol.strict and n21 > u.tol.strict:
         m2_parallel_gap = float(
             np.linalg.norm(c20 / n20 - c21 / n21 * np.exp(1j * np.angle(np.vdot(c21, c20))))
         )
     else:
         m2_parallel_gap = float(abs(n20 - n21))
     return ConditionCheck(
-        satisfied=mismatch > STRICT,
+        satisfied=mismatch > u.tol.phase_equiv,
         margin=mismatch,
         details={
             "m0_swap_mismatch": mismatch,
@@ -142,7 +129,7 @@ def check_condition4(u) -> ConditionCheck:
     norms = (np.linalg.norm(u.col(0, 0)), np.linalg.norm(u.col(0, 1)))
     margin = float(max(norms))
     return ConditionCheck(
-        satisfied=margin > STRICT,
+        satisfied=margin > u.tol.strict,
         margin=margin,
         details={"m0_col_norms": [float(n) for n in norms]},
     )
@@ -182,14 +169,6 @@ def validate(
     optimal no-message forgery probability and a searched substitution
     attack snapshot.
     """
-    from .adversary import best_message_attack, no_message_optimal
-
-    if not isinstance(u, np.ndarray) and not hasattr(u, "u"):
-        u = np.asarray(u, dtype=complex)
-    raw = u.u if hasattr(u, "u") else u
-    ok, dev = is_unitary(raw, DEFAULT_TOL.unitary)
-    if not ok:
-        raise ValueError(f"input is not unitary (deviation {dev:.3e})")
     tu = as_tagging_unitary(u)
 
     c1 = check_case1(tu)

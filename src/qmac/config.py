@@ -13,17 +13,16 @@ class Tolerances:
     ----------
     hermitian : max-norm threshold for accepting a matrix as Hermitian.
     unitary : max-norm threshold on ``U†U - I``.
-    trace : threshold for trace/norm preservation checks.
-    eig_reconstruction : max-norm bound on ``H - V Λ V†``.
     strict : margin used for the strict inequalities of the security
         conditions (a quantity is "strictly less than c" iff < c - strict).
     phase_equiv : threshold for deciding phase-equivalence of vectors.
+
+    A :class:`~qmac.protocol.TaggingUnitary` carries the tolerances it was
+    built with; every check on it reads them from there.
     """
 
     hermitian: float = 1e-10
     unitary: float = 1e-10
-    trace: float = 1e-12
-    eig_reconstruction: float = 1e-9
     strict: float = 1e-9
     phase_equiv: float = 1e-9
 

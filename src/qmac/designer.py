@@ -8,19 +8,19 @@ heuristic and labeled as such in all emitted metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .adversary import (
     best_message_attack,
-    hermitian_to_params,
     no_message_optimal,
-    params_to_hermitian,
+    params_of_unitary,
     unitary_from_params,
 )
 from .conditions import validate
-from .linalg import dagger, haar_random_unitary, matrix_to_json
+from .config import DEFAULT_TOL, Tolerances
+from .linalg import haar_random_unitary, matrix_to_json
 from .protocol import TaggingUnitary, as_tagging_unitary
 
 INSECURE = float("inf")
@@ -43,15 +43,10 @@ class SecurityScore:
         }
 
 
-def worst_case_score(pf_no_message: float, pf_message: float) -> float:
-    return max(pf_no_message, pf_message)
-
-
 def security_score(
     u,
     budget: int = 2000,
     rng: Optional[np.random.Generator] = None,
-    combine: Callable[[float, float], float] = worst_case_score,
 ) -> SecurityScore:
     """Validate a candidate and score it by its attack probabilities.
 
@@ -68,7 +63,7 @@ def security_score(
         pf_no_message=pf_nm,
         pf_message_best=pf_msg,
         secure=secure,
-        score=combine(pf_nm, pf_msg) if secure else INSECURE,
+        score=max(pf_nm, pf_msg) if secure else INSECURE,
     )
 
 
@@ -86,27 +81,22 @@ class DesignResult:
         }
 
 
-def _log_params(u: np.ndarray) -> np.ndarray:
-    w, vecs = np.linalg.eig(u)
-    h = (vecs * np.angle(w)) @ np.linalg.inv(vecs)
-    return hermitian_to_params((h + dagger(h)) / 2)
-
-
 def optimize(
     restarts: int = 8,
     budget: int = 500,
     rng: Optional[np.random.Generator] = None,
     refine_steps: int = 24,
     warm_start: Optional[np.ndarray] = None,
-    combine: Callable[[float, float], float] = worst_case_score,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> DesignResult:
     """Multi-start search for a secure tagging unitary with low score.
 
     Haar restarts are filtered through the validator (insecure samples are
     discarded, not penalized); each surviving candidate is refined by
     coordinate-wise descent on the exp(iH) chart.  ``budget`` is the
-    attack-search budget per score evaluation.  Reproducible per seed;
-    ties between restarts break toward the lowest restart index.
+    attack-search budget per score evaluation; every candidate is checked
+    under ``tol``.  Reproducible per seed; ties between restarts break
+    toward the lowest restart index.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -115,7 +105,7 @@ def optimize(
     def evaluate(mat, seed):
         try:
             return security_score(
-                mat, budget=budget, rng=np.random.default_rng(seed), combine=combine
+                TaggingUnitary(mat, tol), budget=budget, rng=np.random.default_rng(seed)
             )
         except ValueError:
             return SecurityScore(1.0, 1.0, False, INSECURE)
@@ -127,12 +117,12 @@ def optimize(
             candidate = np.asarray(warm_start, dtype=complex)
         else:
             candidate = haar_random_unitary(4, rng)
-        p = _log_params(candidate)
+        p = params_of_unitary(candidate)
         sc = evaluate(unitary_from_params(p), seed=restart)
         tries = 0
         while not sc.secure and tries < 50:
             candidate = haar_random_unitary(4, rng)
-            p = _log_params(candidate)
+            p = params_of_unitary(candidate)
             sc = evaluate(unitary_from_params(p), seed=restart)
             tries += 1
         if not sc.secure:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import tensor
-
 
 def identity_unitary() -> np.ndarray:
     return np.eye(4, dtype=complex)

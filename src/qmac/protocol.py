@@ -40,7 +40,8 @@ class TaggingUnitary:
 
     Blocks are numbered row-major: block 0 = top-left, 1 = top-right,
     2 = bottom-left, 3 = bottom-right.  ``row(i, j)`` is row j of block i;
-    ``col(i, j)`` is column j of block i.
+    ``col(i, j)`` is column j of block i.  ``tol`` is the
+    :class:`~qmac.config.Tolerances` in force for every check on it.
     """
 
     def __init__(self, u: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -52,6 +53,7 @@ class TaggingUnitary:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         self._u = u.copy()
         self._u.setflags(write=False)
+        self.tol = tol
         self.unitarity_deviation = dev
         # Controlled encode/decode operators on the 16-dim joint space.
         p0 = np.diag([1, 0]).astype(complex)
@@ -175,10 +177,13 @@ def bob_measure(state: np.ndarray, rng: np.random.Generator):
     return outcome, outcome in (0, 1), post
 
 
-def key_fidelity(state: np.ndarray) -> float:
-    """Overlap of the reduced key state with the singlet."""
+def key_fidelity(state: np.ndarray, dims=(2, 2, 4)) -> float:
+    """Overlap of the reduced key state with the singlet.
+
+    ``dims`` lists the subsystems of ``state``; the first two are the key.
+    """
     state = np.asarray(state, dtype=complex)
-    rho_key = partial_trace(np.outer(state, state.conj()), [2, 2, 4], keep={0, 1})
+    rho_key = partial_trace(np.outer(state, state.conj()), dims, keep={0, 1})
     psi = singlet()
     return float(np.real(psi.conj() @ rho_key @ psi))
 

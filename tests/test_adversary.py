@@ -22,6 +22,7 @@ from qmac.adversary import (
     simulate_key_reuse,
     unitary_from_params,
 )
+from qmac.config import DEFAULT_TOL
 from qmac.linalg import haar_random_unitary, tensor
 from qmac.protocol import MESSAGE_BASIS, TaggingUnitary
 
@@ -279,6 +280,11 @@ class TestKeyDistinguishability:
         rep = key_distinguishability(u_secure)
         assert not rep.distinguishable
         assert rep.gram[0, 0] == pytest.approx(0.5)
+
+    def test_strict_tolerance_from_unitary(self, u_secure):
+        loose = TaggingUnitary(u_secure.u, DEFAULT_TOL.override(strict=1.0))
+        assert key_distinguishability(loose).distinguishable
+        assert not key_reuse_feasibility(loose).ruled_out
 
 
 class TestKeyReuseFeasibility:

@@ -57,6 +57,20 @@ class TestValidate:
         code, _, _ = run_cli(capsys, "validate")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "override, check", [("strict=0.6", "case1"), ("phase_equiv=0.6", "condition3")]
+    )
+    def test_tolerance_override_flips_verdict(self, capsys, override, check):
+        # secure_example's case-1 margin and M0 swap mismatch are both 0.5.
+        code, out, _ = run_cli(
+            capsys, "validate", "--input", "secure_example", "--budget", "100",
+            "--tol", override,
+        )
+        assert code == 3
+        report = json.loads(out)["report"]
+        assert report[check]["satisfied"] is False
+        assert report["overall_secure"] is False
+
 
 class TestSimulate:
     def test_summary(self, capsys, secure_file):
@@ -154,6 +168,14 @@ class TestOptimize:
         body = json.loads(out)
         assert body["result"]["score"]["secure"] is True
 
+    def test_tolerance_reaches_candidates(self, capsys):
+        code, _, err = run_cli(
+            capsys, "optimize", "--restarts", "1", "--budget", "100",
+            "--tol", "strict=0.99",
+        )
+        assert code == 2
+        assert "no secure candidate" in err
+
 
 class TestDemo:
     def test_demo_secure(self, capsys):
@@ -168,9 +190,12 @@ class TestDemo:
             capsys, "demo", "--budget", "200", "--tol", "unitary=1e-8"
         )
         assert code == 0
-        assert json.loads(out)["tolerances"]["unitary"] == 1e-8
+        tolerances = json.loads(out)["tolerances"]
+        assert tolerances["unitary"] == 1e-8
+        assert set(tolerances) == {"hermitian", "unitary", "strict", "phase_equiv"}
 
     def test_unknown_tolerance_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "demo", "--tol", "bogus=1")
-        assert code == 2
-        assert "bogus" in err
+        for name in ("bogus", "trace", "eig_reconstruction"):
+            code, _, err = run_cli(capsys, "demo", "--tol", f"{name}=1")
+            assert code == 2
+            assert name in err

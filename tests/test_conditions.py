@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmac.adversary import no_message_optimal, perfect_message_attack
+from qmac.config import DEFAULT_TOL
 from qmac.conditions import (
     check_case1,
     check_case2,
@@ -160,6 +161,12 @@ class TestValidate:
                 assert perfect_message_attack(u) is None
                 checked += 1
         assert checked > 0  # Haar unitaries are generically secure
+
+    @pytest.mark.parametrize("override", [{"strict": 0.6}, {"phase_equiv": 0.6}])
+    def test_tolerance_carried_by_unitary(self, u_secure, override):
+        tu = TaggingUnitary(u_secure.u, DEFAULT_TOL.override(**override))
+        assert validate(u_secure, include_attacks=False).overall_secure is True
+        assert validate(tu, include_attacks=False).overall_secure is False
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmac.conditions import validate
+from qmac.config import DEFAULT_TOL
 from qmac.designer import INSECURE, optimize, security_score
 from qmac.fixtures import secure_example_unitary, x_block_unitary
 from qmac.linalg import is_unitary
@@ -69,6 +70,10 @@ class TestOptimize:
         b = optimize(rng=np.random.default_rng(7), **kw)
         assert np.array_equal(a.unitary, b.unitary)
         assert a.score == b.score
+
+    def test_tolerance_reaches_candidates(self):
+        with pytest.raises(RuntimeError, match="no secure candidate"):
+            optimize(restarts=1, budget=100, tol=DEFAULT_TOL.override(strict=0.99))
 
     def test_invalid_restarts(self):
         with pytest.raises(ValueError):
