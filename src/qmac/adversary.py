@@ -2,7 +2,7 @@
 
 Covers: no-message forgery (closed form, restricted two-parameter form,
 and exact eigen-optimal), message substitution (perfect-attack
-construction and derivative-free search over unitaries), the
+construction and polar-decomposition ascent over unitaries), the
 key-distinguishing measurement attack, and key-reuse entangling attacks.
 """
 
@@ -37,6 +37,7 @@ from .protocol import (
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_ASCENT_GAIN = 1e-13  # the substitution ascent stops once no start gains more
 
 
 def phase_shift(beta: float) -> np.ndarray:
@@ -50,9 +51,10 @@ class AttackResult:
 
     probability: float
     strategy: np.ndarray  # state vector or attack unitary
-    method: str  # closed_form | eigen_optimal | grid_oracle | search
+    method: str  # eigen_optimal | polar_ascent
     budget: Optional[int] = None
-    iterations: Optional[int] = None
+    iterations: Optional[int] = None  # objective evaluations used
+    converged: Optional[bool] = None  # stopped by the gain rule, not the budget
     seed: Optional[int] = None
 
     def to_json(self) -> dict:
@@ -61,6 +63,8 @@ class AttackResult:
             "method": self.method,
             "strategy": matrix_to_json(self.strategy),
             "budget": self.budget,
+            "iterations": self.iterations,
+            "converged": self.converged,
             "seed": self.seed,
         }
 
@@ -334,11 +338,15 @@ def best_message_attack(
     rng: Optional[np.random.Generator] = None,
 ) -> AttackResult:
     """Maximize :func:`message_attack_pf` over unitaries by multi-start
-    coordinate-wise derivative-free descent on the exp(iH) chart.
+    polar-decomposition ascent.
 
+    f(V) = sum_k w_k |<a_k|V|b_k>|^2 is convex in V, so replacing V by the
+    polar factor W Z† of G = sum_k w_k <a_k|V|b_k> |a_k><b_k| = W S Z† (the
+    maximizer of its linearisation) cannot lower f.  All starts step through
+    one batched SVD until none gains more than ``_ASCENT_GAIN`` or the next
+    step would take the objective evaluations past ``budget``.
     Deterministic for a given rng seed.  The perfect-attack construction,
-    when available, seeds one restart, so the search never undershoots a
-    known certainty attack.
+    when available, is a start, so no known certainty attack is missed.
     """
     u = as_tagging_unitary(u)
     _check_priors(p0, p1)
@@ -346,65 +354,41 @@ def best_message_attack(
         raise ValueError("budget must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    w_cache = dagger(u.u)
+    # Terms (a_k, b_k, w_k): the bit flip on the bare message, then under U.
+    a = np.stack([I4[1], u.u[:, 1], I4[0], u.u[:, 0]])
+    b = np.stack([I4[0], u.u[:, 0], I4[1], u.u[:, 1]])
+    w = 0.5 * np.array([p0, p0, p1, p1])
 
-    def objective(p):
-        v = unitary_from_params(p)
-        w = w_cache @ v @ u.u
-        return (
-            p0 * 0.5 * (abs(v[1, 0]) ** 2 + abs(w[1, 0]) ** 2)
-            + p1 * 0.5 * (abs(v[0, 1]) ** 2 + abs(w[0, 1]) ** 2)
-        )
-
-    starts = []
-    swap = np.zeros((4, 4), dtype=complex)
-    swap[:2, :2] = SIGMA_X
-    swap[2:, 2:] = I2
-    starts.append(params_of_unitary(swap))
+    starts = [I4[[1, 0, 2, 3]]]  # sigma_x on the message bit
     perfect = perfect_message_attack(u)
     if perfect is not None:
-        starts.append(params_of_unitary(perfect))
+        starts.append(perfect)
     n_restarts = max(len(starts), min(12, budget // 300))
     while len(starts) < n_restarts:
-        starts.append(params_of_unitary(haar_random_unitary(4, rng)))
+        starts.append(haar_random_unitary(4, rng))
 
-    evals = 0
-    best_val, best_p = -1.0, None
-    per_restart = max(1, budget // len(starts))
-    for p_start in starts:
-        if evals >= budget:
+    step = np.stack(starts[:budget])
+    f = np.full(len(step), -np.inf)
+    evals, converged = 0, False
+    while evals + len(step) <= budget:
+        c = np.einsum("ki,sij,kj->sk", a.conj(), step, b)
+        f_step = (np.abs(c) ** 2) @ w
+        evals += len(step)
+        converged = bool((f_step - f).max() <= _ASCENT_GAIN)
+        if converged:
             break
-        p = np.asarray(p_start, dtype=float).copy()
-        val = objective(p)
-        evals += 1
-        step = 0.3
-        spent = 1
-        while step > 1e-6 and spent < per_restart and evals < budget:
-            improved = False
-            for k in range(16):
-                for sign in (1.0, -1.0):
-                    if spent >= per_restart or evals >= budget:
-                        break
-                    trial = p.copy()
-                    trial[k] += sign * step
-                    tv = objective(trial)
-                    evals += 1
-                    spent += 1
-                    if tv > val + 1e-14:
-                        p, val = trial, tv
-                        improved = True
-                        break
-            if not improved:
-                step *= 0.5
-        if val > best_val:
-            best_val, best_p = val, p
+        v, f = step, f_step
+        left, _, right = np.linalg.svd(np.einsum("sk,ki,kj->sij", w * c, a, b.conj()))
+        step = left @ right
 
+    best = int(np.argmax(f))
     return AttackResult(
-        probability=float(best_val),
-        strategy=unitary_from_params(best_p),
-        method="search",
+        probability=float(f[best]),
+        strategy=v[best],
+        method="polar_ascent",
         budget=budget,
         iterations=evals,
+        converged=converged,
     )
 
 

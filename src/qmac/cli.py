@@ -81,7 +81,22 @@ def _report_header(args, tol, mat) -> dict:
 
 
 def _emit(report: dict, out_path):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Write ``json.dumps(report, sort_keys=True, indent=2)`` and a newline.
+
+    A top-level ``records`` list is spliced in with each distinct record
+    object rendered once: simulate repeats a few objects thousands of times,
+    and the indenting encoder is pure Python.
+    """
+    records = report.get("records")
+    text = json.dumps({**report, "records": []} if records else report,
+                      sort_keys=True, indent=2) + "\n"
+    if records:
+        rendered = {
+            key: "    " + json.dumps(rec, sort_keys=True, indent=2).replace("\n", "\n    ")
+            for key, rec in {id(rec): rec for rec in records}.items()
+        }
+        items = ",\n".join(rendered[id(rec)] for rec in records)
+        text = text.replace('\n  "records": []', f'\n  "records": [\n{items}\n  ]', 1)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -106,19 +121,15 @@ def cmd_simulate(args, tol) -> int:
     fidelities = []
     for message in (0, 1):
         outcomes, fid = simulate_honest_batch(u, message, args.trials, rng)
-        for outcome in outcomes:
-            acc = int(outcome) in (0, 1)
-            records.append(
-                {
-                    "message": message,
-                    "outcome": int(outcome),
-                    "accepted": acc,
-                    "decoded": int(outcome) if acc else None,
-                    "key_fidelity": fid,
-                }
-            )
-            accepted += acc
-            correct += acc and int(outcome) == message
+        # One shared record object per outcome; _emit renders each once.
+        distinct = [
+            {"message": message, "outcome": o, "accepted": o < 2,
+             "decoded": o if o < 2 else None, "key_fidelity": fid}
+            for o in range(4)
+        ]
+        records.extend(distinct[outcome] for outcome in outcomes)
+        accepted += int((outcomes < 2).sum())
+        correct += int((outcomes == message).sum())
         fidelities.append(fid)
     total = 2 * args.trials
     summary = {

@@ -29,7 +29,7 @@ INSECURE = float("inf")
 @dataclass(frozen=True)
 class SecurityScore:
     pf_no_message: float
-    pf_message_best: float
+    pf_message_best: Optional[float]  # None: insecure, so never attacked
     secure: bool
     score: float
 
@@ -50,21 +50,16 @@ def security_score(
 ) -> SecurityScore:
     """Validate a candidate and score it by its attack probabilities.
 
-    Insecure candidates get an infinite sentinel score.  Deterministic
-    for a fixed rng seed and budget.
+    Insecure candidates get an infinite sentinel score and no substitution
+    search.  Deterministic for a fixed rng seed and budget.
     """
     u = as_tagging_unitary(u)
     rng = rng if rng is not None else np.random.default_rng(0)
-    report = validate(u, include_attacks=False)
     pf_nm = no_message_optimal(u).probability
+    if not validate(u, include_attacks=False).overall_secure:
+        return SecurityScore(pf_nm, None, False, INSECURE)
     pf_msg = best_message_attack(u, budget=budget, rng=rng).probability
-    secure = report.overall_secure
-    return SecurityScore(
-        pf_no_message=pf_nm,
-        pf_message_best=pf_msg,
-        secure=secure,
-        score=max(pf_nm, pf_msg) if secure else INSECURE,
-    )
+    return SecurityScore(pf_nm, pf_msg, True, max(pf_nm, pf_msg))
 
 
 @dataclass
@@ -108,7 +103,7 @@ def optimize(
                 TaggingUnitary(mat, tol), budget=budget, rng=np.random.default_rng(seed)
             )
         except ValueError:
-            return SecurityScore(1.0, 1.0, False, INSECURE)
+            return SecurityScore(1.0, None, False, INSECURE)
 
     trace = []
     best: Optional[tuple] = None  # (score value, restart idx, params, SecurityScore)

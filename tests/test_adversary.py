@@ -23,7 +23,8 @@ from qmac.adversary import (
     unitary_from_params,
 )
 from qmac.config import DEFAULT_TOL
-from qmac.linalg import haar_random_unitary, tensor
+from qmac.fixtures import secure_example_unitary
+from qmac.linalg import haar_random_unitary, is_unitary, tensor
 from qmac.protocol import MESSAGE_BASIS, TaggingUnitary
 
 E = np.eye(4, dtype=complex)
@@ -265,6 +266,73 @@ class TestBestMessageAttack:
         p = rng.standard_normal(16)
         v = unitary_from_params(p)
         assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-10
+
+
+# best_message_attack(u, budget=2000, rng=default_rng(0)).probability as
+# found by the coordinate search the polar ascent replaced, for
+# secure_example and then haar_random_unitary(4, default_rng(k)), k = 0..9.
+COORDINATE_SEARCH_PF = [
+    0.858126060102347,
+    0.8937106773194885,
+    0.8672501370239649,
+    0.9817327470481383,
+    0.9346606838486207,
+    0.978323347243176,
+    0.9848280028266281,
+    0.9646037795265385,
+    0.8552919055468328,
+    0.9625264927894482,
+    0.874327929001182,
+]
+
+
+def ascent_unitaries():
+    return [TaggingUnitary(secure_example_unitary())] + [
+        TaggingUnitary(haar_random_unitary(4, np.random.default_rng(k)))
+        for k in range(10)
+    ]
+
+
+class TestPolarAscent:
+    def test_never_weaker_than_coordinate_search(self):
+        for u, frozen in zip(ascent_unitaries(), COORDINATE_SEARCH_PF):
+            res = best_message_attack(u, budget=2000, rng=np.random.default_rng(0))
+            assert res.probability >= frozen - 1e-12
+
+    def test_monotone_in_budget(self):
+        # budget < 300 keeps a single start, so a larger budget only adds steps.
+        u = TaggingUnitary(haar_random_unitary(4, np.random.default_rng(21)))
+        probs = [
+            best_message_attack(u, budget=b, rng=np.random.default_rng(0)).probability
+            for b in range(1, 41)
+        ]
+        assert all(later >= earlier for earlier, later in zip(probs, probs[1:]))
+        assert probs[-1] > probs[0]
+
+    @pytest.mark.parametrize("p0, p1", [(0.5, 0.5), (0.8, 0.2)])
+    def test_strategy_is_unitary_and_attains_probability(self, p0, p1):
+        for u in ascent_unitaries():
+            res = best_message_attack(
+                u, p0=p0, p1=p1, budget=2000, rng=np.random.default_rng(0)
+            )
+            assert is_unitary(res.strategy, 1e-12)[0]
+            assert message_attack_pf(u, res.strategy, p0, p1) == pytest.approx(
+                res.probability, abs=1e-12
+            )
+            assert res.method == "polar_ascent"
+            assert res.iterations <= 2000
+
+    def test_secure_example_small_budget(self, u_secure):
+        res = best_message_attack(u_secure, budget=300, rng=np.random.default_rng(0))
+        assert res.probability >= 0.85997
+        assert res.converged
+
+    def test_budget_caps_evaluations(self, u_identity):
+        # identity has two starts (swap, perfect attack): one budget unit
+        # evaluates only the first and takes no step.
+        res = best_message_attack(u_identity, budget=1, rng=np.random.default_rng(0))
+        assert res.iterations == 1 and not res.converged
+        assert res.probability == pytest.approx(1.0, abs=1e-15)
 
 
 class TestKeyDistinguishability:

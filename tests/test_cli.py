@@ -93,6 +93,14 @@ class TestSimulate:
         assert body["summary"]["empty"] is True
         assert body["records"] == []
 
+    @pytest.mark.parametrize("trials", ["0", "1", "1000"])
+    def test_report_is_plain_indented_dump(self, capsys, trials):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--input", "secure_example", "--trials", trials
+        )
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
     def test_byte_identical_reports(self, tmp_path, secure_file, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         for out in (out1, out2):
@@ -114,6 +122,8 @@ class TestAttack:
         body = json.loads(out)["attacks"]
         assert body["no_message"]["probability"] == pytest.approx(0.5, abs=1e-12)
         assert body["message"]["probability"] > 1 - 1e-6
+        assert body["message"]["iterations"] <= 400
+        assert isinstance(body["message"]["converged"], bool)
         assert body["key_distinguishing"]["distinguishable"] is True
         assert body["key_reuse"]["ruled_out"] is False
 
@@ -126,6 +136,8 @@ class TestAttack:
         body = json.loads(out)["attacks"]
         assert body["no_message"]["probability"] == pytest.approx(1.0, abs=1e-12)
         assert body["message"]["probability"] > 1 - 1e-6
+        assert body["message"]["iterations"] <= 300
+        assert body["message"]["converged"] is True
         assert body["key_distinguishing"]["distinguishable"] is False
         assert body["key_reuse"]["ruled_out"] is True
 
@@ -140,6 +152,8 @@ class TestAttack:
             (2 + np.sqrt(2)) / 4, abs=1e-9
         )
         assert body["message"]["probability"] < 1 - 1e-4
+        assert body["message"]["iterations"] <= 500
+        assert isinstance(body["message"]["converged"], bool)
         assert abs(body["no_message"]["monte_carlo_delta"]) < 0.05
         assert body["key_reuse"]["ruled_out"] is True
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmac import designer
 from qmac.conditions import validate
 from qmac.config import DEFAULT_TOL
 from qmac.designer import INSECURE, optimize, security_score
@@ -13,6 +14,16 @@ class TestSecurityScore:
         sc = security_score(x_block_unitary(), budget=200, rng=rng)
         assert not sc.secure and sc.score == INSECURE
         assert sc.pf_no_message == pytest.approx(0.5)
+
+    def test_insecure_candidate_is_not_attacked(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("substitution search run on an insecure candidate")
+
+        monkeypatch.setattr(designer, "best_message_attack", fail)
+        sc = security_score(x_block_unitary())
+        assert not sc.secure and sc.score == INSECURE
+        assert sc.pf_no_message == pytest.approx(0.5)
+        assert sc.pf_message_best is None
 
     def test_identity_sentinel(self, rng):
         sc = security_score(np.eye(4), budget=200, rng=rng)
