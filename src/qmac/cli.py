@@ -90,18 +90,20 @@ def _emit(report: dict, out_path):
     records = report.get("records")
     text = json.dumps({**report, "records": []} if records else report,
                       sort_keys=True, indent=2) + "\n"
+    parts = [text]
     if records:
         rendered = {
             key: "    " + json.dumps(rec, sort_keys=True, indent=2).replace("\n", "\n    ")
-            for key, rec in {id(rec): rec for rec in records}.items()
+            for key, rec in dict(zip(map(id, records), records)).items()
         }
-        items = ",\n".join(rendered[id(rec)] for rec in records)
-        text = text.replace('\n  "records": []', f'\n  "records": [\n{items}\n  ]', 1)
+        head, tail = text.split('\n  "records": []', 1)
+        items = ",\n".join(map(rendered.__getitem__, map(id, records)))
+        parts = [head, '\n  "records": [\n', items, "\n  ]", tail]
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def cmd_validate(args, tol) -> int:

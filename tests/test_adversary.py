@@ -327,6 +327,14 @@ class TestPolarAscent:
         assert res.probability >= 0.85997
         assert res.converged
 
+    def test_cost_is_set_by_budget(self, u_secure, u_identity):
+        # Without a certainty attack the ascent spends the whole budget even
+        # after it has converged; with one it stops once it is certain.
+        res = best_message_attack(u_secure, budget=300, rng=np.random.default_rng(0))
+        assert res.iterations == 300 and res.converged
+        res = best_message_attack(u_identity, budget=300, rng=np.random.default_rng(0))
+        assert res.iterations == 4 and res.converged
+
     def test_budget_caps_evaluations(self, u_identity):
         # identity has two starts (swap, perfect attack): one budget unit
         # evaluates only the first and takes no step.
