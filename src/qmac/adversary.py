@@ -25,7 +25,6 @@ from .protocol import (
     ACCEPT_PROJECTOR,
     I2,
     I4,
-    MESSAGE_BASIS,
     TaggingUnitary,
     as_tagging_unitary,
     decode,
@@ -154,9 +153,15 @@ def injected_acceptance_distribution(u, eve: np.ndarray) -> np.ndarray:
 
 def no_message_attack_sim(u, eve, trials: int, rng: np.random.Generator) -> float:
     """Monte Carlo acceptance frequency for an injected state."""
+    _check_trials(trials)
     probs = injected_acceptance_distribution(u, eve)
     outcomes = rng.choice(4, size=trials, p=probs / probs.sum())
     return float((outcomes < 2).mean())
+
+
+def _check_trials(trials: int):
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
 
 
 # --- message (substitution) attack ------------------------------------------
@@ -198,6 +203,7 @@ def message_attack_sim(
 ) -> float:
     """Monte Carlo frequency of successful substitution (flip accepted)."""
     _check_priors(p0, p1)
+    _check_trials(trials)
     dists = [message_attack_distribution(u, v, i) for i in (0, 1)]
     messages = rng.choice(2, size=trials, p=[p0, p1])
     hits = 0
@@ -262,7 +268,10 @@ def perfect_message_attack(u) -> Optional[np.ndarray]:
     |M0^0[0]| = |M0^1[1]| and |M0^0[1]| = |M0^1[0]|.  The bottom block of
     V is then completed by mapping the M2 columns onto each other with
     matching phases (always possible: column orthogonality of U makes the
-    Gram matrices agree).  Returns None when no perfect attack exists.
+    Gram matrices agree).  Returns None when :func:`swap_mismatch` exceeds
+    ``tol.phase_equiv`` or the constructed V reaches pf < 1 - ``tol.strict``;
+    under a loosened ``phase_equiv`` the second can happen while condition 3
+    reports a certainty attack.
     """
     u = as_tagging_unitary(u)
     tol = u.tol.phase_equiv
@@ -455,25 +464,6 @@ def key_reuse_feasibility(u) -> KeyReuseFeasibilityReport:
     )
 
 
-@dataclass(frozen=True)
-class KeyReuseAttackSpec:
-    """Target of the key-entangling attack: the split-key global state."""
-
-    alpha: complex
-    beta: complex
-    phi_e: np.ndarray
-    phi_perp_e: np.ndarray
-
-    def __post_init__(self):
-        if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1) > 1e-12:
-            raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
-        for v in (self.phi_e, self.phi_perp_e):
-            if abs(np.linalg.norm(v) - 1) > 1e-12:
-                raise ValueError("ancilla states must be normalized")
-        if abs(np.vdot(self.phi_e, self.phi_perp_e)) > 1e-12:
-            raise ValueError("ancilla states must be orthogonal")
-
-
 @dataclass
 class KeyReuseStats:
     per_round_acceptance: list
@@ -497,46 +487,36 @@ class KeyReuseStats:
         }
 
 
-_DIMS = (2, 2, 4, 2)  # key A, key B, message E, Eve ancilla
+# psi[a, b, e] before the first round: the singlet key, Eve's ancilla in |0>.
+_START = np.multiply.outer(singlet().reshape(2, 2), [1, 0])
 
 
-def _reuse_operators(u: TaggingUnitary, interaction: np.ndarray):
-    interaction = np.asarray(interaction, dtype=complex)
-    if interaction.shape != (8, 8):
+def _reuse_kernel(u: TaggingUnitary, interaction: np.ndarray, forge_bit: int):
+    """One round of the key-reuse attack as maps on psi[a, b, e].
+
+    Once Bob has measured, the message register is a basis state, so all
+    that carries over between rounds lives on key A ⊗ key B ⊗ Eve's ancilla.
+    ``maps[i, k, a, b]`` is the 2×2 ancilla map of an honest round with
+    Alice's bit i and Bob's outcome k on the key basis state |ab>:
+    (<k|⊗I)(D_b⊗I) W (E_a⊗I)(|i>⊗I), with Alice's E_a = U^a, Bob's
+    D_0 = U†, D_1 = I and Eve's interaction W on message ⊗ ancilla.
+    ``forge[k, b, e] = |<k|D_b U^e|f>|^2`` is Bob's outcome distribution
+    after Eve loads |f> = |phi_forge_bit> and tags it with U controlled on
+    her ancilla, which leaves (a, b, e) untouched.
+    """
+    w = np.asarray(interaction, dtype=complex)
+    if w.shape != (8, 8):
         raise ValueError("Eve's interaction must act on message ⊗ ancilla (8-dim)")
-    ok, dev = is_unitary(interaction, u.tol.unitary)
+    ok, dev = is_unitary(w, u.tol.unitary)
     if not ok:
         raise ValueError(f"Eve's interaction must be unitary (deviation {dev:.3e})")
-    i_anc = np.eye(2, dtype=complex)
-    enc = tensor(u.encode_op, i_anc)
-    dec = tensor(u.decode_op, i_anc)
-    eve = tensor(np.eye(4, dtype=complex), interaction)
-    p0 = np.diag([1, 0]).astype(complex)
-    p1 = np.diag([0, 1]).astype(complex)
-    # Eve re-runs the encoding with her ancilla as the control qubit.
-    forge_enc = tensor(np.eye(4, dtype=complex), tensor(I4, p0) + tensor(u.u, p1))
-    return enc, dec, eve, forge_enc
-
-
-def _measure_message(state: np.ndarray, rng: np.random.Generator):
-    amps = state.reshape(_DIMS)
-    probs = (np.abs(amps) ** 2).sum(axis=(0, 1, 3))
-    outcome = int(rng.choice(4, p=probs / probs.sum()))
-    post = np.zeros_like(amps)
-    post[:, :, outcome, :] = amps[:, :, outcome, :]
-    post = post.reshape(-1)
-    return outcome, post / np.linalg.norm(post)
-
-
-def _replace_message(state: np.ndarray, new_bit: int) -> np.ndarray:
-    """Discard the (collapsed) message register and load a fresh basis state."""
-    amps = state.reshape(_DIMS)
-    weights = (np.abs(amps) ** 2).sum(axis=(0, 1, 3))
-    k = int(np.argmax(weights))
-    sub = amps[:, :, k, :]
-    fresh = np.zeros_like(amps)
-    fresh[:, :, new_bit, :] = sub / np.linalg.norm(sub)
-    return fresh.reshape(-1)
+    if forge_bit not in (0, 1):
+        raise ValueError("forge_bit must be 0 or 1")
+    enc = np.stack([I4, u.u])
+    dec = np.stack([dagger(u.u), I4])
+    maps = np.einsum("bkp,pfme,ami->ikabfe", dec, w.reshape(4, 2, 4, 2), enc[:, :, :2])
+    forge = np.abs(np.einsum("bkm,em->kbe", dec, enc[:, :, forge_bit])) ** 2
+    return maps, forge
 
 
 def simulate_key_reuse(
@@ -553,43 +533,35 @@ def simulate_key_reuse(
     Eve applies ``interaction`` on message ⊗ ancilla in flight, key kept
     only on acceptance), then Eve attempts a forgery against the reused
     key: she loads |phi_forge_bit>, re-runs the tagging controlled on her
-    ancilla, and Bob verifies.
+    ancilla, and Bob verifies.  Each round samples Bob's outcome from the
+    maps of :func:`_reuse_kernel` and renormalises the key ⊗ ancilla state.
     """
     u = as_tagging_unitary(u)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    enc, dec, eve, forge_enc = _reuse_operators(u, interaction)
+    maps, forge = _reuse_kernel(u, interaction, forge_bit)
 
     accept_counts = np.zeros(rounds, dtype=int)
     round_attempts = np.zeros(rounds, dtype=int)
     attempts = successes = 0
     fidelities = []
     for _ in range(trials):
-        state = tensor(singlet(), MESSAGE_BASIS[:, 0], np.array([1, 0], complex))
-        alive = True
+        psi = _START
         for r in range(rounds):
-            bit = int(rng.integers(2))
-            state = _replace_message(state, bit) if r > 0 else tensor(
-                singlet(), MESSAGE_BASIS[:, bit], np.array([1, 0], complex)
-            )
-            state = dec @ (eve @ (enc @ state))
-            outcome, state = _measure_message(state, rng)
+            # phi[k]: the state after outcome k, unnormalised.
+            phi = (maps[int(rng.integers(2))] @ psi[..., None])[..., 0]
+            probs = (np.abs(phi) ** 2).sum(axis=(1, 2, 3))
+            outcome = int(rng.choice(4, p=probs / probs.sum()))
             round_attempts[r] += 1
-            if outcome in (0, 1):
-                accept_counts[r] += 1
-            else:
-                alive = False
+            if outcome > 1:
                 break
-        if not alive:
-            continue
-        fidelities.append(key_fidelity(state, _DIMS))
-        # Reuse round: Eve forges using her ancilla as the encoding control.
-        state = _replace_message(state, forge_bit)
-        state = dec @ (forge_enc @ state)
-        outcome, state = _measure_message(state, rng)
-        attempts += 1
-        if outcome in (0, 1):
-            successes += 1
+            accept_counts[r] += 1
+            psi = phi[outcome] / np.linalg.norm(phi[outcome])
+        else:
+            fidelities.append(key_fidelity(psi.reshape(8), (2, 2, 2)))
+            probs = np.einsum("kbe,abe->k", forge, np.abs(psi) ** 2)
+            attempts += 1
+            successes += int(rng.choice(4, p=probs / probs.sum())) < 2
 
     per_round = [
         accept_counts[r] / round_attempts[r] if round_attempts[r] else float("nan")
@@ -614,26 +586,14 @@ def reuse_forgery_probability(
     None averages over a uniformly random honest message.
     """
     u = as_tagging_unitary(u)
-    enc, dec, eve, forge_enc = _reuse_operators(u, interaction)
-    bits = (0, 1) if honest_bit is None else (honest_bit,)
-    total_w = 0.0
-    total_success = 0.0
-    for bit in bits:
-        state = tensor(singlet(), MESSAGE_BASIS[:, bit], np.array([1, 0], complex))
-        state = dec @ (eve @ (enc @ state))
-        amps = state.reshape(_DIMS)
-        probs = (np.abs(amps) ** 2).sum(axis=(0, 1, 3))
-        for k in (0, 1):
-            if probs[k] <= 1e-15:
-                continue
-            post = np.zeros_like(amps)
-            post[:, :, k, :] = amps[:, :, k, :]
-            post = post.reshape(-1) / np.sqrt(probs[k])
-            post = _replace_message(post, forge_bit)
-            final = dec @ (forge_enc @ post)
-            facc = (np.abs(final.reshape(_DIMS)) ** 2).sum(axis=(0, 1, 3))[:2].sum()
-            total_w += probs[k] / len(bits)
-            total_success += probs[k] / len(bits) * facc
-    if total_w <= 1e-15:
+    if honest_bit not in (None, 0, 1):
+        raise ValueError("honest_bit must be None, 0 or 1")
+    maps, forge = _reuse_kernel(u, interaction, forge_bit)
+    bits = [0, 1] if honest_bit is None else [honest_bit]
+    # |psi|^2 after each accepted first round (bit i, outcome k), weighted by
+    # the bit's prior: its total is the acceptance probability.
+    dens = np.abs(maps[bits, :2] @ _START[..., None])[..., 0] ** 2 / len(bits)
+    accepted = dens.sum()
+    if accepted <= 1e-15:
         return 0.0
-    return float(total_success / total_w)
+    return float(np.einsum("kbe,ijabe->", forge[:2], dens) / accepted)

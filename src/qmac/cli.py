@@ -47,6 +47,16 @@ def _parse_tol_overrides(pairs):
     return overrides
 
 
+def _parse_priors(text):
+    try:
+        priors = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        priors = ()
+    if len(priors) != 2:
+        raise argparse.ArgumentTypeError(f"expects two numbers p0,p1, got {text!r}")
+    return priors
+
+
 def _load_unitary(args, tol):
     if args.input is None:
         raise ValueError("--input PATH (or a builtin name) is required")
@@ -262,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack = sub.add_parser("attack", help="run all four attack analyses")
     common(p_attack)
     p_attack.add_argument(
-        "--priors", type=lambda s: tuple(float(x) for x in s.split(",")),
+        "--priors", type=_parse_priors,
         default=(0.5, 0.5), help="message priors p0,p1",
     )
     p_opt = sub.add_parser("optimize", help="search for a secure tagging unitary")

@@ -89,13 +89,17 @@ def check_case2(u) -> ConditionCheck:
 def check_condition3(u) -> ConditionCheck:
     """No certainty substitution attack.
 
-    Satisfied iff the M0 columns are NOT phase-equivalent under the
-    phase-shifted swap, decided on ``tol.phase_equiv`` exactly as
-    :func:`~qmac.adversary.perfect_message_attack` decides it.  When they
-    are, a certainty attack is always constructible (the bottom-block
-    completion exists for every unitary, so the auxiliary M2-column clause
-    never rescues security — it is reported in the details for reference
-    only).
+    Satisfied when the M0 columns are NOT phase-equivalent under the
+    phase-shifted swap, decided on ``tol.phase_equiv`` by the same
+    :func:`~qmac.adversary.swap_mismatch` test that gates
+    :func:`~qmac.adversary.perfect_message_attack`.  When they are exactly
+    phase-equivalent, a certainty attack is always constructible (the
+    bottom-block completion exists for every unitary, so the auxiliary
+    M2-column clause never rescues security — it is reported in the details
+    for reference only).
+    Under a loosened ``phase_equiv`` the two can disagree: the condition
+    fails while ``perfect_message_attack`` returns None, because its
+    constructed attack must still reach pf >= 1 - ``tol.strict``.
     """
     u = as_tagging_unitary(u)
     c20, c21 = u.col(2, 0), u.col(2, 1)

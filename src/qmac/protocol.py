@@ -208,6 +208,8 @@ def simulate_honest_batch(u, message: int, trials: int, rng: np.random.Generator
     The decoded state is the same every round, so the per-trial work is a
     single Born sample from its outcome distribution.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     u = as_tagging_unitary(u)
     decoded = decode(u, encode(u, message))
     probs = measurement_distribution(decoded)

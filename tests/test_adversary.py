@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qmac.adversary import (
-    KeyReuseAttackSpec,
     SIGMA_X,
     best_message_attack,
     eve_state_from_restricted,
@@ -25,7 +24,7 @@ from qmac.adversary import (
 from qmac.config import DEFAULT_TOL
 from qmac.fixtures import secure_example_unitary
 from qmac.linalg import haar_random_unitary, is_unitary, tensor
-from qmac.protocol import MESSAGE_BASIS, TaggingUnitary
+from qmac.protocol import MESSAGE_BASIS, TaggingUnitary, singlet
 
 E = np.eye(4, dtype=complex)
 SWAP01 = np.zeros((4, 4), complex)
@@ -168,6 +167,13 @@ class TestMessageAttack:
     def test_non_unitary_attack_rejected(self, u_identity):
         with pytest.raises(ValueError):
             message_attack_pf(u_identity, np.diag([1, 1, 1, 2.0]))
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_simulations_need_a_trial(self, u_secure, rng, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            message_attack_sim(u_secure, SWAP01, trials, rng)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            no_message_attack_sim(u_secure, E[:, 0], trials, rng)
 
     def test_matches_simulation_frequency(self, u_secure, rng):
         p = message_attack_pf(u_secure, SWAP01)
@@ -416,18 +422,73 @@ class TestKeyReuseSimulation:
         with pytest.raises(ValueError):
             simulate_key_reuse(u_secure, 1, np.eye(8) * 2, rng, trials=1)
 
-    def test_attack_spec_validation(self):
-        with pytest.raises(ValueError):
-            KeyReuseAttackSpec(
-                alpha=1.0,
-                beta=1.0,
-                phi_e=np.array([1, 0], complex),
-                phi_perp_e=np.array([0, 1], complex),
-            )
-        spec = KeyReuseAttackSpec(
-            alpha=np.sqrt(0.5),
-            beta=np.sqrt(0.5),
-            phi_e=np.array([1, 0], complex),
-            phi_perp_e=np.array([0, 1], complex),
-        )
-        assert abs(abs(spec.alpha) ** 2 + abs(spec.beta) ** 2 - 1) < 1e-12
+
+def reuse_forgery_oracle(u, w, honest_bit, forge_bit):
+    """The single-round reuse forgery on key A ⊗ key B ⊗ message ⊗ ancilla
+    (32-dim), with every operator built by kron."""
+    p0, p1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
+    i2, i4 = np.eye(2), np.eye(4)
+    enc = tensor(p0, i2, i4, i2) + tensor(p1, i2, u, i2)
+    dec = tensor(i2, p0, u.conj().T, i2) + tensor(i2, p1, i4, i2)
+    eve = tensor(i2, i2, w)
+    forge = tensor(i2, i2, tensor(i4, p0) + tensor(u, p1))
+    accepted = forged = 0.0
+    for bit in (0, 1) if honest_bit is None else (honest_bit,):
+        start = tensor(singlet(), MESSAGE_BASIS[:, bit], np.array([1, 0]))
+        amps = (dec @ eve @ enc @ start).reshape(2, 2, 4, 2)
+        for k in (0, 1):
+            # Bob accepted outcome k; Eve swaps in |phi_forge_bit> and forges.
+            reload = np.zeros_like(amps)
+            reload[:, :, forge_bit, :] = amps[:, :, k, :]
+            final = (dec @ forge @ reload.reshape(-1)).reshape(2, 2, 4, 2)
+            accepted += (np.abs(amps[:, :, k, :]) ** 2).sum()
+            forged += (np.abs(final[:, :, :2, :]) ** 2).sum()
+    return forged / accepted
+
+
+class TestKeyReuseOracle:
+    @pytest.mark.parametrize("honest_bit", [None, 0, 1])
+    @pytest.mark.parametrize("forge_bit", [0, 1])
+    def test_exact_matches_joint_simulation(self, honest_bit, forge_bit):
+        rng = np.random.default_rng(17)
+        taggings = [secure_example_unitary()] + [haar_random_unitary(4, rng) for _ in range(5)]
+        for u in taggings:
+            for w in [np.eye(8)] + [haar_random_unitary(8, rng) for _ in range(3)]:
+                p = reuse_forgery_probability(u, w, honest_bit, forge_bit)
+                assert p == pytest.approx(
+                    reuse_forgery_oracle(u, w, honest_bit, forge_bit), abs=1e-12
+                )
+
+    def test_bad_bits_rejected(self, u_secure):
+        with pytest.raises(ValueError, match="honest_bit"):
+            reuse_forgery_probability(u_secure, np.eye(8), honest_bit=2)
+        with pytest.raises(ValueError, match="forge_bit"):
+            simulate_key_reuse(u_secure, 1, np.eye(8), np.random.default_rng(0), forge_bit=-1)
+
+
+# simulate_key_reuse(u, rounds, w, default_rng(100 + seed), trials=60) from the
+# 32-dim joint simulation: forgery attempts, successes, per-round acceptance and
+# final key fidelity.  u is secure_example for seeds 0 and 1 and
+# haar_random_unitary(4, rng) for seed 2, then w = haar_random_unitary(8, rng),
+# with rng = default_rng(seed).
+REUSE_32_DIM_STATS = {
+    (0, 1): (25, 12, [0.4166666666666667], 0.499406327353149),
+    (0, 3): (6, 4, [0.4666666666666667, 0.4642857142857143, 0.46153846153846156],
+             0.38635476263629664),
+    (1, 1): (42, 27, [0.7], 0.6176967434419319),
+    (1, 3): (6, 2, [0.65, 0.46153846153846156, 0.3333333333333333], 0.4759160320938776),
+    (2, 1): (19, 17, [0.31666666666666665], 0.49067556369691784),
+    (2, 3): (4, 3, [0.31666666666666665, 0.42105263157894735, 0.5], 0.3925124929106301),
+}
+
+
+@pytest.mark.parametrize("seed, rounds", sorted(REUSE_32_DIM_STATS))
+def test_key_reuse_simulation_frozen(seed, rounds):
+    rng = np.random.default_rng(seed)
+    u = secure_example_unitary() if seed != 2 else haar_random_unitary(4, rng)
+    w = haar_random_unitary(8, rng)
+    stats = simulate_key_reuse(u, rounds, w, np.random.default_rng(100 + seed), trials=60)
+    attempts, successes, acceptance, fidelity = REUSE_32_DIM_STATS[seed, rounds]
+    assert (stats.forgery_attempts, stats.forgery_successes) == (attempts, successes)
+    assert stats.per_round_acceptance == pytest.approx(acceptance, abs=1e-12)
+    assert stats.final_key_fidelity == pytest.approx(fidelity, abs=1e-12)

@@ -101,6 +101,14 @@ class TestSimulate:
         assert code == 0
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
+    def test_negative_trials_exit_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--input", "secure_example", "--trials", "-1"
+        )
+        assert code == 2 and out == ""
+        assert "trials must be >= 0, got -1" in err
+        assert "Traceback" not in err
+
     def test_byte_identical_reports(self, tmp_path, secure_file, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         for out in (out1, out2):
@@ -140,6 +148,23 @@ class TestAttack:
         assert body["message"]["converged"] is True
         assert body["key_distinguishing"]["distinguishable"] is False
         assert body["key_reuse"]["ruled_out"] is True
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_too_few_trials_exit_two(self, capsys, trials):
+        code, out, err = run_cli(
+            capsys, "attack", "--input", "secure_example", "--trials", trials
+        )
+        assert code == 2 and out == ""
+        assert f"trials must be >= 1, got {trials}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("priors", ["0.5", "0.5,0.5,0", "a,b"])
+    def test_priors_need_two_numbers(self, capsys, priors):
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "--input", "secure_example", "--priors", priors])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument --priors: expects two numbers p0,p1, got {priors!r}" in err
 
     def test_secure_example_regression(self, capsys, secure_file):
         code, out, _ = run_cli(
