@@ -73,12 +73,13 @@ class AttackResult:
 def no_message_pf(u, eve: np.ndarray) -> float:
     """Forgery probability of injecting the pure state ``eve``.
 
-    Evaluates (1/2) sum_{i=0,1} (|e_i|^2 + |<eve|U|phi_i>|^2).
+    Evaluates (1/2) sum_{i=0,1} (|e_i|^2 + |<eve|U|phi_i>|^2).  ``eve``
+    must be normalised to within ``u.tol.unitary``.
     """
     u = as_tagging_unitary(u)
     eve = np.asarray(eve, dtype=complex).reshape(4)
     nrm = np.linalg.norm(eve)
-    if abs(nrm - 1) > 1e-10:
+    if abs(nrm - 1) > u.tol.unitary:
         raise ValueError(f"Eve's state must be normalized (norm {nrm})")
     direct = np.abs(eve[:2]) ** 2
     overlaps = np.abs(dagger(u.u) @ eve)[:2] ** 2
@@ -345,6 +346,7 @@ def best_message_attack(
     p1: float = 0.5,
     budget: int = 10_000,
     rng: Optional[np.random.Generator] = None,
+    stop_at: float = np.inf,
 ) -> AttackResult:
     """Maximize :func:`message_attack_pf` over unitaries by multi-start
     polar-decomposition ascent.
@@ -354,10 +356,14 @@ def best_message_attack(
     maximizer of its linearisation) cannot lower f.  All starts step through
     one batched SVD until the next step would take the objective evaluations
     past ``budget``, so a call's cost depends on the budget and not on how
-    fast the ascent converges on ``u``.  The one early stop is a certainty
-    attack: f <= 1, so once a start is within ``_ASCENT_GAIN`` of 1 and the
-    last step gained no more, nothing is left to gain.  ``converged`` says
-    whether the last step gained no more than ``_ASCENT_GAIN``.
+    fast the ascent converges on ``u``.  The early stops are a certainty
+    attack (f <= 1, so once a start is within ``_ASCENT_GAIN`` of 1 and the
+    last step gained no more, nothing is left to gain) and ``stop_at``: the
+    search ends once any start's best f reaches it.  Each start keeps its
+    best iterate, so the reported probability never falls during the search;
+    a stopped result is at least ``stop_at`` and only a lower end of what the
+    full budget would find.  ``converged`` says whether the last step gained
+    no more than ``_ASCENT_GAIN``.
     Deterministic for a given rng seed.  The perfect-attack construction,
     when available, is a start, so no known certainty attack is missed.
     """
@@ -391,7 +397,8 @@ def best_message_attack(
         # Keep each start's best iterate: at a fixed point rounding can dip f.
         gained = f_step > f
         v, f = np.where(gained[:, None, None], step, v), np.where(gained, f_step, f)
-        if converged and f.max() >= 1 - _ASCENT_GAIN:
+        top = f.max()
+        if top >= stop_at or (converged and top >= 1 - _ASCENT_GAIN):
             break
         left, _, right = np.linalg.svd(np.einsum("sk,ki,kj->sij", w * c, a, b.conj()))
         step = left @ right
@@ -539,6 +546,7 @@ def simulate_key_reuse(
     u = as_tagging_unitary(u)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    _check_trials(trials)
     maps, forge = _reuse_kernel(u, interaction, forge_bit)
 
     accept_counts = np.zeros(rounds, dtype=int)

@@ -12,7 +12,8 @@ class Tolerances:
     Attributes
     ----------
     hermitian : max-norm threshold for accepting a matrix as Hermitian.
-    unitary : max-norm threshold on ``U†U - I``.
+    unitary : max-norm threshold on ``U†U - I``, and on the norm error of
+        an injected no-message state.
     strict : margin used for the strict inequalities of the security
         conditions (a quantity is "strictly less than c" iff < c - strict).
     phase_equiv : threshold for deciding phase-equivalence of vectors.

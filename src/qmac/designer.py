@@ -29,7 +29,7 @@ INSECURE = float("inf")
 @dataclass(frozen=True)
 class SecurityScore:
     pf_no_message: float
-    pf_message_best: Optional[float]  # None: insecure, so never attacked
+    pf_message_best: Optional[float]  # None: insecure or pruned, so never attacked
     secure: bool
     score: float
 
@@ -47,18 +47,27 @@ def security_score(
     u,
     budget: int = 2000,
     rng: Optional[np.random.Generator] = None,
+    ceiling: float = INSECURE,
 ) -> SecurityScore:
     """Validate a candidate and score it by its attack probabilities.
 
     Insecure candidates get an infinite sentinel score and no substitution
-    search.  Deterministic for a fixed rng seed and budget.
+    search.  A secure candidate whose score cannot fall below ``ceiling`` is
+    pruned: with ``pf_no_message >= ceiling`` it is not searched at all
+    (``pf_message_best`` is None), otherwise its search stops once it reaches
+    ``ceiling``.  A pruned score is at least ``ceiling`` and only a lower
+    bound on the full one, and so is its ``pf_message_best``; a score below
+    ``ceiling`` is exactly the unpruned score.  Deterministic for a fixed
+    rng seed and budget.
     """
     u = as_tagging_unitary(u)
     rng = rng if rng is not None else np.random.default_rng(0)
     pf_nm = no_message_optimal(u).probability
     if not validate(u, include_attacks=False).overall_secure:
         return SecurityScore(pf_nm, None, False, INSECURE)
-    pf_msg = best_message_attack(u, budget=budget, rng=rng).probability
+    if pf_nm >= ceiling:
+        return SecurityScore(pf_nm, None, True, pf_nm)
+    pf_msg = best_message_attack(u, budget=budget, rng=rng, stop_at=ceiling).probability
     return SecurityScore(pf_nm, pf_msg, True, max(pf_nm, pf_msg))
 
 
@@ -89,18 +98,22 @@ def optimize(
     Haar restarts are filtered through the validator (insecure samples are
     discarded, not penalized); each surviving candidate is refined by
     coordinate-wise descent on the exp(iH) chart.  ``budget`` is the
-    attack-search budget per score evaluation; every candidate is checked
-    under ``tol``.  Reproducible per seed; ties between restarts break
-    toward the lowest restart index.
+    attack-search budget per score evaluation; a refine candidate's score
+    is pruned at the incumbent's (see :func:`security_score`), so its search
+    stops once the candidate cannot be accepted, and the result is the same
+    as with every search run in full.  Every candidate is checked under
+    ``tol``.  Reproducible per seed; ties between restarts break toward the
+    lowest restart index.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    def evaluate(mat, seed):
+    def evaluate(mat, seed, ceiling=INSECURE):
         try:
             return security_score(
-                TaggingUnitary(mat, tol), budget=budget, rng=np.random.default_rng(seed)
+                TaggingUnitary(mat, tol), budget=budget, rng=np.random.default_rng(seed),
+                ceiling=ceiling,
             )
         except ValueError:
             return SecurityScore(1.0, None, False, INSECURE)
@@ -132,9 +145,12 @@ def optimize(
             for sign in (1.0, -1.0):
                 q = p.copy()
                 q[k] += sign * step
-                cand = evaluate(unitary_from_params(q), seed=restart)
+                # A candidate is kept only below this cutoff, so its score
+                # may stop at the cutoff.
+                cutoff = sc.score - 1e-12
+                cand = evaluate(unitary_from_params(q), seed=restart, ceiling=cutoff)
                 it += 1
-                if cand.secure and cand.score < sc.score - 1e-12:
+                if cand.secure and cand.score < cutoff:
                     p, sc = q, cand
                     trace.append((restart, it, sc.score))
                     improved = True

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmac.adversary import (
     SIGMA_X,
@@ -73,6 +75,16 @@ class TestNoMessagePf:
     def test_rejects_unnormalized(self, u_identity):
         with pytest.raises(ValueError):
             no_message_pf(u_identity, np.array([1, 1, 0, 0], complex))
+
+    def test_normalisation_tolerance_from_unitary(self, u_secure):
+        eve = E[:, 0] * (1 + 1e-6)
+        with pytest.raises(ValueError, match="normalized"):
+            no_message_pf(u_secure, eve)
+        loose = TaggingUnitary(u_secure.u, DEFAULT_TOL.override(unitary=1e-5))
+        assert no_message_pf(loose, eve) == pytest.approx(0.75, abs=1e-5)
+        tight = TaggingUnitary(u_secure.u, DEFAULT_TOL.override(unitary=1e-14))
+        with pytest.raises(ValueError, match="normalized"):
+            no_message_pf(tight, E[:, 0] * (1 + 1e-12))
 
 
 class TestRestrictedForm:
@@ -349,6 +361,29 @@ class TestPolarAscent:
         assert res.probability == pytest.approx(1.0, abs=1e-15)
 
 
+def same_attack(a, b):
+    return (a.probability == b.probability and np.array_equal(a.strategy, b.strategy)
+            and a.iterations == b.iterations and a.converged == b.converged)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_stop_at_is_exact(seed):
+    # Budgets below 600 keep the same starts (no Haar draws), so a search cut
+    # at a smaller budget is a prefix of the full one.
+    u = TaggingUnitary(haar_random_unitary(4, np.random.default_rng(seed)))
+    full = best_message_attack(u, budget=500)
+    assert same_attack(full, best_message_attack(u, budget=500, stop_at=np.inf))
+    above = np.nextafter(full.probability, np.inf)
+    assert same_attack(full, best_message_attack(u, budget=500, stop_at=above))
+
+    half = best_message_attack(u, budget=250)
+    stopped = best_message_attack(u, budget=500, stop_at=half.probability)
+    assert stopped.probability >= half.probability
+    assert stopped.iterations <= half.iterations < 500
+    assert same_attack(stopped, best_message_attack(u, budget=stopped.iterations))
+
+
 class TestKeyDistinguishability:
     def test_identity_not_distinguishable(self, u_identity):
         assert not key_distinguishability(u_identity).distinguishable
@@ -421,6 +456,11 @@ class TestKeyReuseSimulation:
     def test_non_unitary_interaction_rejected(self, u_secure, rng):
         with pytest.raises(ValueError):
             simulate_key_reuse(u_secure, 1, np.eye(8) * 2, rng, trials=1)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_needs_a_trial(self, u_secure, rng, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            simulate_key_reuse(u_secure, 2, np.eye(8), rng, trials=trials)
 
 
 def reuse_forgery_oracle(u, w, honest_bit, forge_bit):
