@@ -1,9 +1,10 @@
 """Attack families against the tagging protocol and their optimization.
 
 Covers: no-message forgery (closed form, restricted two-parameter form,
-and exact eigen-optimal), message substitution (perfect-attack
-construction and polar-decomposition ascent over unitaries), the
-key-distinguishing measurement attack, and key-reuse entangling attacks.
+and the exact optimum (1 + sigma_max(M0))/2), message substitution
+(perfect-attack construction and polar-decomposition ascent over
+unitaries), the key-distinguishing measurement attack, and key-reuse
+entangling attacks.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .linalg import (
     dagger,
-    eig_hermitian,
     haar_random_unitary,
     is_unitary,
     matrix_to_json,
@@ -37,6 +37,8 @@ from .protocol import (
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _ASCENT_GAIN = 1e-13  # a substitution-ascent step gaining no more has converged
+_PRIOR_SUM_SLACK = 1e-12  # priors typed in decimal can miss 1 by rounding
+_ACCEPT_FLOOR = 1e-15  # acceptance this small is rounding: do not condition on it
 
 
 def phase_shift(beta: float) -> np.ndarray:
@@ -50,11 +52,10 @@ class AttackResult:
 
     probability: float
     strategy: np.ndarray  # state vector or attack unitary
-    method: str  # eigen_optimal | polar_ascent
+    method: str  # closed_form | polar_ascent
     budget: Optional[int] = None
     iterations: Optional[int] = None  # objective evaluations used
     converged: Optional[bool] = None  # the last step gained <= _ASCENT_GAIN
-    seed: Optional[int] = None
 
     def to_json(self) -> dict:
         return {
@@ -64,7 +65,6 @@ class AttackResult:
             "budget": self.budget,
             "iterations": self.iterations,
             "converged": self.converged,
-            "seed": self.seed,
         }
 
 
@@ -94,6 +94,16 @@ def no_message_pf_batch(u, states: np.ndarray) -> np.ndarray:
     return 0.5 * (direct + overlaps)
 
 
+def row_parameters(u) -> tuple:
+    """(x, y, z) from the first-block rows of the tagging unitary."""
+    u = as_tagging_unitary(u)
+    r0, r1 = u.row(0, 0), u.row(0, 1)
+    x = float(np.linalg.norm(r0) ** 2 - np.linalg.norm(r1) ** 2)
+    y = float(2 * abs(r1 @ r0.conj()))
+    z = float(np.linalg.norm(r1) ** 2)
+    return x, y, z
+
+
 def no_message_pf_restricted(u, abs_e0: float, theta: float) -> float:
     """The two-parameter restricted form (e2 = e3 = 0).
 
@@ -102,14 +112,10 @@ def no_message_pf_restricted(u, abs_e0: float, theta: float) -> float:
     """
     if not 0 <= abs_e0 <= 1:
         raise ValueError("abs_e0 must lie in [0, 1]")
-    u = as_tagging_unitary(u)
-    r0, r1 = u.row(0, 0), u.row(0, 1)
-    x = np.linalg.norm(r0) ** 2 - np.linalg.norm(r1) ** 2
-    coupling = abs(r1 @ r0.conj())
-    z = np.linalg.norm(r1) ** 2
+    x, y, z = row_parameters(u)
     second = 0.5 * (
         x * abs_e0**2
-        + 2 * coupling * abs_e0 * np.sqrt(max(0.0, 1 - abs_e0**2)) * np.cos(theta)
+        + y * abs_e0 * np.sqrt(max(0.0, 1 - abs_e0**2)) * np.cos(theta)
         + z
     )
     return float(0.5 + second)
@@ -131,15 +137,24 @@ def forgery_operator(u) -> np.ndarray:
 
 
 def no_message_optimal(u) -> AttackResult:
-    """Exact optimum over all injected states: lambda_max(Q)/2.
+    """Exact optimum over all injected states: (1 + s0)/2, s0 = sigma_max(M0).
 
-    The witnessing strategy is a top eigenvector of Q.
+    It is lambda_max(Q)/2 in closed form: Q is the sum of the projectors
+    onto the accept plane A and onto U A, whose spectrum is 1 +- cos of the
+    principal angles between the two planes, and those cosines are the
+    singular values of M0 (Halmos, "Two subspaces", Trans. AMS 144 (1969)).
+    The witnessing strategy is (|a> + U|v>)/sqrt(2 + 2 s0) for the top
+    singular pair M0 v = s0 a.
     """
     u = as_tagging_unitary(u)
-    eig = eig_hermitian(forgery_operator(u), u.tol)
-    lam = float(eig.eigenvalues[-1])
-    vec = eig.eigenvectors[:, -1]
-    return AttackResult(probability=lam / 2, strategy=vec, method="eigen_optimal")
+    left, s, right = np.linalg.svd(u.block(0))
+    eve = u.u[:, :2] @ right[0].conj()
+    eve[:2] += left[:, 0]
+    return AttackResult(
+        probability=float((1 + s[0]) / 2),
+        strategy=eve / np.linalg.norm(eve),
+        method="closed_form",
+    )
 
 
 def injected_acceptance_distribution(u, eve: np.ndarray) -> np.ndarray:
@@ -168,7 +183,7 @@ def _check_trials(trials: int):
 # --- message (substitution) attack ------------------------------------------
 
 def _check_priors(p0: float, p1: float):
-    if p0 < 0 or p1 < 0 or abs(p0 + p1 - 1) > 1e-12:
+    if p0 < 0 or p1 < 0 or abs(p0 + p1 - 1) > _PRIOR_SUM_SLACK:
         raise ValueError(f"priors must be nonnegative and sum to 1, got {p0}, {p1}")
 
 
@@ -217,37 +232,6 @@ def message_attack_sim(
     return hits / trials
 
 
-def _map_frames(sources, targets, dim: int = 2) -> Optional[np.ndarray]:
-    """Unitary T with T s_k = t_k, if one exists (Gram matrices must match)."""
-
-    def orthonormalize(vs):
-        out = []
-        for v in vs:
-            w = v.astype(complex).copy()
-            for o in out:
-                w -= np.vdot(o, w) * o
-            n = np.linalg.norm(w)
-            if n > 1e-9:
-                out.append(w / n)
-        # complete to a full basis
-        for e in np.eye(dim, dtype=complex):
-            w = e.copy()
-            for o in out:
-                w -= np.vdot(o, w) * o
-            n = np.linalg.norm(w)
-            if n > 1e-9:
-                out.append(w / n)
-        return np.stack(out, axis=1)
-
-    a = orthonormalize(sources)
-    b = orthonormalize(targets)
-    t = b @ dagger(a)
-    for s, tgt in zip(sources, targets):
-        if np.linalg.norm(t @ s - tgt) > 1e-8:
-            return None
-    return t
-
-
 def swap_mismatch(u) -> float:
     """Distance of the M0 columns from the relation c0 = e^{ig} S(d) sigma_x c1.
 
@@ -267,9 +251,11 @@ def perfect_message_attack(u) -> Optional[np.ndarray]:
     top block, and exists precisely when the two columns of the M0 block
     are phase-equivalent under S(delta) sigma_x, i.e. when
     |M0^0[0]| = |M0^1[1]| and |M0^0[1]| = |M0^1[0]|.  The bottom block of
-    V is then completed by mapping the M2 columns onto each other with
-    matching phases (always possible: column orthogonality of U makes the
-    Gram matrices agree).  Returns None when :func:`swap_mismatch` exceeds
+    V is the polar factor of T S†, which maps the M2 columns S = [c20, c21]
+    onto T = [e^{i theta0} c21, e^{i theta1} c20], their swap with the
+    phases the top block forces.  Column orthogonality of U makes the Gram
+    matrices S†S and T†T agree, so the polar factor maps S onto T at any
+    rank.  Returns None when :func:`swap_mismatch` exceeds
     ``tol.phase_equiv`` or the constructed V reaches pf < 1 - ``tol.strict``;
     under a loosened ``phase_equiv`` the second can happen while condition 3
     reports a certainty attack.
@@ -289,14 +275,12 @@ def perfect_message_attack(u) -> Optional[np.ndarray]:
     theta0 = np.angle(np.vdot(c01, t0)) if np.linalg.norm(c01) > tol else 0.0
     t1 = m0e @ c01
     theta1 = np.angle(np.vdot(c00, t1)) if np.linalg.norm(c00) > tol else 0.0
-    m1e = _map_frames(
-        [c20, c21], [np.exp(1j * theta0) * c21, np.exp(1j * theta1) * c20]
-    )
-    if m1e is None:
-        return None
+    sources = np.stack([c20, c21], axis=1)
+    targets = np.stack([np.exp(1j * theta0) * c21, np.exp(1j * theta1) * c20], axis=1)
+    left, _, right = np.linalg.svd(targets @ dagger(sources))
     v = np.zeros((4, 4), dtype=complex)
     v[:2, :2] = m0e
-    v[2:, 2:] = m1e
+    v[2:, 2:] = left @ right
     if message_attack_pf(u, v) < 1 - u.tol.strict:
         return None
     return v
@@ -602,6 +586,6 @@ def reuse_forgery_probability(
     # the bit's prior: its total is the acceptance probability.
     dens = np.abs(maps[bits, :2] @ _START[..., None])[..., 0] ** 2 / len(bits)
     accepted = dens.sum()
-    if accepted <= 1e-15:
+    if accepted <= _ACCEPT_FLOOR:
         return 0.0
     return float(np.einsum("kbe,ijabe->", forge[:2], dens) / accepted)

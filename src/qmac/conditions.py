@@ -10,7 +10,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversary import best_message_attack, no_message_optimal, swap_mismatch
+from .adversary import (
+    best_message_attack,
+    no_message_optimal,
+    perfect_message_attack,
+    row_parameters,
+    swap_mismatch,
+)
 from .protocol import as_tagging_unitary
 
 
@@ -24,16 +30,6 @@ def ec_gorda_lhs(x: float, y: float, z: float) -> float:
     r = x / y
     s = np.sqrt(1 + r * r)
     return float(0.5 * x * (1 + r / s) + 0.5 * y * s + z)
-
-
-def row_parameters(u) -> tuple:
-    """(x, y, z) from the first-block rows of the tagging unitary."""
-    u = as_tagging_unitary(u)
-    r0, r1 = u.row(0, 0), u.row(0, 1)
-    x = float(np.linalg.norm(r0) ** 2 - np.linalg.norm(r1) ** 2)
-    y = float(2 * abs(r1 @ r0.conj()))
-    z = float(np.linalg.norm(r1) ** 2)
-    return x, y, z
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,8 @@ def check_condition3(u) -> ConditionCheck:
     for reference only).
     Under a loosened ``phase_equiv`` the two can disagree: the condition
     fails while ``perfect_message_attack`` returns None, because its
-    constructed attack must still reach pf >= 1 - ``tol.strict``.
+    constructed attack must still reach pf >= 1 - ``tol.strict``.  The
+    ``perfect_attack_constructed`` detail says whether it was built.
     """
     u = as_tagging_unitary(u)
     c20, c21 = u.col(2, 0), u.col(2, 1)
@@ -119,6 +116,7 @@ def check_condition3(u) -> ConditionCheck:
             "m0_swap_mismatch": mismatch,
             "m2_inner_product": float(m2_inner),
             "m2_parallel_gap": m2_parallel_gap,
+            "perfect_attack_constructed": perfect_message_attack(u) is not None,
         },
     )
 

@@ -11,7 +11,6 @@ class Tolerances:
 
     Attributes
     ----------
-    hermitian : max-norm threshold for accepting a matrix as Hermitian.
     unitary : max-norm threshold on ``U†U - I``, and on the norm error of
         an injected no-message state.
     strict : margin used for the strict inequalities of the security
@@ -22,7 +21,6 @@ class Tolerances:
     built with; every check on it reads them from there.
     """
 
-    hermitian: float = 1e-10
     unitary: float = 1e-10
     strict: float = 1e-9
     phase_equiv: float = 1e-9

@@ -6,12 +6,11 @@ Everything operates on plain numpy complex arrays.  Matrices are row-major
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -56,31 +55,6 @@ def partial_trace(rho: np.ndarray, dims: list[int], keep) -> np.ndarray:
         reshaped = np.trace(reshaped, axis1=sub, axis2=sub + reshaped.ndim // 2)
     d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
     return reshaped.reshape(d_keep, d_keep)
-
-
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Full spectrum of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns are orthonormal eigenvectors
-
-
-def eig_hermitian(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
-
-    The input is symmetrized before solving; a deviation from Hermiticity
-    beyond ``tol.hermitian`` is rejected.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("eig_hermitian expects a square matrix")
-    dev = np.abs(h - dagger(h)).max()
-    if dev > tol.hermitian:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    sym = (h + dagger(h)) / 2
-    w, v = np.linalg.eigh(sym)
-    return HermitianEigen(eigenvalues=w, eigenvectors=v)
 
 
 def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL.unitary):

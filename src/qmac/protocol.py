@@ -3,8 +3,7 @@
 Subsystem ordering is key-A (2) ⊗ key-B (2) ⊗ message E (4); a basis state
 has index ``8a + 4b + e``.  The message basis is fixed to the computational
 basis e0..e3 of the 4-dim message space: bit states are e0/e1, reject
-outcomes e2/e3.  Arbitrary orthonormal message bases are supported by
-conjugating the tagging unitary at load time.
+outcomes e2/e3.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ class TaggingUnitary:
         self._u = u.copy()
         self._u.setflags(write=False)
         self.tol = tol
-        self.unitarity_deviation = dev
         # Controlled encode/decode operators on the 16-dim joint space.
         p0 = np.diag([1, 0]).astype(complex)
         p1 = np.diag([0, 1]).astype(complex)

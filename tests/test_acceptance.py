@@ -119,7 +119,7 @@ def test_criterion_03_no_message_optimum():
         )
         best_grid = float(_pf_oracle(u, grid_states).max())
         worst_dom = max(worst_dom, best_random - opt, best_grid - opt)
-        # eigen route cross-checked against a power-iteration oracle on Q
+        # closed form cross-checked against a power-iteration oracle on Q
         pi = 0.5 * _power_iteration_top(forgery_operator(tu))
         worst_match = max(worst_match, abs(opt - pi))
     ok &= worst_dom < 1e-9

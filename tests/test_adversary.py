@@ -7,6 +7,7 @@ from qmac.adversary import (
     SIGMA_X,
     best_message_attack,
     eve_state_from_restricted,
+    forgery_operator,
     injected_acceptance_distribution,
     key_distinguishability,
     key_reuse_feasibility,
@@ -24,7 +25,7 @@ from qmac.adversary import (
     unitary_from_params,
 )
 from qmac.config import DEFAULT_TOL
-from qmac.fixtures import secure_example_unitary
+from qmac.fixtures import BUILTIN, secure_example_unitary
 from qmac.linalg import haar_random_unitary, is_unitary, tensor
 from qmac.protocol import MESSAGE_BASIS, TaggingUnitary, singlet
 
@@ -134,12 +135,20 @@ class TestNoMessageOptimal:
             (2 + np.sqrt(2)) / 4, abs=1e-12
         )
 
-    def test_witness_attains_value(self, rng):
-        u = TaggingUnitary(haar_random_unitary(4, rng))
-        res = no_message_optimal(u)
-        assert no_message_pf(u, res.strategy) == pytest.approx(
-            res.probability, abs=1e-10
-        )
+    @pytest.mark.parametrize("name", ["identity", "x_block", "secure_example", "haar"])
+    def test_witness_attains_value(self, name, rng):
+        # identity has s0 = 1 and x_block s0 = 0, the two ends of the range.
+        if name == "haar":
+            mats = [haar_random_unitary(4, rng) for _ in range(20)]
+        else:
+            mats = [BUILTIN[name]()]
+        for m in mats:
+            u = TaggingUnitary(m)
+            res = no_message_optimal(u)
+            assert res.method == "closed_form"
+            assert no_message_pf(u, res.strategy) == pytest.approx(
+                res.probability, abs=1e-12
+            )
 
     def test_dominates_sampled_states(self, rng):
         for _ in range(20):
@@ -150,8 +159,10 @@ class TestNoMessageOptimal:
     def test_lambda_max_range(self, rng):
         for _ in range(200):
             u = TaggingUnitary(haar_random_unitary(4, rng))
-            lam = 2 * no_message_optimal(u).probability
-            assert 1 - 1e-10 <= lam <= 2 + 1e-10
+            pf = no_message_optimal(u).probability
+            assert 1 - 1e-10 <= 2 * pf <= 2 + 1e-10
+            lam = np.linalg.eigvalsh(forgery_operator(u))[-1]
+            assert pf == pytest.approx(lam / 2, abs=1e-12)
 
 
 class TestMessageAttack:
@@ -246,6 +257,20 @@ class TestPerfectMessageAttack:
             assert v is not None
             assert message_attack_pf(u, v) == pytest.approx(1.0, abs=1e-9)
             built += 1
+
+    def test_rank_one_bottom_frame(self, rng):
+        # Reflections I - 2vv† with |v0| = |v1|: the M0 columns are swap
+        # related and both M2 columns are parallel to v's bottom half.
+        for _ in range(50):
+            top = rng.uniform(0, np.sqrt(0.5)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
+            bottom = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            bottom *= np.sqrt(1 - 2 * abs(top[0]) ** 2) / np.linalg.norm(bottom)
+            vec = np.concatenate([top, bottom])
+            u = TaggingUnitary(np.eye(4) - 2 * np.outer(vec, vec.conj()))
+            assert np.linalg.matrix_rank(u.block(2), tol=1e-9) <= 1
+            v = perfect_message_attack(u)
+            assert v is not None
+            assert message_attack_pf(u, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_haar_random_has_none(self, rng):
         for _ in range(20):

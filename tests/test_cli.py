@@ -231,10 +231,10 @@ class TestDemo:
         assert code == 0
         tolerances = json.loads(out)["tolerances"]
         assert tolerances["unitary"] == 1e-8
-        assert set(tolerances) == {"hermitian", "unitary", "strict", "phase_equiv"}
+        assert set(tolerances) == {"unitary", "strict", "phase_equiv"}
 
     def test_unknown_tolerance_rejected(self, capsys):
-        for name in ("bogus", "trace", "eig_reconstruction"):
+        for name in ("bogus", "trace", "eig_reconstruction", "hermitian"):
             code, _, err = run_cli(capsys, "demo", "--tol", f"{name}=1")
             assert code == 2
             assert name in err

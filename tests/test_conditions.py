@@ -103,6 +103,18 @@ class TestCondition3:
     def test_secure_example_satisfied(self, u_secure):
         assert check_condition3(u_secure).satisfied
 
+    def test_flags_the_constructed_attack(self, u_identity, u_xblock):
+        for u in (u_identity, u_xblock):
+            assert check_condition3(u).details["perfect_attack_constructed"] is True
+
+    def test_loosened_phase_equiv_flags_no_attack(self, u_secure):
+        # secure_example's swap mismatch is 0.5: at phase_equiv 0.6 the
+        # condition fails, yet no certainty attack can be built.
+        tol = DEFAULT_TOL.override(phase_equiv=0.6)
+        c3 = check_condition3(TaggingUnitary(u_secure.u, tol))
+        assert not c3.satisfied
+        assert c3.details["perfect_attack_constructed"] is False
+
     def test_failure_implies_perfect_attack(self, rng):
         # Cross-module contract on the fixture corpus plus Haar samples.
         from qmac.fixtures import BUILTIN

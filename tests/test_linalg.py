@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from qmac.linalg import (
     dagger,
-    eig_hermitian,
     haar_random_unitary,
     is_unitary,
     matrix_from_json,
@@ -17,16 +16,6 @@ from qmac.protocol import singlet
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], complex)
-
-
-def power_iteration_top(h, iters=500):
-    """Independent oracle for the top eigenvalue of a PSD matrix."""
-    v = np.ones(h.shape[0], dtype=complex)
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        v = h @ v
-        v /= np.linalg.norm(v)
-    return float(np.real(v.conj() @ h @ v))
 
 
 class TestTensor:
@@ -87,38 +76,6 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(6), [2, 2], {0})
-
-
-class TestEigHermitian:
-    def test_diagonal(self):
-        res = eig_hermitian(np.diag([2.0, 2.0, 0.0, 0.0]))
-        assert np.allclose(res.eigenvalues, [0, 0, 2, 2])
-
-    def test_identity(self):
-        res = eig_hermitian(np.eye(4))
-        assert np.allclose(res.eigenvalues, 1)
-
-    def test_reconstruction_and_orthonormality(self, rng):
-        for _ in range(20):
-            a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-            h = a + dagger(a)
-            res = eig_hermitian(h)
-            v, w = res.eigenvectors, res.eigenvalues
-            assert np.abs(h - (v * w) @ dagger(v)).max() < 1e-9
-            assert np.abs(dagger(v) @ v - np.eye(6)).max() < 1e-10
-            assert abs(w.sum() - np.real(np.trace(h))) < 1e-9
-            assert np.all(np.diff(w) >= -1e-12)
-
-    def test_power_iteration_oracle(self, rng):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = a @ dagger(a)  # PSD so power iteration converges to the top
-        res = eig_hermitian(h)
-        assert abs(res.eigenvalues[-1] - power_iteration_top(h)) < 1e-8
-
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0, 1], [0, 0]], complex)
-        with pytest.raises(ValueError):
-            eig_hermitian(m)
 
 
 class TestIsUnitary:
