@@ -29,7 +29,6 @@ from .protocol import (
     as_tagging_unitary,
     decode,
     encode,
-    joint_state,
     key_fidelity,
     measurement_distribution,
     singlet,
@@ -81,9 +80,7 @@ def no_message_pf(u, eve: np.ndarray) -> float:
     nrm = np.linalg.norm(eve)
     if abs(nrm - 1) > u.tol.unitary:
         raise ValueError(f"Eve's state must be normalized (norm {nrm})")
-    direct = np.abs(eve[:2]) ** 2
-    overlaps = np.abs(dagger(u.u) @ eve)[:2] ** 2
-    return float(0.5 * (direct.sum() + overlaps.sum()))
+    return float(no_message_pf_batch(u, eve[:, None])[0])
 
 
 def no_message_pf_batch(u, states: np.ndarray) -> np.ndarray:
@@ -163,7 +160,7 @@ def injected_acceptance_distribution(u, eve: np.ndarray) -> np.ndarray:
     Full 16-dim simulation: the key is still the untouched singlet.
     """
     u = as_tagging_unitary(u)
-    state = joint_state(singlet(), np.asarray(eve, dtype=complex).reshape(4))
+    state = tensor(singlet(), np.asarray(eve, dtype=complex).reshape(4))
     return measurement_distribution(decode(u, state))
 
 
@@ -284,44 +281,6 @@ def perfect_message_attack(u) -> Optional[np.ndarray]:
     if message_attack_pf(u, v) < 1 - u.tol.strict:
         return None
     return v
-
-
-# 16 real parameters of a 4x4 Hermitian generator: 4 diagonal + 6 complex
-# strictly-upper entries.
-_UPPER = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-
-
-def params_to_hermitian(p: np.ndarray) -> np.ndarray:
-    h = np.zeros((4, 4), dtype=complex)
-    h[np.diag_indices(4)] = p[:4]
-    for k, (i, j) in enumerate(_UPPER):
-        h[i, j] = p[4 + 2 * k] + 1j * p[5 + 2 * k]
-        h[j, i] = p[4 + 2 * k] - 1j * p[5 + 2 * k]
-    return h
-
-
-def hermitian_to_params(h: np.ndarray) -> np.ndarray:
-    p = np.empty(16)
-    p[:4] = np.real(np.diag(h))
-    for k, (i, j) in enumerate(_UPPER):
-        p[4 + 2 * k] = h[i, j].real
-        p[5 + 2 * k] = h[i, j].imag
-    return p
-
-
-def unitary_from_params(p: np.ndarray) -> np.ndarray:
-    """V = exp(iH) with H from the 16-parameter chart."""
-    h = params_to_hermitian(p)
-    w, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * w)) @ dagger(vecs)
-
-
-def params_of_unitary(v: np.ndarray) -> np.ndarray:
-    """A Hermitian logarithm chart point for a given unitary."""
-    w, vecs = np.linalg.eig(v)
-    h = (vecs * np.angle(w)) @ np.linalg.inv(vecs)
-    h = (h + dagger(h)) / 2
-    return hermitian_to_params(h)
 
 
 def best_message_attack(

@@ -43,7 +43,10 @@ def _parse_tol_overrides(pairs):
             raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
         if name not in DEFAULT_TOL.as_dict():
             raise ValueError(f"unknown tolerance {name!r}")
-        overrides[name] = float(value)
+        number = float(value)
+        if not (np.isfinite(number) and number >= 0):
+            raise ValueError(f"tolerance {name!r} must be finite and >= 0, got {value!r}")
+        overrides[name] = number
     return overrides
 
 

@@ -7,11 +7,13 @@ unitaries surface in the report instead of being silently classified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .adversary import (
     best_message_attack,
+    key_distinguishability,
     no_message_optimal,
     perfect_message_attack,
     row_parameters,
@@ -35,7 +37,7 @@ def ec_gorda_lhs(x: float, y: float, z: float) -> float:
 @dataclass(frozen=True)
 class ConditionCheck:
     satisfied: bool
-    margin: float
+    margin: Optional[float]  # None when the check does not apply
     applies: bool = True
     details: dict = field(default_factory=dict)
 
@@ -71,7 +73,7 @@ def check_case2(u) -> ConditionCheck:
     applies = y > u.tol.strict
     if not applies:
         return ConditionCheck(
-            satisfied=False, margin=float("nan"), applies=False, details={"y": y}
+            satisfied=False, margin=None, applies=False, details={"y": y}
         )
     lhs = ec_gorda_lhs(x, y, z)
     return ConditionCheck(
@@ -124,15 +126,17 @@ def check_condition3(u) -> ConditionCheck:
 def check_condition4(u) -> ConditionCheck:
     """The key cannot be pinned down by measurement: the M0 block is nonzero.
 
-    Redundant given condition 3 (a vanishing M0 block makes the swap
-    relation hold trivially); kept as an explicit cross-check.
+    Decided by :func:`~qmac.adversary.key_distinguishability`'s test, so the
+    two never disagree; ``margin`` is the largest |M0 entry| it compares
+    with ``tol.strict``.  Redundant given condition 3 (a vanishing M0 block
+    makes the swap relation hold trivially); kept as an explicit cross-check.
     """
     u = as_tagging_unitary(u)
+    dist = key_distinguishability(u)
     norms = (np.linalg.norm(u.col(0, 0)), np.linalg.norm(u.col(0, 1)))
-    margin = float(max(norms))
     return ConditionCheck(
-        satisfied=margin > u.tol.strict,
-        margin=margin,
+        satisfied=not dist.distinguishable,
+        margin=float(np.abs(dist.gram).max()),
         details={"m0_col_norms": [float(n) for n in norms]},
     )
 

@@ -12,18 +12,52 @@ from typing import Optional
 
 import numpy as np
 
-from .adversary import (
-    best_message_attack,
-    no_message_optimal,
-    params_of_unitary,
-    unitary_from_params,
-)
+from .adversary import best_message_attack, no_message_optimal
 from .conditions import validate
 from .config import DEFAULT_TOL, Tolerances
-from .linalg import haar_random_unitary, matrix_to_json
+from .linalg import dagger, haar_random_unitary, matrix_to_json
 from .protocol import TaggingUnitary, as_tagging_unitary
 
 INSECURE = float("inf")
+_DRAWS = 51  # a restart's first draw and up to 50 redraws of insecure ones
+
+
+# 16 real parameters of a 4x4 Hermitian generator: 4 diagonal + 6 complex
+# strictly-upper entries.
+_UPPER = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+
+def params_to_hermitian(p: np.ndarray) -> np.ndarray:
+    h = np.zeros((4, 4), dtype=complex)
+    h[np.diag_indices(4)] = p[:4]
+    for k, (i, j) in enumerate(_UPPER):
+        h[i, j] = p[4 + 2 * k] + 1j * p[5 + 2 * k]
+        h[j, i] = p[4 + 2 * k] - 1j * p[5 + 2 * k]
+    return h
+
+
+def hermitian_to_params(h: np.ndarray) -> np.ndarray:
+    p = np.empty(16)
+    p[:4] = np.real(np.diag(h))
+    for k, (i, j) in enumerate(_UPPER):
+        p[4 + 2 * k] = h[i, j].real
+        p[5 + 2 * k] = h[i, j].imag
+    return p
+
+
+def unitary_from_params(p: np.ndarray) -> np.ndarray:
+    """V = exp(iH) with H from the 16-parameter chart."""
+    h = params_to_hermitian(p)
+    w, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(1j * w)) @ dagger(vecs)
+
+
+def params_of_unitary(v: np.ndarray) -> np.ndarray:
+    """A Hermitian logarithm chart point for a given unitary."""
+    w, vecs = np.linalg.eig(v)
+    h = (vecs * np.angle(w)) @ np.linalg.inv(vecs)
+    h = (h + dagger(h)) / 2
+    return hermitian_to_params(h)
 
 
 @dataclass(frozen=True)
@@ -107,32 +141,31 @@ def optimize(
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(0)
 
     def evaluate(mat, seed, ceiling=INSECURE):
         try:
-            return security_score(
-                TaggingUnitary(mat, tol), budget=budget, rng=np.random.default_rng(seed),
-                ceiling=ceiling,
-            )
-        except ValueError:
+            tu = TaggingUnitary(mat, tol)
+        except ValueError:  # the chart point is not unitary within tol.unitary
             return SecurityScore(1.0, None, False, INSECURE)
+        return security_score(
+            tu, budget=budget, rng=np.random.default_rng(seed), ceiling=ceiling
+        )
 
     trace = []
     best: Optional[tuple] = None  # (score value, restart idx, params, SecurityScore)
     for restart in range(restarts):
-        if restart == 0 and warm_start is not None:
-            candidate = np.asarray(warm_start, dtype=complex)
-        else:
-            candidate = haar_random_unitary(4, rng)
-        p = params_of_unitary(candidate)
-        sc = evaluate(unitary_from_params(p), seed=restart)
-        tries = 0
-        while not sc.secure and tries < 50:
-            candidate = haar_random_unitary(4, rng)
+        for draw in range(_DRAWS):
+            if draw == 0 and restart == 0 and warm_start is not None:
+                candidate = np.asarray(warm_start, dtype=complex)
+            else:
+                candidate = haar_random_unitary(4, rng)
             p = params_of_unitary(candidate)
             sc = evaluate(unitary_from_params(p), seed=restart)
-            tries += 1
+            if sc.secure:
+                break
         if not sc.secure:
             continue
         trace.append((restart, 0, sc.score))

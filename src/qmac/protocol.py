@@ -8,9 +8,6 @@ outcomes e2/e3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
@@ -82,31 +79,6 @@ def as_tagging_unitary(u, tol: Tolerances = DEFAULT_TOL) -> TaggingUnitary:
     return u if isinstance(u, TaggingUnitary) else TaggingUnitary(u, tol)
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """Outcome of one honest protocol round."""
-
-    message_sent: int
-    outcome: int
-    accepted: bool
-    decoded_bit: Optional[int]
-    key_fidelity_after: float
-
-    def to_json(self) -> dict:
-        return {
-            "message": self.message_sent,
-            "outcome": self.outcome,
-            "accepted": self.accepted,
-            "decoded": self.decoded_bit,
-            "key_fidelity": self.key_fidelity_after,
-        }
-
-
-def joint_state(key: np.ndarray, message_state: np.ndarray) -> np.ndarray:
-    """Compose a 16-dim joint state from a 4-dim key and 4-dim message."""
-    return tensor(key, message_state)
-
-
 def encode(u, message: int) -> np.ndarray:
     """Alice's tagging operation applied to singlet ⊗ |phi_message>.
 
@@ -115,7 +87,7 @@ def encode(u, message: int) -> np.ndarray:
     u = as_tagging_unitary(u)
     if message not in (0, 1):
         raise ValueError("message must be 0 or 1")
-    state = joint_state(singlet(), MESSAGE_BASIS[:, message])
+    state = tensor(singlet(), MESSAGE_BASIS[:, message])
     return u.encode_op @ state
 
 
@@ -157,24 +129,6 @@ def measurement_distribution(state: np.ndarray) -> np.ndarray:
     return (np.abs(amps) ** 2).sum(axis=0)
 
 
-def bob_measure(state: np.ndarray, rng: np.random.Generator):
-    """Born-rule sample of the 4-outcome message measurement.
-
-    Returns ``(outcome, accepted, post_state)`` with the post-measurement
-    joint state renormalized.
-    """
-    state = np.asarray(state, dtype=complex)
-    probs = measurement_distribution(state)
-    outcome = int(rng.choice(4, p=probs / probs.sum()))
-    post = state.reshape(4, 4).copy()
-    mask = np.zeros(4, dtype=bool)
-    mask[outcome] = True
-    post[:, ~mask] = 0
-    post = post.reshape(16)
-    post = post / np.linalg.norm(post)
-    return outcome, outcome in (0, 1), post
-
-
 def key_fidelity(state: np.ndarray, dims=(2, 2, 4)) -> float:
     """Overlap of the reduced key state with the singlet.
 
@@ -186,25 +140,12 @@ def key_fidelity(state: np.ndarray, dims=(2, 2, 4)) -> float:
     return float(np.real(psi.conj() @ rho_key @ psi))
 
 
-def run_honest(u, message: int, rng: np.random.Generator) -> RunRecord:
-    """One full honest round: encode, decode, measure."""
-    u = as_tagging_unitary(u)
-    decoded = decode(u, encode(u, message))
-    outcome, accepted, post = bob_measure(decoded, rng)
-    return RunRecord(
-        message_sent=message,
-        outcome=outcome,
-        accepted=accepted,
-        decoded_bit=outcome if accepted else None,
-        key_fidelity_after=key_fidelity(post),
-    )
-
-
 def simulate_honest_batch(u, message: int, trials: int, rng: np.random.Generator):
-    """Sample ``trials`` honest-round outcomes efficiently.
+    """Sample ``trials`` honest-round outcomes of Bob's measurement.
 
-    The decoded state is the same every round, so the per-trial work is a
-    single Born sample from its outcome distribution.
+    The decoded state is the same every round, so one encode/decode gives
+    the outcome distribution and the key fidelity, and each trial is a
+    single Born sample from that distribution.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")

@@ -22,7 +22,6 @@ from qmac.adversary import (
     perfect_message_attack,
     reuse_forgery_probability,
     simulate_key_reuse,
-    unitary_from_params,
 )
 from qmac.config import DEFAULT_TOL
 from qmac.fixtures import BUILTIN, secure_example_unitary
@@ -304,11 +303,6 @@ class TestBestMessageAttack:
         assert message_attack_pf(u_secure, res.strategy) == pytest.approx(
             res.probability, abs=1e-9
         )
-
-    def test_chart_produces_unitaries(self, rng):
-        p = rng.standard_normal(16)
-        v = unitary_from_params(p)
-        assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-10
 
 
 # best_message_attack(u, budget=2000, rng=default_rng(0)).probability as

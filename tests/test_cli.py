@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmac.cli import main
-from qmac.fixtures import secure_example_unitary
+from qmac.fixtures import BUILTIN, secure_example_unitary
 from qmac.linalg import matrix_to_json
 
 
@@ -70,6 +70,23 @@ class TestValidate:
         report = json.loads(out)["report"]
         assert report[check]["satisfied"] is False
         assert report["overall_secure"] is False
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN))
+    def test_report_is_strict_json(self, capsys, name):
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        _, out, _ = run_cli(capsys, "validate", "--input", name, "--budget", "100")
+        json.loads(out, parse_constant=reject)
+
+    @pytest.mark.parametrize("override", ["strict=nan", "unitary=inf", "phase_equiv=-1"])
+    def test_bad_tolerance_value_exit_two(self, capsys, override):
+        code, out, err = run_cli(
+            capsys, "validate", "--input", "secure_example", "--budget", "100",
+            "--tol", override,
+        )
+        assert code == 2 and out == ""
+        assert "must be finite and >= 0" in err and override.split("=")[0] in err
 
 
 class TestSimulate:
@@ -214,6 +231,11 @@ class TestOptimize:
         )
         assert code == 2
         assert "no secure candidate" in err
+
+    def test_zero_budget_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--budget", "0")
+        assert code == 2 and out == ""
+        assert "budget must be >= 1" in err
 
 
 class TestDemo:

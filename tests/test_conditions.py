@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmac.adversary import no_message_optimal, perfect_message_attack
+from qmac.adversary import key_distinguishability, no_message_optimal, perfect_message_attack
 from qmac.config import DEFAULT_TOL
 from qmac.conditions import (
     check_case1,
@@ -146,6 +146,21 @@ class TestCondition4:
             if check_condition3(u).satisfied:
                 assert check_condition4(u).satisfied
 
+    def test_agrees_with_key_distinguishability(self, rng):
+        # M0 = cH with H the Hadamard: column norms c lie above strict, but
+        # every entry c/sqrt(2) lies below it, so the key can be pinned down.
+        c = 1.2e-9
+        s = np.sqrt(1 - c * c)
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        near_zero = np.block([[c * h, s * np.eye(2)], [s * np.eye(2), -c * h]])
+        mats = [near_zero] + [haar_random_unitary(4, rng) for _ in range(50)]
+        for m in mats:
+            u = TaggingUnitary(m)
+            c4 = check_condition4(u)
+            assert c4.satisfied is not key_distinguishability(u).distinguishable
+            assert c4.margin == np.abs(m[:2, :2]).max()
+        assert not check_condition4(TaggingUnitary(near_zero)).satisfied
+
 
 class TestValidate:
     def test_identity_insecure(self, u_identity):
@@ -189,3 +204,4 @@ class TestValidate:
         assert body["overall_secure"] is True
         for key in ("case1", "case2", "condition3", "condition4"):
             assert "satisfied" in body[key] and "margin" in body[key]
+        assert body["case2"]["applies"] is False and body["case2"]["margin"] is None

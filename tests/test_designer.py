@@ -7,7 +7,7 @@ from qmac import designer
 from qmac.adversary import best_message_attack
 from qmac.conditions import validate
 from qmac.config import DEFAULT_TOL
-from qmac.designer import INSECURE, optimize, security_score
+from qmac.designer import INSECURE, optimize, security_score, unitary_from_params
 from qmac.fixtures import secure_example_unitary, x_block_unitary
 from qmac.linalg import haar_random_unitary, is_unitary
 
@@ -71,6 +71,12 @@ def test_ceiling_prunes_exactly(seed):
                 ceiling <= pruned.pf_message_best <= full.pf_message_best)
 
 
+def test_chart_produces_unitaries(rng):
+    p = rng.standard_normal(16)
+    v = unitary_from_params(p)
+    assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-10
+
+
 class TestOptimize:
     def test_warm_start_descent(self):
         warm = secure_example_unitary()
@@ -115,6 +121,11 @@ class TestOptimize:
     def test_invalid_restarts(self):
         with pytest.raises(ValueError):
             optimize(restarts=0)
+
+    def test_invalid_budget(self):
+        # Rejected up front, not reported as "no secure candidate" after redraws.
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            optimize(restarts=1, budget=0)
 
     def test_losing_searches_stop_early(self, monkeypatch):
         evals = []

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
+from qmac.fixtures import BUILTIN
 from qmac.linalg import dagger, haar_random_unitary, partial_trace, tensor
 from qmac.protocol import (
     MESSAGE_BASIS,
     TaggingUnitary,
-    bob_measure,
     channel_density,
     channel_density_classical,
     decode,
     encode,
-    joint_state,
     key_fidelity,
     measurement_distribution,
-    run_honest,
     simulate_honest_batch,
     singlet,
 )
@@ -129,16 +127,12 @@ class TestDecode:
 
 
 class TestMeasurement:
-    def test_deterministic_accept(self, rng):
-        state = tensor(singlet(), MESSAGE_BASIS[:, 0])
-        outcome, accepted, post = bob_measure(state, rng)
-        assert outcome == 0 and accepted
-        assert abs(np.linalg.norm(post) - 1) < 1e-12
-
-    def test_deterministic_reject(self, rng):
-        state = tensor(singlet(), MESSAGE_BASIS[:, 2])
-        outcome, accepted, _ = bob_measure(state, rng)
-        assert outcome == 2 and not accepted
+    @pytest.mark.parametrize("outcome", [0, 1, 2, 3])
+    def test_one_hot_on_basis_states(self, outcome):
+        # Outcomes 0, 1 accept and 2, 3 reject.
+        state = tensor(singlet(), MESSAGE_BASIS[:, outcome])
+        dist = measurement_distribution(state)
+        assert np.allclose(dist, np.eye(4)[outcome], rtol=0, atol=1e-15)
 
     def test_distribution_sums_to_one(self, rng):
         state = rng.standard_normal(16) + 1j * rng.standard_normal(16)
@@ -155,30 +149,17 @@ class TestKeyFidelity:
     def test_orthogonal_key(self):
         key = np.zeros(4, complex)
         key[0] = 1  # |00>
-        assert key_fidelity(joint_state(key, MESSAGE_BASIS[:, 0])) < 1e-12
+        assert key_fidelity(tensor(key, MESSAGE_BASIS[:, 0])) < 1e-12
 
 
 class TestHonestRun:
-    def test_identity(self, u_identity, rng):
-        rec = run_honest(u_identity, 0, rng)
-        assert rec.outcome == 0 and rec.accepted and rec.decoded_bit == 0
-        assert abs(rec.key_fidelity_after - 1) < 1e-12
-
-    def test_xblock_message1(self, u_xblock, rng):
-        rec = run_honest(u_xblock, 1, rng)
-        assert rec.outcome == 1 and rec.accepted
-        assert abs(rec.key_fidelity_after - 1) < 1e-12
-
-    def test_secure_example(self, u_secure, rng):
-        rec = run_honest(u_secure, 0, rng)
-        assert rec.outcome == 0 and rec.accepted
-        assert abs(rec.key_fidelity_after - 1) < 1e-12
-
-    def test_record_consistency(self, rng):
-        u = TaggingUnitary(haar_random_unitary(4, rng))
-        rec = run_honest(u, 1, rng)
-        assert rec.accepted == (rec.outcome in (0, 1))
-        assert (rec.decoded_bit is not None) == rec.accepted
+    @pytest.mark.parametrize("name", ["identity", "x_block", "secure_example", "haar"])
+    @pytest.mark.parametrize("message", [0, 1])
+    def test_outcome_is_message(self, name, message, rng):
+        mat = haar_random_unitary(4, rng) if name == "haar" else BUILTIN[name]()
+        outcomes, fid = simulate_honest_batch(TaggingUnitary(mat), message, 200, rng)
+        assert outcomes.shape == (200,) and np.all(outcomes == message)
+        assert abs(fid - 1) < 1e-12
 
     def test_batch_acceptance(self, u_secure, rng):
         outcomes, fid = simulate_honest_batch(u_secure, 1, 2000, rng)
