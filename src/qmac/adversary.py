@@ -509,7 +509,7 @@ def simulate_key_reuse(
             accept_counts[r] += 1
             psi = phi[outcome] / np.linalg.norm(phi[outcome])
         else:
-            fidelities.append(key_fidelity(psi.reshape(8), (2, 2, 2)))
+            fidelities.append(key_fidelity(psi.reshape(8)))
             probs = np.einsum("kbe,abe->k", forge, np.abs(psi) ** 2)
             attempts += 1
             successes += int(rng.choice(4, p=probs / probs.sum())) < 2

@@ -43,10 +43,7 @@ def _parse_tol_overrides(pairs):
             raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
         if name not in DEFAULT_TOL.as_dict():
             raise ValueError(f"unknown tolerance {name!r}")
-        number = float(value)
-        if not (np.isfinite(number) and number >= 0):
-            raise ValueError(f"tolerance {name!r} must be finite and >= 0, got {value!r}")
-        overrides[name] = number
+        overrides[name] = float(value)
     return overrides
 
 
@@ -60,13 +57,14 @@ def _parse_priors(text):
     return priors
 
 
-def _load_unitary(args, tol):
-    if args.input is None:
+def _load_unitary(source, tol):
+    """The tagging unitary named by ``source``: a builtin name or a JSON path."""
+    if source is None:
         raise ValueError("--input PATH (or a builtin name) is required")
-    if args.input in BUILTIN:
-        mat = BUILTIN[args.input]()
+    if source in BUILTIN:
+        mat = BUILTIN[source]()
     else:
-        with open(args.input, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8") as fh:
             try:
                 obj = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -120,7 +118,7 @@ def _emit(report: dict, out_path):
 
 
 def cmd_validate(args, tol) -> int:
-    u = _load_unitary(args, tol)
+    u = _load_unitary(args.input, tol)
     report = validate(u, attack_budget=args.budget, seed=args.seed)
     body = _report_header(args, tol, u.u)
     body["report"] = report.to_json()
@@ -129,7 +127,7 @@ def cmd_validate(args, tol) -> int:
 
 
 def cmd_simulate(args, tol) -> int:
-    u = _load_unitary(args, tol)
+    u = _load_unitary(args.input, tol)
     rng = np.random.default_rng(args.seed)
     records = []
     correct = accepted = 0
@@ -162,7 +160,7 @@ def cmd_simulate(args, tol) -> int:
 
 
 def cmd_attack(args, tol) -> int:
-    u = _load_unitary(args, tol)
+    u = _load_unitary(args.input, tol)
     p0, p1 = args.priors
     rng = np.random.default_rng(args.seed)
     opt = no_message_optimal(u)
@@ -194,10 +192,7 @@ def cmd_attack(args, tol) -> int:
 
 def cmd_optimize(args, tol) -> int:
     rng = np.random.default_rng(args.seed)
-    warm = None
-    if args.warm_start:
-        warm_args = argparse.Namespace(input=args.warm_start, command=args.command)
-        warm = _load_unitary(warm_args, tol).u
+    warm = _load_unitary(args.warm_start, tol).u if args.warm_start else None
     try:
         result = optimize(
             restarts=args.restarts, budget=args.budget, rng=rng, warm_start=warm, tol=tol
@@ -222,8 +217,7 @@ def cmd_optimize(args, tol) -> int:
 
 def cmd_demo(args, tol) -> int:
     """Validate and attack the built-in secure example end to end."""
-    args.input = "secure_example"
-    u = _load_unitary(args, tol)
+    u = _load_unitary("secure_example", tol)
     report = validate(u, attack_budget=args.budget, seed=args.seed)
     pf_nm = report.advisory["no_message_pf_optimal"]
     pf_msg = report.advisory["message_attack_pf_best"]
@@ -254,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def command(name, summary, needs_input=True, trials=False, budget=True):
+        p = sub.add_parser(name, help=summary)
         if needs_input:
             p.add_argument(
                 "--input",
@@ -262,29 +257,29 @@ def build_parser() -> argparse.ArgumentParser:
                 + ", ".join(sorted(BUILTIN)),
             )
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=10_000)
-        p.add_argument("--budget", type=int, default=2000)
+        if trials:
+            p.add_argument("--trials", type=int, default=10_000)
+        if budget:
+            p.add_argument("--budget", type=int, default=2000)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         p.add_argument(
             "--tol", action="append", metavar="NAME=VALUE",
             help="tolerance override, repeatable",
         )
+        return p
 
-    common(sub.add_parser("validate", help="run the security condition checklist"))
-    common(sub.add_parser("simulate", help="honest-protocol Monte Carlo runs"))
-    p_attack = sub.add_parser("attack", help="run all four attack analyses")
-    common(p_attack)
+    command("validate", "run the security condition checklist")
+    command("simulate", "honest-protocol Monte Carlo runs", trials=True, budget=False)
+    p_attack = command("attack", "run all four attack analyses", trials=True)
     p_attack.add_argument(
         "--priors", type=_parse_priors,
         default=(0.5, 0.5), help="message priors p0,p1",
     )
-    p_opt = sub.add_parser("optimize", help="search for a secure tagging unitary")
-    common(p_opt, needs_input=False)
+    p_opt = command("optimize", "search for a secure tagging unitary", needs_input=False)
     p_opt.add_argument("--restarts", type=int, default=4)
     p_opt.add_argument("--warm-start", help="matrix JSON path or builtin name")
     p_opt.add_argument("--trace-out", help="write the search trace JSONL here")
-    common(sub.add_parser("demo", help="full story on the builtin secure example"),
-           needs_input=False)
+    command("demo", "full story on the builtin secure example", needs_input=False)
     return parser
 
 

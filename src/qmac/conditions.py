@@ -92,34 +92,20 @@ def check_condition3(u) -> ConditionCheck:
     :func:`~qmac.adversary.swap_mismatch` test that gates
     :func:`~qmac.adversary.perfect_message_attack`.  When they are exactly
     phase-equivalent, a certainty attack is always constructible (the
-    bottom-block completion exists for every unitary, so the auxiliary
-    M2-column clause never rescues security — it is reported in the details
-    for reference only).
+    bottom-block completion exists for every unitary, so the paper's
+    auxiliary M2-column clause never rescues security).  ``margin`` is the
+    swap mismatch.
     Under a loosened ``phase_equiv`` the two can disagree: the condition
     fails while ``perfect_message_attack`` returns None, because its
     constructed attack must still reach pf >= 1 - ``tol.strict``.  The
     ``perfect_attack_constructed`` detail says whether it was built.
     """
     u = as_tagging_unitary(u)
-    c20, c21 = u.col(2, 0), u.col(2, 1)
     mismatch = swap_mismatch(u)
-    m2_inner = abs(np.vdot(c20, c21))
-    n20, n21 = np.linalg.norm(c20), np.linalg.norm(c21)
-    if n20 > u.tol.strict and n21 > u.tol.strict:
-        m2_parallel_gap = float(
-            np.linalg.norm(c20 / n20 - c21 / n21 * np.exp(1j * np.angle(np.vdot(c21, c20))))
-        )
-    else:
-        m2_parallel_gap = float(abs(n20 - n21))
     return ConditionCheck(
         satisfied=mismatch > u.tol.phase_equiv,
         margin=mismatch,
-        details={
-            "m0_swap_mismatch": mismatch,
-            "m2_inner_product": float(m2_inner),
-            "m2_parallel_gap": m2_parallel_gap,
-            "perfect_attack_constructed": perfect_message_attack(u) is not None,
-        },
+        details={"perfect_attack_constructed": perfect_message_attack(u) is not None},
     )
 
 
@@ -128,16 +114,15 @@ def check_condition4(u) -> ConditionCheck:
 
     Decided by :func:`~qmac.adversary.key_distinguishability`'s test, so the
     two never disagree; ``margin`` is the largest |M0 entry| it compares
-    with ``tol.strict``.  Redundant given condition 3 (a vanishing M0 block
-    makes the swap relation hold trivially); kept as an explicit cross-check.
+    with ``tol.strict``.  Implied by condition 3 when ``phase_equiv >=
+    strict``, since the swap mismatch never exceeds the largest |M0 entry|;
+    kept as an explicit cross-check.
     """
     u = as_tagging_unitary(u)
     dist = key_distinguishability(u)
-    norms = (np.linalg.norm(u.col(0, 0)), np.linalg.norm(u.col(0, 1)))
     return ConditionCheck(
         satisfied=not dist.distinguishable,
         margin=float(np.abs(dist.gram).max()),
-        details={"m0_col_norms": [float(n) for n in norms]},
     )
 
 
@@ -156,7 +141,6 @@ class ConditionReport:
             "case2": self.case2.to_json(),
             "condition3": self.condition3.to_json(),
             "condition4": self.condition4.to_json(),
-            "condition4_note": "redundant: implied by condition 3",
             "overall_secure": self.overall_secure,
             "advisory": self.advisory,
         }
@@ -171,9 +155,9 @@ def validate(
     """Aggregate all security checks for a candidate tagging unitary.
 
     ``overall_secure`` requires the applicable row case (1 or 2) and
-    condition 3; condition 4 is implied.  Advisory fields carry the
-    optimal no-message forgery probability and a searched substitution
-    attack snapshot.
+    condition 3; condition 4 is reported but does not decide it.  Advisory
+    fields carry the optimal no-message forgery probability and a searched
+    substitution attack snapshot.
     """
     tu = as_tagging_unitary(u)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict, replace
 
 
@@ -17,6 +18,8 @@ class Tolerances:
         conditions (a quantity is "strictly less than c" iff < c - strict).
     phase_equiv : threshold for deciding phase-equivalence of vectors.
 
+    Each must be finite and >= 0.
+
     A :class:`~qmac.protocol.TaggingUnitary` carries the tolerances it was
     built with; every check on it reads them from there.
     """
@@ -24,6 +27,11 @@ class Tolerances:
     unitary: float = 1e-10
     strict: float = 1e-9
     phase_equiv: float = 1e-9
+
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"tolerance {name!r} must be finite and >= 0, got {value!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -20,44 +20,39 @@ from .protocol import TaggingUnitary, as_tagging_unitary
 
 INSECURE = float("inf")
 _DRAWS = 51  # a restart's first draw and up to 50 redraws of insecure ones
+_REFINE_STEPS = 24  # score evaluations in a restart's coordinate descent
 
 
-# 16 real parameters of a 4x4 Hermitian generator: 4 diagonal + 6 complex
-# strictly-upper entries.
-_UPPER = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+def _chart_basis() -> np.ndarray:
+    """The 16 coordinate directions of the exp(iH) chart, as 4x4 Hermitians.
+
+    4 diagonal entries, then each strictly-upper entry (i, j) as a real
+    and an imaginary direction.
+    """
+    basis = np.zeros((16, 4, 4), dtype=complex)
+    for k in range(4):
+        basis[k, k, k] = 1
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    for k, (i, j) in enumerate(pairs):
+        basis[4 + 2 * k, i, j] = basis[4 + 2 * k, j, i] = 1
+        basis[5 + 2 * k, i, j], basis[5 + 2 * k, j, i] = 1j, -1j
+    return basis
 
 
-def params_to_hermitian(p: np.ndarray) -> np.ndarray:
-    h = np.zeros((4, 4), dtype=complex)
-    h[np.diag_indices(4)] = p[:4]
-    for k, (i, j) in enumerate(_UPPER):
-        h[i, j] = p[4 + 2 * k] + 1j * p[5 + 2 * k]
-        h[j, i] = p[4 + 2 * k] - 1j * p[5 + 2 * k]
-    return h
+BASIS = _chart_basis()
 
 
-def hermitian_to_params(h: np.ndarray) -> np.ndarray:
-    p = np.empty(16)
-    p[:4] = np.real(np.diag(h))
-    for k, (i, j) in enumerate(_UPPER):
-        p[4 + 2 * k] = h[i, j].real
-        p[5 + 2 * k] = h[i, j].imag
-    return p
-
-
-def unitary_from_params(p: np.ndarray) -> np.ndarray:
-    """V = exp(iH) with H from the 16-parameter chart."""
-    h = params_to_hermitian(p)
+def unitary_of_hermitian(h: np.ndarray) -> np.ndarray:
+    """V = exp(iH) for a Hermitian generator H."""
     w, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(1j * w)) @ dagger(vecs)
 
 
-def params_of_unitary(v: np.ndarray) -> np.ndarray:
-    """A Hermitian logarithm chart point for a given unitary."""
+def hermitian_of_unitary(v: np.ndarray) -> np.ndarray:
+    """A Hermitian logarithm H of a unitary, exp(iH) = V."""
     w, vecs = np.linalg.eig(v)
     h = (vecs * np.angle(w)) @ np.linalg.inv(vecs)
-    h = (h + dagger(h)) / 2
-    return hermitian_to_params(h)
+    return (h + dagger(h)) / 2
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,6 @@ def optimize(
     restarts: int = 8,
     budget: int = 500,
     rng: Optional[np.random.Generator] = None,
-    refine_steps: int = 24,
     warm_start: Optional[np.ndarray] = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> DesignResult:
@@ -131,7 +125,8 @@ def optimize(
 
     Haar restarts are filtered through the validator (insecure samples are
     discarded, not penalized); each surviving candidate is refined by
-    coordinate-wise descent on the exp(iH) chart.  ``budget`` is the
+    coordinate-wise descent on the exp(iH) chart, moving H along
+    one :data:`BASIS` direction at a time.  ``budget`` is the
     attack-search budget per score evaluation; a refine candidate's score
     is pruned at the incumbent's (see :func:`security_score`), so its search
     stops once the candidate cannot be accepted, and the result is the same
@@ -155,15 +150,15 @@ def optimize(
         )
 
     trace = []
-    best: Optional[tuple] = None  # (score value, restart idx, params, SecurityScore)
+    best: Optional[tuple] = None  # (score value, restart idx, H, SecurityScore)
     for restart in range(restarts):
         for draw in range(_DRAWS):
             if draw == 0 and restart == 0 and warm_start is not None:
                 candidate = np.asarray(warm_start, dtype=complex)
             else:
                 candidate = haar_random_unitary(4, rng)
-            p = params_of_unitary(candidate)
-            sc = evaluate(unitary_from_params(p), seed=restart)
+            h = hermitian_of_unitary(candidate)
+            sc = evaluate(unitary_of_hermitian(h), seed=restart)
             if sc.secure:
                 break
         if not sc.secure:
@@ -172,30 +167,29 @@ def optimize(
         step = 0.2
         it = 0
         order = rng.permutation(16)
-        while it < refine_steps and step > 1e-4:
+        while it < _REFINE_STEPS and step > 1e-4:
             k = int(order[it % 16])
             improved = False
             for sign in (1.0, -1.0):
-                q = p.copy()
-                q[k] += sign * step
+                q = h + sign * step * BASIS[k]
                 # A candidate is kept only below this cutoff, so its score
                 # may stop at the cutoff.
                 cutoff = sc.score - 1e-12
-                cand = evaluate(unitary_from_params(q), seed=restart, ceiling=cutoff)
+                cand = evaluate(unitary_of_hermitian(q), seed=restart, ceiling=cutoff)
                 it += 1
                 if cand.secure and cand.score < cutoff:
-                    p, sc = q, cand
+                    h, sc = q, cand
                     trace.append((restart, it, sc.score))
                     improved = True
                     break
-                if it >= refine_steps:
+                if it >= _REFINE_STEPS:
                     break
             if not improved:
                 step *= 0.5
         if best is None or sc.score < best[0] - 1e-15:
-            best = (sc.score, restart, p, sc)
+            best = (sc.score, restart, h, sc)
 
     if best is None:
         raise RuntimeError("no secure candidate found; increase restarts")
-    _, _, p, sc = best
-    return DesignResult(unitary=unitary_from_params(p), score=sc, trace=trace)
+    _, _, h, sc = best
+    return DesignResult(unitary=unitary_of_hermitian(h), score=sc, trace=trace)

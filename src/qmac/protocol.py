@@ -129,12 +129,13 @@ def measurement_distribution(state: np.ndarray) -> np.ndarray:
     return (np.abs(amps) ** 2).sum(axis=0)
 
 
-def key_fidelity(state: np.ndarray, dims=(2, 2, 4)) -> float:
+def key_fidelity(state: np.ndarray) -> float:
     """Overlap of the reduced key state with the singlet.
 
-    ``dims`` lists the subsystems of ``state``; the first two are the key.
+    ``state`` is key-A (2) ⊗ key-B (2) ⊗ the rest, flattened.
     """
     state = np.asarray(state, dtype=complex)
+    dims = (2, 2, state.size // 4)
     rho_key = partial_trace(np.outer(state, state.conj()), dims, keep={0, 1})
     psi = singlet()
     return float(np.real(psi.conj() @ rho_key @ psi))
@@ -153,7 +154,5 @@ def simulate_honest_batch(u, message: int, trials: int, rng: np.random.Generator
     decoded = decode(u, encode(u, message))
     probs = measurement_distribution(decoded)
     fid = key_fidelity(decoded)
-    if trials == 0:
-        return np.zeros(0, dtype=int), fid
     outcomes = rng.choice(4, size=trials, p=probs / probs.sum())
     return outcomes, fid

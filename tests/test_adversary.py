@@ -21,6 +21,7 @@ from qmac.adversary import (
     no_message_pf_restricted,
     perfect_message_attack,
     reuse_forgery_probability,
+    row_parameters,
     simulate_key_reuse,
 )
 from qmac.config import DEFAULT_TOL
@@ -115,6 +116,20 @@ class TestRestrictedForm:
                     assert abs(
                         no_message_pf_restricted(u, e0, th) - no_message_pf(u, eve)
                     ) < 1e-12
+
+    def test_optimum_is_sigma_max_squared(self, rng):
+        # The restricted maximum (1 + sigma_max(M0)^2)/2 sits at
+        # |e0|^2 = (1 + x / sqrt(x^2 + y^2))/2 and theta = 0.
+        grid_e0 = np.linspace(0, 1, 101)
+        grid_th = np.linspace(0, 2 * np.pi, 37)
+        for _ in range(50):
+            u = TaggingUnitary(haar_random_unitary(4, rng))
+            x, y, _ = row_parameters(u)
+            optimum = (1 + np.linalg.norm(u.block(0), 2) ** 2) / 2
+            e0 = np.sqrt((1 + x / np.hypot(x, y)) / 2)
+            assert no_message_pf_restricted(u, e0, 0.0) == pytest.approx(optimum, abs=1e-12)
+            assert max(no_message_pf_restricted(u, a, th)
+                       for a in grid_e0 for th in grid_th) <= optimum + 1e-12
 
 
 class TestNoMessageOptimal:

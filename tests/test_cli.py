@@ -204,7 +204,6 @@ class TestOptimize:
     def test_smoke_and_reproducible(self, tmp_path, capsys):
         args = [
             "optimize", "--seed", "7", "--restarts", "2", "--budget", "100",
-            "--trials", "10",
         ]
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         trace = tmp_path / "trace.jsonl"
@@ -260,3 +259,16 @@ class TestDemo:
             code, _, err = run_cli(capsys, "demo", "--tol", f"{name}=1")
             assert code == 2
             assert name in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--input", "secure_example", "--trials", "5"],
+    ["optimize", "--trials", "5"],
+    ["demo", "--trials", "5"],
+    ["simulate", "--input", "secure_example", "--budget", "5"],
+])
+def test_flag_not_read_by_subcommand_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from qmac import designer
 from qmac.adversary import best_message_attack
 from qmac.conditions import validate
 from qmac.config import DEFAULT_TOL
-from qmac.designer import INSECURE, optimize, security_score, unitary_from_params
+from qmac.designer import INSECURE, optimize, security_score, unitary_of_hermitian
 from qmac.fixtures import secure_example_unitary, x_block_unitary
 from qmac.linalg import haar_random_unitary, is_unitary
 
@@ -72,8 +72,8 @@ def test_ceiling_prunes_exactly(seed):
 
 
 def test_chart_produces_unitaries(rng):
-    p = rng.standard_normal(16)
-    v = unitary_from_params(p)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    v = unitary_of_hermitian(a + a.conj().T)
     assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-10
 
 
@@ -85,22 +85,19 @@ class TestOptimize:
             restarts=1,
             budget=200,
             rng=np.random.default_rng(0),
-            refine_steps=12,
             warm_start=warm,
         )
         assert result.score.score <= baseline.score + 1e-9
 
     def test_result_is_secure_unitary(self):
-        result = optimize(restarts=2, budget=150, rng=np.random.default_rng(2),
-                          refine_steps=8)
+        result = optimize(restarts=2, budget=150, rng=np.random.default_rng(2))
         ok, _ = is_unitary(result.unitary, 1e-10)
         assert ok
         assert validate(result.unitary, include_attacks=False).overall_secure
         assert result.score.score < 1
 
     def test_monotone_trace_per_restart(self):
-        result = optimize(restarts=3, budget=150, rng=np.random.default_rng(4),
-                          refine_steps=10)
+        result = optimize(restarts=3, budget=150, rng=np.random.default_rng(4))
         by_restart = {}
         for restart, it, score in result.trace:
             if restart in by_restart:
@@ -108,7 +105,7 @@ class TestOptimize:
             by_restart[restart] = score
 
     def test_reproducible(self):
-        kw = dict(restarts=2, budget=100, refine_steps=6)
+        kw = dict(restarts=2, budget=100)
         a = optimize(rng=np.random.default_rng(7), **kw)
         b = optimize(rng=np.random.default_rng(7), **kw)
         assert np.array_equal(a.unitary, b.unitary)
