@@ -9,6 +9,7 @@ entangling attacks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -428,13 +429,19 @@ class KeyReuseStats:
         return self.forgery_successes / self.forgery_attempts
 
     def to_json(self) -> dict:
+        """Plain floats, with null for a round no trial reached and for the
+        fidelity and rate of a run with no forgery attempt (NaN fields)."""
         return {
-            "per_round_acceptance": self.per_round_acceptance,
-            "final_key_fidelity": self.final_key_fidelity,
+            "per_round_acceptance": [_json_float(a) for a in self.per_round_acceptance],
+            "final_key_fidelity": _json_float(self.final_key_fidelity),
             "forgery_attempts": self.forgery_attempts,
             "forgery_successes": self.forgery_successes,
-            "forgery_success_rate": self.forgery_success_rate,
+            "forgery_success_rate": _json_float(self.forgery_success_rate),
         }
+
+
+def _json_float(x: float) -> Optional[float]:
+    return None if np.isnan(x) else float(x)
 
 
 # psi[a, b, e] before the first round: the singlet key, Eve's ancilla in |0>.
@@ -469,6 +476,16 @@ def _reuse_kernel(u: TaggingUnitary, interaction: np.ndarray, forge_bit: int):
     return maps, forge
 
 
+def _outcome_cdf(probs: np.ndarray) -> list:
+    """The CDF ``Generator.choice(4, p=probs / probs.sum())`` builds.
+
+    ``bisect_right(cdf, rng.random())`` then draws the outcome that call
+    would, from the same single uniform, at a fraction of its cost.
+    """
+    cdf = np.cumsum(probs / probs.sum())
+    return (cdf / cdf[-1]).tolist()
+
+
 def simulate_key_reuse(
     u,
     rounds: int,
@@ -485,6 +502,12 @@ def simulate_key_reuse(
     key: she loads |phi_forge_bit>, re-runs the tagging controlled on her
     ancilla, and Bob verifies.  Each round samples Bob's outcome from the
     maps of :func:`_reuse_kernel` and renormalises the key ⊗ ancilla state.
+
+    That state depends only on the trial's history of (bit, outcome) pairs,
+    so each history's state, outcome CDF, key fidelity and forgery CDF are
+    worked out once per call; a trial only draws.  Each draw inverts a CDF
+    with one ``rng.random()``, as ``Generator.choice`` does, so the random
+    stream and the counts are those of sampling every trial afresh.
     """
     u = as_tagging_unitary(u)
     if rounds < 1:
@@ -492,27 +515,42 @@ def simulate_key_reuse(
     _check_trials(trials)
     maps, forge = _reuse_kernel(u, interaction, forge_bit)
 
+    # Keyed by the history of (bit, outcome) pairs: its normalised
+    # psi[a, b, e]; with the next bit appended, phi[k] (the state after
+    # outcome k, unnormalised) and the outcome CDF; for a history that passed
+    # every round, its key fidelity and forgery-outcome CDF.
+    states, branches, leaves = {(): _START}, {}, {}
     accept_counts = np.zeros(rounds, dtype=int)
     round_attempts = np.zeros(rounds, dtype=int)
     attempts = successes = 0
     fidelities = []
     for _ in range(trials):
-        psi = _START
+        history = ()
         for r in range(rounds):
-            # phi[k]: the state after outcome k, unnormalised.
-            phi = (maps[int(rng.integers(2))] @ psi[..., None])[..., 0]
-            probs = (np.abs(phi) ** 2).sum(axis=(1, 2, 3))
-            outcome = int(rng.choice(4, p=probs / probs.sum()))
+            branch = history + (int(rng.integers(2)),)
+            if branch not in branches:
+                phi = (maps[branch[-1]] @ states[history][..., None])[..., 0]
+                branches[branch] = phi, _outcome_cdf((np.abs(phi) ** 2).sum(axis=(1, 2, 3)))
+            phi, cdf = branches[branch]
+            outcome = bisect_right(cdf, rng.random())
             round_attempts[r] += 1
             if outcome > 1:
                 break
             accept_counts[r] += 1
-            psi = phi[outcome] / np.linalg.norm(phi[outcome])
+            history = branch + (outcome,)
+            if history not in states:
+                states[history] = phi[outcome] / np.linalg.norm(phi[outcome])
         else:
-            fidelities.append(key_fidelity(psi.reshape(8)))
-            probs = np.einsum("kbe,abe->k", forge, np.abs(psi) ** 2)
+            if history not in leaves:
+                psi = states[history]
+                leaves[history] = (
+                    key_fidelity(psi.reshape(8)),
+                    _outcome_cdf(np.einsum("kbe,abe->k", forge, np.abs(psi) ** 2)),
+                )
+            fidelity, cdf = leaves[history]
+            fidelities.append(fidelity)
             attempts += 1
-            successes += int(rng.choice(4, p=probs / probs.sum())) < 2
+            successes += bisect_right(cdf, rng.random()) < 2
 
     per_round = [
         accept_counts[r] / round_attempts[r] if round_attempts[r] else float("nan")

@@ -67,7 +67,15 @@ def check_case1(u) -> ConditionCheck:
 
 
 def check_case2(u) -> ConditionCheck:
-    """Overlapping rows: the closed-form maximum must stay strictly below 1."""
+    """Overlapping rows: the closed-form maximum must stay strictly below 1.
+
+    The verdict uses the paper's formula as printed (:func:`ec_gorda_lhs`).
+    The details also carry the exact restricted optimum's criterion,
+    ``sigma_max_sq`` = sigma_max(M0)^2 < 1 - ``tol.strict``, and
+    ``disagrees``: whether the two tests reach different answers.  The
+    printed formula is never below sigma_max(M0)^2, so a disagreement is a
+    rejection the exact criterion would pass.
+    """
     u = as_tagging_unitary(u)
     x, y, z = row_parameters(u)
     applies = y > u.tol.strict
@@ -76,11 +84,17 @@ def check_case2(u) -> ConditionCheck:
             satisfied=False, margin=None, applies=False, details={"y": y}
         )
     lhs = ec_gorda_lhs(x, y, z)
+    sigma_max_sq = float(np.linalg.norm(u.block(0), 2) ** 2)
+    satisfied = lhs < 1 - u.tol.strict
     return ConditionCheck(
-        satisfied=lhs < 1 - u.tol.strict,
+        satisfied=satisfied,
         margin=1 - lhs,
         applies=True,
-        details={"lhs": lhs, "x": x, "y": y, "z": z},
+        details={
+            "lhs": lhs, "x": x, "y": y, "z": z,
+            "sigma_max_sq": sigma_max_sq,
+            "disagrees": satisfied != (sigma_max_sq < 1 - u.tol.strict),
+        },
     )
 
 

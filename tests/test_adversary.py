@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -566,3 +569,109 @@ def test_key_reuse_simulation_frozen(seed, rounds):
     assert (stats.forgery_attempts, stats.forgery_successes) == (attempts, successes)
     assert stats.per_round_acceptance == pytest.approx(acceptance, abs=1e-12)
     assert stats.final_key_fidelity == pytest.approx(fidelity, abs=1e-12)
+
+
+def reuse_rounds_oracle(u, w, rounds, forge_bit):
+    """Exact multi-round key reuse: the unnormalised 8×8 key ⊗ ancilla density
+    pushed through the rounds, each round averaging Alice's two bits and
+    keeping Bob's outcomes 0 and 1, with every operator built by kron on
+    key A ⊗ key B ⊗ message ⊗ ancilla (32-dim).  Returns the per-round
+    acceptance, then the key fidelity and the forgery success rate given
+    that every round was accepted."""
+    p0, p1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
+    i2, i4 = np.eye(2), np.eye(4)
+    enc = tensor(p0, i2, i4, i2) + tensor(p1, i2, u, i2)
+    dec = tensor(i2, p0, u.conj().T, i2) + tensor(i2, p1, i4, i2)
+    eve = tensor(i2, i2, w)
+    forge = tensor(i2, i2, tensor(i4, p0) + tensor(u, p1))
+
+    def slot(m):  # key ⊗ ancilla -> key ⊗ |m> ⊗ ancilla
+        return tensor(i2, i2, MESSAGE_BASIS[:, [m]], i2)
+
+    honest = [np.sqrt(0.5) * slot(k).T @ dec @ eve @ enc @ slot(i)
+              for i in (0, 1) for k in (0, 1)]
+    forged = [slot(k).T @ dec @ forge @ slot(forge_bit) for k in (0, 1)]
+    start = tensor(singlet(), np.array([1, 0]))
+    rho = np.outer(start, start.conj())
+    acceptance = []
+    for _ in range(rounds):
+        after = sum(op @ rho @ op.conj().T for op in honest)
+        acceptance.append(np.trace(after).real / np.trace(rho).real)
+        rho = after
+    accepted = np.trace(rho).real
+    key = np.trace(rho.reshape(4, 2, 4, 2), axis1=1, axis2=3)
+    fidelity = (singlet().conj() @ key @ singlet()).real / accepted
+    rate = sum(np.trace(op @ rho @ op.conj().T).real for op in forged) / accepted
+    return acceptance, fidelity, rate
+
+
+@pytest.mark.parametrize("forge_bit", [0, 1])
+def test_key_reuse_sampler_matches_exact_propagation(forge_bit):
+    trials, rounds = 4000, 3
+    rng = np.random.default_rng(23)
+    for u in [secure_example_unitary()] + [haar_random_unitary(4, rng) for _ in range(2)]:
+        w = haar_random_unitary(8, rng)
+        # One round of the oracle is the single-round exact probability.
+        assert reuse_rounds_oracle(u, w, 1, forge_bit)[2] == pytest.approx(
+            reuse_forgery_probability(u, w, None, forge_bit), abs=1e-12
+        )
+        acceptance, fidelity, rate = reuse_rounds_oracle(u, w, rounds, forge_bit)
+        stats = simulate_key_reuse(u, rounds, w, rng, trials=trials, forge_bit=forge_bit)
+        reached = trials
+        for sampled, p in zip(stats.per_round_acceptance, acceptance):
+            assert abs(sampled - p) < 4 * np.sqrt(p * (1 - p) / reached)
+            reached = round(sampled * reached)
+        n = stats.forgery_attempts
+        assert n == reached > 100
+        # A fidelity lies in [0, 1], so its standard deviation is at most 1/2.
+        assert abs(stats.final_key_fidelity - fidelity) < 4 * 0.5 / np.sqrt(n)
+        assert abs(stats.forgery_success_rate - rate) < 4 * np.sqrt(rate * (1 - rate) / n)
+
+
+# simulate_key_reuse(BUILTIN[name](), 3, w, default_rng(5), trials=200) before
+# the sampler cached each outcome history: forgery attempts and successes, and
+# the final key fidelity, for either forge bit; every round accepted every
+# trial.  These interactions leave outcomes of probability zero.
+ZERO_BRANCH_STATS = {
+    ("identity", "none"): (200, 200, 1.0),
+    ("identity", "swap"): (200, 200, 1.0),
+    ("x_block", "none"): (200, 110, 1.0),
+    ("x_block", "swap"): (200, 90, 0.49999999999999994),
+}
+
+
+@pytest.mark.parametrize("name, eve", sorted(ZERO_BRANCH_STATS))
+@pytest.mark.parametrize("forge_bit", [0, 1])
+def test_key_reuse_zero_probability_branches(name, eve, forge_bit):
+    w = tensor(SWAP01 if eve == "swap" else E, np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stats = simulate_key_reuse(
+            BUILTIN[name](), 3, w, np.random.default_rng(5), trials=200, forge_bit=forge_bit
+        )
+    attempts, successes, fidelity = ZERO_BRANCH_STATS[name, eve]
+    assert (stats.forgery_attempts, stats.forgery_successes) == (attempts, successes)
+    assert stats.per_round_acceptance == [1.0, 1.0, 1.0]
+    assert stats.final_key_fidelity == fidelity
+
+
+class TestKeyReuseJson:
+    def test_unreached_rounds_are_null(self, u_identity):
+        # Eve moves the message out of the accept plane: round 1 always fails.
+        w = tensor(np.roll(E, 2, axis=0), np.eye(2))
+        stats = simulate_key_reuse(u_identity, 2, w, np.random.default_rng(0), trials=10)
+        assert json.loads(json.dumps(stats.to_json(), allow_nan=False)) == {
+            "per_round_acceptance": [0.0, None],
+            "final_key_fidelity": None,
+            "forgery_attempts": 0,
+            "forgery_successes": 0,
+            "forgery_success_rate": None,
+        }
+
+    def test_plain_floats(self, u_secure):
+        w = haar_random_unitary(8, np.random.default_rng(4))
+        body = simulate_key_reuse(u_secure, 2, w, np.random.default_rng(4), trials=50).to_json()
+        numbers = body["per_round_acceptance"] + [
+            body["final_key_fidelity"], body["forgery_success_rate"]
+        ]
+        assert all(type(x) is float for x in numbers)

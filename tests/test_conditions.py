@@ -87,6 +87,26 @@ class TestCases:
         x, y, z = row_parameters(u)
         assert c.details["lhs"] == pytest.approx(ec_gorda_reference(x, y, z), abs=1e-9)
 
+    def test_case2_flags_disagreement_with_exact_criterion(self):
+        # The printed formula rejects 597 of these draws that the exact
+        # criterion sigma_max(M0)^2 < 1 - strict passes; with the exponent
+        # of its second term's root at -1/2 it is sigma_max(M0)^2 itself.
+        rng = np.random.default_rng(7)
+        flagged = 0
+        for _ in range(2000):
+            u = TaggingUnitary(haar_random_unitary(4, rng))
+            c = check_case2(u)
+            x, y, z = row_parameters(u)
+            s2 = c.details["sigma_max_sq"]
+            assert s2 == pytest.approx(np.linalg.svd(u.block(0))[1][0] ** 2, abs=1e-12)
+            root = np.sqrt(1 + (x / y) ** 2)
+            corrected = 0.5 * x * (1 + x / y / root) + 0.5 * y / root + z
+            assert s2 == pytest.approx(corrected, abs=1e-12)
+            assert c.details["disagrees"] == (c.satisfied != (s2 < 1 - u.tol.strict))
+            assert not (c.details["disagrees"] and c.satisfied)
+            flagged += c.details["disagrees"]
+        assert flagged == 597
+
     def test_exactly_one_case_applies(self, rng):
         for _ in range(100):
             u = TaggingUnitary(haar_random_unitary(4, rng))
