@@ -37,6 +37,7 @@ from .protocol import (
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _ASCENT_GAIN = 1e-13  # a substitution-ascent step gaining no more has converged
+_CHUNK = 64  # most substitution-ascent steps between two checks of the stop rules
 _PRIOR_SUM_SLACK = 1e-12  # priors typed in decimal can miss 1 by rounding
 _ACCEPT_FLOOR = 1e-15  # acceptance this small is rounding: do not condition on it
 
@@ -181,7 +182,8 @@ def _check_trials(trials: int):
 # --- message (substitution) attack ------------------------------------------
 
 def _check_priors(p0: float, p1: float):
-    if p0 < 0 or p1 < 0 or abs(p0 + p1 - 1) > _PRIOR_SUM_SLACK:
+    # Phrased so that a NaN prior fails it.
+    if not (p0 >= 0 and p1 >= 0 and abs(p0 + p1 - 1) <= _PRIOR_SUM_SLACK):
         raise ValueError(f"priors must be nonnegative and sum to 1, got {p0}, {p1}")
 
 
@@ -297,17 +299,27 @@ def best_message_attack(
 
     f(V) = sum_k w_k |<a_k|V|b_k>|^2 is convex in V, so replacing V by the
     polar factor W Z† of G = sum_k w_k <a_k|V|b_k> |a_k><b_k| = W S Z† (the
-    maximizer of its linearisation) cannot lower f.  All starts step through
-    one batched SVD until the next step would take the objective evaluations
-    past ``budget``, so a call's cost depends on the budget and not on how
-    fast the ascent converges on ``u``.  The early stops are a certainty
-    attack (f <= 1, so once a start is within ``_ASCENT_GAIN`` of 1 and the
-    last step gained no more, nothing is left to gain) and ``stop_at``: the
+    maximizer of its linearisation) cannot lower f.  Both halves of a step
+    are one matmul on the flattened V: the overlaps <a_k|V|b_k> are
+    ``V.reshape(16) @ K`` with K[ij, k] = conj(a_k[i]) b_k[j], and G is the
+    overlaps times ``w_k K[:, k]†``.  All starts step through one batched
+    SVD until the next step would take the objective evaluations past
+    ``budget``, so a call's cost depends on the budget and not on how fast
+    the ascent converges on ``u``.  The early stops are a certainty attack
+    (f <= 1, so once a start is within ``_ASCENT_GAIN`` of 1 and the last
+    step gained no more, nothing is left to gain) and ``stop_at``: the
     search ends once any start's best f reaches it.  Each start keeps its
     best iterate, so the reported probability never falls during the search;
     a stopped result is at least ``stop_at`` and only a lower end of what the
     full budget would find.  ``converged`` says whether the last step gained
     no more than ``_ASCENT_GAIN``.
+
+    The stop rules are checked once per chunk of 1, 2, 4, ... up to
+    ``_CHUNK`` steps, on f of all the chunk's iterates at once, and the
+    search is cut at the first step where one holds; each start keeps its
+    first best iterate.  So the result is exactly that of checking after
+    every step; a stop only costs the rest of its chunk's SVDs, and working
+    memory is set by ``_CHUNK``, not by ``budget``.
     Deterministic for a given rng seed.  The perfect-attack construction,
     when available, is a start, so no known certainty attack is missed.
     """
@@ -321,6 +333,8 @@ def best_message_attack(
     a = np.stack([I4[1], u.u[:, 1], I4[0], u.u[:, 0]])
     b = np.stack([I4[0], u.u[:, 0], I4[1], u.u[:, 1]])
     w = 0.5 * np.array([p0, p0, p1, p1])
+    k_mat = (a.conj()[:, :, None] * b[:, None, :]).reshape(4, 16).T
+    g_mat = w[:, None] * k_mat.T.conj()
 
     starts = [I4[[1, 0, 2, 3]]]  # sigma_x on the message bit
     perfect = perfect_message_attack(u)
@@ -331,29 +345,44 @@ def best_message_attack(
         starts.append(haar_random_unitary(4, rng))
 
     step = np.stack(starts[:budget])
-    v, f = step, np.full(len(step), -np.inf)
-    evals, converged = 0, False
-    while evals + len(step) <= budget:
-        c = np.einsum("ki,sij,kj->sk", a.conj(), step, b)
-        f_step = (np.abs(c) ** 2) @ w
-        evals += len(step)
-        converged = bool((f_step - f).max() <= _ASCENT_GAIN)
-        # Keep each start's best iterate: at a fixed point rounding can dip f.
-        gained = f_step > f
-        v, f = np.where(gained[:, None, None], step, v), np.where(gained, f_step, f)
-        top = f.max()
-        if top >= stop_at or (converged and top >= 1 - _ASCENT_GAIN):
-            break
-        left, _, right = np.linalg.svd(np.einsum("sk,ki,kj->sij", w * c, a, b.conj()))
-        step = left @ right
+    n = len(step)
+    steps_left = budget // n
+    v, f = step, np.full(n, -np.inf)
+    iterates = np.empty((min(_CHUNK, steps_left), n, 4, 4), dtype=complex)
+    overlaps = np.empty(iterates.shape[:3], dtype=complex)
+    taken, size, converged, stopped = 0, 1, False, False
+    while steps_left and not stopped:
+        size = min(size, steps_left)
+        for t in range(size):
+            if taken or t:
+                left, _, right = np.linalg.svd((c @ g_mat).reshape(n, 4, 4))
+                step = left @ right
+            iterates[t] = step
+            overlaps[t] = c = step.reshape(n, 16) @ k_mat
+        f_steps = (np.abs(overlaps[:size]) ** 2 * w).sum(axis=-1)
+        # best[t] is each start's best f before step t of the chunk.
+        best = np.maximum.accumulate(np.concatenate([f[None], f_steps]), axis=0)
+        flat = (f_steps - best[:-1]).max(axis=1) <= _ASCENT_GAIN
+        top = best[1:].max(axis=1)
+        stops = (top >= stop_at) | (flat & (top >= 1 - _ASCENT_GAIN))
+        stopped = bool(stops.any())
+        used = int(np.argmax(stops)) + 1 if stopped else size
+        # Keep each start's first best iterate: at a fixed point rounding can dip f.
+        first = np.argmax(f_steps[:used], axis=0)
+        gained = best[used] > f
+        v = np.where(gained[:, None, None], iterates[first, np.arange(n)], v)
+        f, converged = best[used], bool(flat[used - 1])
+        taken += used
+        steps_left -= used
+        size = min(2 * size, _CHUNK)
 
-    best = int(np.argmax(f))
+    top_start = int(np.argmax(f))
     return AttackResult(
-        probability=float(f[best]),
-        strategy=v[best],
+        probability=float(f[top_start]),
+        strategy=v[top_start],
         method="polar_ascent",
         budget=budget,
-        iterations=evals,
+        iterations=taken * n,
         converged=converged,
     )
 

@@ -101,11 +101,12 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
-    if len(data) != rows * cols:
-        raise ValueError(
-            f"matrix JSON has {len(data)} entries, expected {rows * cols}"
-        )
-    flat = np.array([complex(re, im) for re, im in data])
+    try:
+        flat = np.array([complex(re, im) for re, im in data])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    if len(flat) != rows * cols:
+        raise ValueError(f"matrix JSON has {len(flat)} entries, expected {rows * cols}")
     if not np.isfinite(flat.view(float)).all():
         raise ValueError("matrix JSON contains non-finite entries")
     return flat.reshape(rows, cols)

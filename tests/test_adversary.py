@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from qmac.adversary import (
     SIGMA_X,
+    AttackResult,
     best_message_attack,
     eve_state_from_restricted,
     forgery_operator,
@@ -203,6 +205,13 @@ class TestMessageAttack:
     def test_invalid_priors(self, u_identity):
         with pytest.raises(ValueError):
             message_attack_pf(u_identity, SWAP01, p0=0.7, p1=0.7)
+
+    @pytest.mark.parametrize("p0, p1", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.0)])
+    def test_non_finite_priors_rejected(self, u_secure, p0, p1):
+        with pytest.raises(ValueError, match="priors must be nonnegative and sum to 1"):
+            message_attack_pf(u_secure, SWAP01, p0=p0, p1=p1)
+        with pytest.raises(ValueError, match="priors must be nonnegative and sum to 1"):
+            best_message_attack(u_secure, p0=p0, p1=p1, budget=10)
 
     def test_non_unitary_attack_rejected(self, u_identity):
         with pytest.raises(ValueError):
@@ -419,6 +428,86 @@ def test_stop_at_is_exact(seed):
     assert stopped.probability >= half.probability
     assert stopped.iterations <= half.iterations < 500
     assert same_attack(stopped, best_message_attack(u, budget=stopped.iterations))
+
+
+def reference_ascent(u, budget, stop_at=np.inf, einsum=False):
+    """best_message_attack at p0 = p1 = 1/2 and rng seed 0, with the stop
+    rules and the running best checked after every step.  ``einsum=True``
+    takes the overlaps and the linearisation by 3-operand einsums instead
+    of the K contraction."""
+    a = np.stack([E[1], u.u[:, 1], E[0], u.u[:, 0]])
+    b = np.stack([E[0], u.u[:, 0], E[1], u.u[:, 1]])
+    w = np.full(4, 0.25)
+    k_mat = (a.conj()[:, :, None] * b[:, None, :]).reshape(4, 16).T
+    g_mat = w[:, None] * k_mat.T.conj()
+    perfect = perfect_message_attack(u)
+    starts = [E[[1, 0, 2, 3]]] + ([] if perfect is None else [perfect])
+    rng = np.random.default_rng(0)
+    while len(starts) < min(12, budget // 300):
+        starts.append(haar_random_unitary(4, rng))
+    step = np.stack(starts[:budget])
+    n = len(step)
+    v, f = step, np.full(n, -np.inf)
+    evals, converged = 0, False
+    while evals + n <= budget:
+        if einsum:
+            c = np.einsum("ki,sij,kj->sk", a.conj(), step, b)
+        else:
+            c = step.reshape(n, 16) @ k_mat
+        f_step = (np.abs(c) ** 2 * w).sum(axis=-1)
+        evals += n
+        converged = bool((f_step - f).max() <= 1e-13)
+        gained = f_step > f
+        v, f = np.where(gained[:, None, None], step, v), np.where(gained, f_step, f)
+        if f.max() >= stop_at or (converged and f.max() >= 1 - 1e-13):
+            break
+        if einsum:
+            g = np.einsum("sk,ki,kj->sij", w * c, a, b.conj())
+        else:
+            g = (c @ g_mat).reshape(n, 4, 4)
+        left, _, right = np.linalg.svd(g)
+        step = left @ right
+    best = int(np.argmax(f))
+    return AttackResult(float(f[best]), v[best], "polar_ascent", budget, evals, converged)
+
+
+def oracle_unitaries():
+    builtins = ("identity", "x_block", "secure_example")
+    haar = [haar_random_unitary(4, np.random.default_rng(100 + k)) for k in range(10)]
+    return [TaggingUnitary(m) for m in [BUILTIN[name]() for name in builtins] + haar]
+
+
+# Budgets either side of the chunk edges (1, 3, 7, ..., 63, 127, ... steps at one start).
+CHUNK_EDGE_BUDGETS = [1, 2, 3, 63, 64, 65, 127, 128, 129, 500, 2000]
+
+
+@pytest.mark.parametrize("budget", CHUNK_EDGE_BUDGETS)
+def test_chunked_stop_rules_match_per_step_reference(budget):
+    for u in oracle_unitaries():
+        full = best_message_attack(u, budget=budget)
+        limits = [np.inf, full.probability, np.nextafter(full.probability, np.inf),
+                  0.9 * full.probability]
+        for stop_at in limits:
+            res = best_message_attack(u, budget=budget, stop_at=stop_at)
+            assert same_attack(res, reference_ascent(u, budget, stop_at))
+        # The einsum contraction sums in another order: last bits only.
+        old = reference_ascent(u, budget, einsum=True)
+        assert abs(full.probability - old.probability) <= 1e-14
+
+
+def test_working_memory_does_not_grow_with_budget(u_secure):
+    # Both budgets run 12 starts; only the number of steps differs.
+    best_message_attack(u_secure, budget=3_600)
+    tracemalloc.start()
+    try:
+        best_message_attack(u_secure, budget=3_600)
+        _, short = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        best_message_attack(u_secure, budget=36_000)
+        _, long = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert long <= 1.5 * short
 
 
 class TestKeyDistinguishability:

@@ -53,6 +53,14 @@ class TestValidate:
         assert code == 2
         assert "line" in err  # position-bearing message
 
+    @pytest.mark.parametrize("data", [[["a", "b"]], 5])
+    def test_malformed_entries_exit_two(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"rows": 1, "cols": 1, "data": data}))
+        code, out, err = run_cli(capsys, "validate", "--input", str(path))
+        assert code == 2 and out == ""
+        assert "malformed matrix JSON" in err
+
     def test_missing_input_exit_two(self, capsys):
         code, _, _ = run_cli(capsys, "validate")
         assert code == 2
@@ -182,6 +190,14 @@ class TestAttack:
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert f"argument --priors: expects two numbers p0,p1, got {priors!r}" in err
+
+    @pytest.mark.parametrize("priors", ["nan,0.5", "0.5,nan", "inf,0"])
+    def test_non_finite_priors_exit_two(self, capsys, priors):
+        code, out, err = run_cli(
+            capsys, "attack", "--input", "secure_example", "--priors", priors
+        )
+        assert code == 2 and out == ""
+        assert "priors must be nonnegative and sum to 1" in err
 
     def test_secure_example_regression(self, capsys, secure_file):
         code, out, _ = run_cli(

@@ -127,6 +127,11 @@ class TestMatrixJson:
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 2})
 
+    @pytest.mark.parametrize("data", [[["a", "b"]], 5, [[1]], [[1, 2, 3]], [None]])
+    def test_malformed_entries(self, data):
+        with pytest.raises(ValueError, match="malformed matrix JSON"):
+            matrix_from_json({"rows": 1, "cols": 1, "data": data})
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
