@@ -93,17 +93,32 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _is_json_number(x, kinds=(int, float)) -> bool:
+    # bool subclasses int, but a JSON true or false is not a number.
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`; exact round-trip."""
+    """Inverse of :func:`matrix_to_json`; exact round-trip.
+
+    ``rows`` and ``cols`` must be JSON integers and each entry a pair of
+    JSON numbers.
+    """
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+        pairs = [(re, im) for re, im in data]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    if not (_is_json_number(rows, int) and _is_json_number(cols, int)):
+        raise ValueError(f"malformed matrix JSON: rows {rows!r} and cols {cols!r} "
+                         "must be integers")
+    if not all(_is_json_number(x) for pair in pairs for x in pair):
+        raise ValueError("malformed matrix JSON: entries must be [re, im] number pairs")
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
     try:
-        flat = np.array([complex(re, im) for re, im in data])
-    except (TypeError, ValueError) as exc:
+        flat = np.array([complex(re, im) for re, im in pairs])
+    except OverflowError as exc:  # an integer beyond the float range
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if len(flat) != rows * cols:
         raise ValueError(f"matrix JSON has {len(flat)} entries, expected {rows * cols}")

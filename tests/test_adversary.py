@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -391,13 +392,22 @@ class TestPolarAscent:
         assert res.probability >= 0.85997
         assert res.converged
 
-    def test_cost_is_set_by_budget(self, u_secure, u_identity):
-        # Without a certainty attack the ascent spends the whole budget even
-        # after it has converged; with one it stops once it is certain.
-        res = best_message_attack(u_secure, budget=300, rng=np.random.default_rng(0))
-        assert res.iterations == 300 and res.converged
-        res = best_message_attack(u_identity, budget=300, rng=np.random.default_rng(0))
+    def test_stops_once_stalled(self, u_secure, u_identity):
+        # Without a certainty attack the ascent stops once no start has gained
+        # more than 1e-13 over 64 steps; with one it stops once it is certain.
+        for budget in (300, 12_000):
+            res = best_message_attack(u_secure, budget=budget)
+            assert res.iterations < budget and res.converged
+            assert same_attack(res, reference_ascent(u_secure, budget))
+        res = best_message_attack(u_identity, budget=300)
         assert res.iterations == 4 and res.converged
+        # At the same starts a smaller budget's steps are a prefix of a larger
+        # one's, so a larger budget never returns less.  (A start's steps round
+        # alike only in batches of one size, as the overlap matmul's blocking
+        # depends on it: budgets 1-599 run one start here, 3,600 on run 12.)
+        for budgets in ((1, 64, 65, 300, 599), (3_600, 12_000, 36_000)):
+            probs = [best_message_attack(u_secure, budget=b).probability for b in budgets]
+            assert all(later >= earlier for earlier, later in zip(probs, probs[1:]))
 
     def test_budget_caps_evaluations(self, u_identity):
         # identity has two starts (swap, perfect attack): one budget unit
@@ -430,14 +440,15 @@ def test_stop_at_is_exact(seed):
     assert same_attack(stopped, best_message_attack(u, budget=stopped.iterations))
 
 
-def reference_ascent(u, budget, stop_at=np.inf, einsum=False):
-    """best_message_attack at p0 = p1 = 1/2 and rng seed 0, with the stop
-    rules and the running best checked after every step.  ``einsum=True``
-    takes the overlaps and the linearisation by 3-operand einsums instead
-    of the K contraction."""
+def reference_ascent(u, budget, stop_at=np.inf, p0=0.5, stall=True, einsum=False):
+    """best_message_attack at rng seed 0, with the stop rules and the running
+    best checked after every step.  ``stall=False`` drops the rule that stops
+    once no start gained more than 1e-13 over the last 64 steps, so the search
+    runs to the budget or to another stop.  ``einsum=True`` takes the overlaps
+    and the linearisation by 3-operand einsums instead of the K contraction."""
     a = np.stack([E[1], u.u[:, 1], E[0], u.u[:, 0]])
     b = np.stack([E[0], u.u[:, 0], E[1], u.u[:, 1]])
-    w = np.full(4, 0.25)
+    w = 0.5 * np.array([p0, p0, 1 - p0, 1 - p0])
     k_mat = (a.conj()[:, :, None] * b[:, None, :]).reshape(4, 16).T
     g_mat = w[:, None] * k_mat.T.conj()
     perfect = perfect_message_attack(u)
@@ -448,6 +459,7 @@ def reference_ascent(u, budget, stop_at=np.inf, einsum=False):
     step = np.stack(starts[:budget])
     n = len(step)
     v, f = step, np.full(n, -np.inf)
+    history = deque([f], maxlen=65)  # running best 64 steps ago ... now
     evals, converged = 0, False
     while evals + n <= budget:
         if einsum:
@@ -459,7 +471,9 @@ def reference_ascent(u, budget, stop_at=np.inf, einsum=False):
         converged = bool((f_step - f).max() <= 1e-13)
         gained = f_step > f
         v, f = np.where(gained[:, None, None], step, v), np.where(gained, f_step, f)
-        if f.max() >= stop_at or (converged and f.max() >= 1 - 1e-13):
+        history.append(f)
+        stalled = len(history) == 65 and (f - history[0]).max() <= 1e-13
+        if f.max() >= stop_at or (converged and f.max() >= 1 - 1e-13) or (stall and stalled):
             break
         if einsum:
             g = np.einsum("sk,ki,kj->sij", w * c, a, b.conj())
@@ -495,19 +509,90 @@ def test_chunked_stop_rules_match_per_step_reference(budget):
         assert abs(full.probability - old.probability) <= 1e-14
 
 
-def test_working_memory_does_not_grow_with_budget(u_secure):
-    # Both budgets run 12 starts; only the number of steps differs.
-    best_message_attack(u_secure, budget=3_600)
+def grid_unitaries():
+    builtins = ("identity", "x_block", "secure_example")
+    haar = [haar_random_unitary(4, np.random.default_rng(1000 + k)) for k in range(60)]
+    return [TaggingUnitary(m) for m in [BUILTIN[name]() for name in builtins] + haar]
+
+
+@pytest.mark.parametrize("p0", [0.5, 0.8])
+@pytest.mark.parametrize("budget", [300, 500, 2_000, 12_000])
+def test_stall_rule_never_weaker(budget, p0):
+    # Against the same ascent run until its budget or another stop.
+    for u in grid_unitaries():
+        res = best_message_attack(u, p0=p0, p1=1 - p0, budget=budget)
+        full = reference_ascent(u, budget, p0=p0, stall=False)
+        assert res.probability >= full.probability - 1e-14
+        assert res.iterations <= full.iterations
+        assert res.converged or res.iterations == full.iterations
+
+
+def test_working_memory_does_not_grow_with_budget():
+    # Both budgets run 12 starts.  This tagging has a start that climbs
+    # slowly, so the long run takes many times the short run's steps.
+    u = TaggingUnitary(haar_random_unitary(4, np.random.default_rng(34)))
+    best_message_attack(u, budget=3_600)
     tracemalloc.start()
     try:
-        best_message_attack(u_secure, budget=3_600)
+        short_run = best_message_attack(u, budget=3_600)
         _, short = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        best_message_attack(u_secure, budget=36_000)
+        long_run = best_message_attack(u, budget=36_000)
         _, long = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert long_run.iterations >= 5 * short_run.iterations
     assert long <= 1.5 * short
+
+
+def halmos_dilation(m0):
+    """[[M0, (I - M0 M0†)^1/2], [(I - M0† M0)^1/2, -M0†]], a unitary whose
+    top-left block is the contraction M0 (Halmos, Summa Brasil. Math. 2 (1950))."""
+    def root(h):
+        vals, vecs = np.linalg.eigh(h)
+        return (vecs * np.sqrt(np.clip(vals, 0, None))) @ vecs.conj().T
+
+    eye = np.eye(2)
+    return np.block([[m0, root(eye - m0 @ m0.conj().T)],
+                     [root(eye - m0.conj().T @ m0), -m0.conj().T]])
+
+
+def same_m0_variants(m, rng):
+    """Taggings with m's attack optima.  Every optimum over Eve's actions
+    sees U only through the Gram matrix of the rays e0, e1, Ue0, Ue1, which
+    M0 fixes; diagonal phases only rephase those rays, and U† gives the same
+    rays with the halves swapped."""
+    def phases():
+        return np.diag(np.exp(2j * np.pi * rng.random(4)))
+
+    def lower(r):
+        out = np.eye(4, dtype=complex)
+        out[2:, 2:] = r
+        return out
+
+    def recompletion():
+        r1, r2 = (lower(haar_random_unitary(2, rng)) for _ in range(2))
+        return phases() @ r1 @ m @ r2 @ phases()
+
+    return [halmos_dilation(m[:2, :2]), m.conj().T, recompletion(), recompletion()]
+
+
+METAMORPHIC_TAGGINGS = {
+    "secure_example": secure_example_unitary(),
+    **{f"haar{k}": haar_random_unitary(4, np.random.default_rng(k)) for k in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", list(METAMORPHIC_TAGGINGS))
+def test_optima_depend_only_on_m0(name):
+    m = METAMORPHIC_TAGGINGS[name]
+    u = TaggingUnitary(m)
+    no_message = no_message_optimal(u).probability
+    substitution = best_message_attack(u, budget=12_000).probability
+    for variant in map(TaggingUnitary, same_m0_variants(m, np.random.default_rng(7))):
+        assert abs(no_message_optimal(variant).probability - no_message) <= 1e-12
+        assert abs(best_message_attack(variant, budget=12_000).probability
+                   - substitution) <= 1e-9
 
 
 class TestKeyDistinguishability:

@@ -61,6 +61,15 @@ class TestValidate:
         assert code == 2 and out == ""
         assert "malformed matrix JSON" in err
 
+    def test_fractional_rows_exit_two(self, capsys, tmp_path):
+        obj = matrix_to_json(secure_example_unitary())
+        obj["rows"] = 4.9
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "validate", "--input", str(path))
+        assert code == 2 and out == ""
+        assert "malformed matrix JSON" in err
+
     def test_missing_input_exit_two(self, capsys):
         code, _, _ = run_cli(capsys, "validate")
         assert code == 2

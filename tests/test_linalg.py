@@ -132,6 +132,22 @@ class TestMatrixJson:
         with pytest.raises(ValueError, match="malformed matrix JSON"):
             matrix_from_json({"rows": 1, "cols": 1, "data": data})
 
+    @pytest.mark.parametrize("rows, cols", [(1.9, "1"), (1.0, 1), (1, "1"), (True, 1),
+                                            (1, False), (None, 1)])
+    def test_dimensions_must_be_integers(self, rows, cols):
+        with pytest.raises(ValueError, match="malformed matrix JSON"):
+            matrix_from_json({"rows": rows, "cols": cols, "data": [[1, 0]]})
+
+    @pytest.mark.parametrize("entry", [[True, False], [1, True], ["1", 0], [None, 0],
+                                       [[1], 0], [10**400, 0]])
+    def test_entries_must_be_numbers(self, entry):
+        with pytest.raises(ValueError, match="malformed matrix JSON"):
+            matrix_from_json({"rows": 1, "cols": 1, "data": [entry]})
+
+    def test_integer_entries_accepted(self):
+        m = matrix_from_json({"rows": 1, "cols": 2, "data": [[1, 0], [0.5, -2]]})
+        assert np.array_equal(m, [[1, 0.5 - 2j]])
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
