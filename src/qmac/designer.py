@@ -15,44 +15,12 @@ import numpy as np
 from .adversary import best_message_attack, no_message_optimal
 from .conditions import validate
 from .config import DEFAULT_TOL, Tolerances
-from .linalg import dagger, haar_random_unitary, matrix_to_json
+from .linalg import haar_random_unitary, halmos_dilation, matrix_to_json
 from .protocol import TaggingUnitary, as_tagging_unitary
 
 INSECURE = float("inf")
 _DRAWS = 51  # a restart's first draw and up to 50 redraws of insecure ones
 _REFINE_STEPS = 24  # score evaluations in a restart's coordinate descent
-
-
-def _chart_basis() -> np.ndarray:
-    """The 16 coordinate directions of the exp(iH) chart, as 4x4 Hermitians.
-
-    4 diagonal entries, then each strictly-upper entry (i, j) as a real
-    and an imaginary direction.
-    """
-    basis = np.zeros((16, 4, 4), dtype=complex)
-    for k in range(4):
-        basis[k, k, k] = 1
-    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    for k, (i, j) in enumerate(pairs):
-        basis[4 + 2 * k, i, j] = basis[4 + 2 * k, j, i] = 1
-        basis[5 + 2 * k, i, j], basis[5 + 2 * k, j, i] = 1j, -1j
-    return basis
-
-
-BASIS = _chart_basis()
-
-
-def unitary_of_hermitian(h: np.ndarray) -> np.ndarray:
-    """V = exp(iH) for a Hermitian generator H."""
-    w, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * w)) @ dagger(vecs)
-
-
-def hermitian_of_unitary(v: np.ndarray) -> np.ndarray:
-    """A Hermitian logarithm H of a unitary, exp(iH) = V."""
-    w, vecs = np.linalg.eig(v)
-    h = (vecs * np.angle(w)) @ np.linalg.inv(vecs)
-    return (h + dagger(h)) / 2
 
 
 @dataclass(frozen=True)
@@ -123,42 +91,46 @@ def optimize(
 ) -> DesignResult:
     """Multi-start search for a secure tagging unitary with low score.
 
-    Haar restarts are filtered through the validator (insecure samples are
-    discarded, not penalized); each surviving candidate is refined by
-    coordinate-wise descent on the exp(iH) chart, moving H along
-    one :data:`BASIS` direction at a time.  ``budget`` is the
-    attack-search budget per score evaluation; a refine candidate's score
-    is pruned at the incumbent's (see :func:`security_score`), so its search
-    stops once the candidate cannot be accepted, and the result is the same
-    as with every search run in full.  Every candidate is checked under
-    ``tol``.  Reproducible per seed; ties between restarts break toward the
-    lowest restart index.
+    Every attack sees a tagging only through its block M0 = U[:2,:2], so
+    the search runs on M0's 8 real entries and scores the Halmos dilation
+    :func:`~qmac.linalg.halmos_dilation` of each point.  Each restart
+    starts from the M0 of a Haar draw, or of ``warm_start`` for the first;
+    insecure draws are discarded, not penalized.  The start is refined by
+    coordinate-wise descent, moving one real or imaginary entry of M0 at a
+    time, and the result is the dilation of the best M0.  ``budget`` is
+    the attack-search budget per score evaluation; a refine candidate's
+    score is pruned at the incumbent's (see :func:`security_score`), so its
+    search stops once the candidate cannot be accepted, and the result is
+    the same as with every search run in full.  ``warm_start`` and every
+    candidate are checked under ``tol``.  Reproducible per seed; ties
+    between restarts break toward the lowest restart index.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    warm = TaggingUnitary(warm_start, tol) if warm_start is not None else None
     rng = rng if rng is not None else np.random.default_rng(0)
+    moves = np.eye(8).view(complex).reshape(8, 2, 2)  # Re and Im of each entry
 
-    def evaluate(mat, seed, ceiling=INSECURE):
+    def evaluate(m0, seed, ceiling=INSECURE):
         try:
-            tu = TaggingUnitary(mat, tol)
-        except ValueError:  # the chart point is not unitary within tol.unitary
+            tu = TaggingUnitary(halmos_dilation(m0), tol)
+        except ValueError:  # sigma_max(M0) > 1, so no dilation exists
             return SecurityScore(1.0, None, False, INSECURE)
         return security_score(
             tu, budget=budget, rng=np.random.default_rng(seed), ceiling=ceiling
         )
 
     trace = []
-    best: Optional[tuple] = None  # (score value, restart idx, H, SecurityScore)
+    best: Optional[tuple] = None  # (score value, restart idx, M0, SecurityScore)
     for restart in range(restarts):
         for draw in range(_DRAWS):
-            if draw == 0 and restart == 0 and warm_start is not None:
-                candidate = np.asarray(warm_start, dtype=complex)
+            if draw == 0 and restart == 0 and warm is not None:
+                m0 = warm.block(0)
             else:
-                candidate = haar_random_unitary(4, rng)
-            h = hermitian_of_unitary(candidate)
-            sc = evaluate(unitary_of_hermitian(h), seed=restart)
+                m0 = haar_random_unitary(4, rng)[:2, :2]
+            sc = evaluate(m0, seed=restart)
             if sc.secure:
                 break
         if not sc.secure:
@@ -166,19 +138,19 @@ def optimize(
         trace.append((restart, 0, sc.score))
         step = 0.2
         it = 0
-        order = rng.permutation(16)
+        order = rng.permutation(len(moves))
         while it < _REFINE_STEPS and step > 1e-4:
-            k = int(order[it % 16])
+            k = int(order[it % len(moves)])
             improved = False
             for sign in (1.0, -1.0):
-                q = h + sign * step * BASIS[k]
+                q = m0 + sign * step * moves[k]
                 # A candidate is kept only below this cutoff, so its score
                 # may stop at the cutoff.
                 cutoff = sc.score - 1e-12
-                cand = evaluate(unitary_of_hermitian(q), seed=restart, ceiling=cutoff)
+                cand = evaluate(q, seed=restart, ceiling=cutoff)
                 it += 1
                 if cand.secure and cand.score < cutoff:
-                    h, sc = q, cand
+                    m0, sc = q, cand
                     trace.append((restart, it, sc.score))
                     improved = True
                     break
@@ -187,9 +159,9 @@ def optimize(
             if not improved:
                 step *= 0.5
         if best is None or sc.score < best[0] - 1e-15:
-            best = (sc.score, restart, h, sc)
+            best = (sc.score, restart, m0, sc)
 
     if best is None:
         raise RuntimeError("no secure candidate found; increase restarts")
-    _, _, h, sc = best
-    return DesignResult(unitary=unitary_of_hermitian(h), score=sc, trace=trace)
+    _, _, m0, sc = best
+    return DesignResult(unitary=halmos_dilation(m0), score=sc, trace=trace)

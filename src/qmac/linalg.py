@@ -81,6 +81,22 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def halmos_dilation(m0: np.ndarray) -> np.ndarray:
+    """The unitary [[M0, (I - M0 M0†)^½], [(I - M0† M0)^½, -M0†]] of a 2x2 M0.
+
+    Halmos, Summa Brasil. Math. 2 (1950) 125.  With M0 = L diag(s) R†, the
+    square roots are L diag(√(1 - s²)) L† and R diag(√(1 - s²)) R†.  Raises
+    ``ValueError`` when σ_max(M0) > 1, where no such unitary exists.
+    """
+    m0 = np.asarray(m0, dtype=complex)
+    left, s, right_h = np.linalg.svd(m0)
+    if not s[0] <= 1:
+        raise ValueError(f"M0 is not a contraction (sigma_max {s[0]!r})")
+    c = np.sqrt(1 - s**2)
+    return np.block([[m0, (left * c) @ dagger(left)],
+                     [(dagger(right_h) * c) @ right_h, -dagger(m0)]])
+
+
 # --- matrix JSON interchange -------------------------------------------------
 
 def matrix_to_json(m: np.ndarray) -> dict:

@@ -32,7 +32,7 @@ from qmac.adversary import (
 )
 from qmac.config import DEFAULT_TOL
 from qmac.fixtures import BUILTIN, secure_example_unitary
-from qmac.linalg import haar_random_unitary, is_unitary, tensor
+from qmac.linalg import haar_random_unitary, halmos_dilation, is_unitary, tensor
 from qmac.protocol import MESSAGE_BASIS, TaggingUnitary, singlet
 
 E = np.eye(4, dtype=complex)
@@ -545,23 +545,13 @@ def test_working_memory_does_not_grow_with_budget():
     assert long <= 1.5 * short
 
 
-def halmos_dilation(m0):
-    """[[M0, (I - M0 M0†)^1/2], [(I - M0† M0)^1/2, -M0†]], a unitary whose
-    top-left block is the contraction M0 (Halmos, Summa Brasil. Math. 2 (1950))."""
-    def root(h):
-        vals, vecs = np.linalg.eigh(h)
-        return (vecs * np.sqrt(np.clip(vals, 0, None))) @ vecs.conj().T
-
-    eye = np.eye(2)
-    return np.block([[m0, root(eye - m0 @ m0.conj().T)],
-                     [root(eye - m0.conj().T @ m0), -m0.conj().T]])
-
-
 def same_m0_variants(m, rng):
-    """Taggings with m's attack optima.  Every optimum over Eve's actions
-    sees U only through the Gram matrix of the rays e0, e1, Ue0, Ue1, which
-    M0 fixes; diagonal phases only rephase those rays, and U† gives the same
-    rays with the halves swapped."""
+    """Taggings with m's attack optima at equal priors.  Every optimum over
+    Eve's actions sees U only through the Gram matrix of the rays e0, e1,
+    Ue0, Ue1, which M0 fixes; diagonal phases only rephase those rays, and U†
+    gives the same rays with the halves swapped.  At equal priors, swapping
+    e0 with e1 (SWAP01) on either side of U only relabels the messages, and
+    conj(U) conjugates every amplitude, which no probability sees."""
     def phases():
         return np.diag(np.exp(2j * np.pi * rng.random(4)))
 
@@ -574,7 +564,8 @@ def same_m0_variants(m, rng):
         r1, r2 = (lower(haar_random_unitary(2, rng)) for _ in range(2))
         return phases() @ r1 @ m @ r2 @ phases()
 
-    return [halmos_dilation(m[:2, :2]), m.conj().T, recompletion(), recompletion()]
+    return [halmos_dilation(m[:2, :2]), m.conj().T, recompletion(), recompletion(),
+            SWAP01 @ m, m @ SWAP01, SWAP01 @ m @ SWAP01, m.conj()]
 
 
 METAMORPHIC_TAGGINGS = {

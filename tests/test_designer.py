@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmac import designer
-from qmac.adversary import best_message_attack
+from qmac.adversary import best_message_attack, no_message_optimal
 from qmac.conditions import validate
 from qmac.config import DEFAULT_TOL
-from qmac.designer import INSECURE, optimize, security_score, unitary_of_hermitian
+from qmac.designer import INSECURE, optimize, security_score
 from qmac.fixtures import secure_example_unitary, x_block_unitary
-from qmac.linalg import haar_random_unitary, is_unitary
+from qmac.linalg import haar_random_unitary, halmos_dilation, is_unitary
 
 
 class TestSecurityScore:
@@ -71,10 +71,21 @@ def test_ceiling_prunes_exactly(seed):
                 ceiling <= pruned.pf_message_best <= full.pf_message_best)
 
 
-def test_chart_produces_unitaries(rng):
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    v = unitary_of_hermitian(a + a.conj().T)
-    assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-10
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_halmos_dilation_carries_m0(seed):
+    # The top-left block of a Haar unitary is a random contraction.
+    u = haar_random_unitary(4, np.random.default_rng(seed))
+    m0 = u[:2, :2]
+    d = halmos_dilation(m0)
+    ok, dev = is_unitary(d, 1e-12)
+    assert ok, dev
+    assert np.array_equal(d[:2, :2], m0)
+    assert (validate(d, include_attacks=False).overall_secure
+            == validate(u, include_attacks=False).overall_secure)
+    assert no_message_optimal(d).probability == no_message_optimal(u).probability
+    with pytest.raises(ValueError, match="not a contraction"):
+        halmos_dilation(m0 * (1 + 1e-9) / np.linalg.norm(m0, 2))
 
 
 class TestOptimize:
@@ -88,6 +99,29 @@ class TestOptimize:
             warm_start=warm,
         )
         assert result.score.score <= baseline.score + 1e-9
+
+    @pytest.mark.parametrize("warm", [np.eye(3), 2 * np.eye(4), np.full((4, 4), np.nan)],
+                             ids=["3x3", "2I", "nan"])
+    def test_malformed_warm_start_rejected(self, warm):
+        with pytest.raises(ValueError):
+            optimize(restarts=1, budget=100, warm_start=warm)
+
+    def test_loose_unitary_tolerance_keeps_designs_unitary(self, monkeypatch):
+        # A move that leaves M0 outside the unit ball has no dilation, so a
+        # loose unitary tolerance cannot let a non-unitary design through.
+        sigma_max = []
+
+        def spy(m0):
+            sigma_max.append(np.linalg.norm(m0, 2))
+            return halmos_dilation(m0)
+
+        monkeypatch.setattr(designer, "halmos_dilation", spy)
+        result = optimize(restarts=1, budget=100, rng=np.random.default_rng(12),
+                          tol=DEFAULT_TOL.override(unitary=1))
+        assert max(sigma_max) > 1  # such a move was tried
+        ok, dev = is_unitary(result.unitary, 1e-12)
+        assert ok, dev
+        assert validate(result.unitary, include_attacks=False).overall_secure
 
     def test_result_is_secure_unitary(self):
         result = optimize(restarts=2, budget=150, rng=np.random.default_rng(2))
@@ -144,91 +178,84 @@ class TestOptimize:
 # pf_message_best, score), trace, unitary).  Pruning must not change them.
 FROZEN_DESIGNS = {
     (1, 500, 0): (
-        (0.893189432577651, 0.892170423548126, 0.893189432577651),
+        (0.886829592656138, 0.886112473025957, 0.886829592656138),
         [
-            (0, 0, 0.897638688954098), (0, 7, 0.89725551706785), (0, 8, 0.896971564261769),
-            (0, 9, 0.896175618548288), (0, 11, 0.893922315769393), (0, 15, 0.893718019401577),
-            (0, 16, 0.893697807431406), (0, 17, 0.893427289156451), (0, 21, 0.893272093623457),
-            (0, 23, 0.893257362735719), (0, 24, 0.893189432577651),
+            (0, 0, 0.897638688954099), (0, 3, 0.896862633305818), (0, 7, 0.896340445150993),
+            (0, 8, 0.896071001512582), (0, 12, 0.895557924630671), (0, 13, 0.888251826233455),
+            (0, 16, 0.88794458062564), (0, 19, 0.887868056369482), (0, 20, 0.887850110868374),
+            (0, 21, 0.887116771161262), (0, 22, 0.886829592656138),
         ],
         [
-            [0.048334489991984-0.179785458915319j, -0.064665461506541-0.112060609468602j,
-             0.227909971452077+0.290656328427869j, -0.182740047310562+0.88248727044642j],
-            [-0.180951550069484-0.054485091620485j, 0.231992829404681+0.712706151839003j,
-             0.564393444703436-0.10525178708903j, -0.26340043537606-0.059325298889005j],
-            [-0.248454097053605+0.324903669710964j, -0.634768151690034-0.027377510432139j,
-             0.01993363034242-0.565025851293363j, -0.294905057439857+0.149691273747538j],
-            [-0.853186659809146-0.185498161035955j, 0.075771666522686+0.109857117221675j,
-             -0.423123441628612+0.187811169646112j, -0.009827327565234+0.073823881349825j],
+            [0.045781350505542-0.166927582472172j, -0.004527102795191-0.112627063230272j,
+             0.977426865117129+0.0j, 0.044391428900564+0.00015656231526j],
+            [-0.113799902199381-0.09055251418616j, 0.236489002588976+0.715684910482136j,
+             0.044391428900564-0.00015656231526j, 0.639333450966733+0.0j],
+            [0.972203564266398+0.0j, 0.045230072844754+0.040786575340812j,
+             -0.045781350505542-0.166927582472172j, 0.113799902199381-0.09055251418616j],
+            [0.045230072844754-0.040786575340812j, 0.644556751817465+0.0j,
+             0.004527102795191-0.112627063230272j, -0.236489002588976+0.715684910482136j],
         ],
     ),
     (1, 500, 1): (
-        (0.917933037743244, 0.91661253638173, 0.917933037743244),
+        (0.895668112019123, 0.894976505180702, 0.895668112019123),
         [
-            (0, 0, 0.952743736004593), (0, 3, 0.949420321704429), (0, 5, 0.948628517154848),
-            (0, 7, 0.944581507078715), (0, 9, 0.943129849187876), (0, 10, 0.938621864888162),
-            (0, 11, 0.93276007386351), (0, 13, 0.931351059436162), (0, 15, 0.922336011297631),
-            (0, 16, 0.920940129314948), (0, 17, 0.9205683546204), (0, 21, 0.920005340939209),
-            (0, 23, 0.917933037743244),
+            (0, 0, 0.952743736004592), (0, 4, 0.949970064472548), (0, 5, 0.931111583329054),
+            (0, 7, 0.905357436020249), (0, 9, 0.9052282174482), (0, 14, 0.897376764632003),
+            (0, 18, 0.89677671522066), (0, 21, 0.895668112019123),
         ],
         [
-            [0.134066167796809+0.034906901769913j, 0.650696747980059-0.407248850637908j,
-             -0.077832518821773-0.388510731543662j, 0.44998961914408+0.179055130714576j],
-            [0.302189097920028+0.05233191870042j, -0.056283965394309-0.253392559272778j,
-             -0.213819799028959+0.567300726661686j, -0.061216821086455+0.683572180107196j],
-            [0.066660946724155-0.86079653995585j, 0.316679100485634-0.089444359157801j,
-             0.071069481687593+0.115957969515853j, -0.349336246046835-0.07593914793214j],
-            [-0.344007106997841+0.151643119070299j, 0.466967088277466+0.130469285132891j,
-             -0.157931703683253+0.657276916232213j, 0.212420529343614-0.348575859676973j],
+            [0.102617597092033-0.086768163389074j, 0.648227916916283-0.267915952722143j,
+             0.684699248867822+0.0j, 0.019489056192471-0.144116757821828j],
+            [0.201583215545478+0.002712242856831j, -0.20166840205107-0.29634369681992j,
+             0.019489056192471+0.144116757821828j, 0.899843128951905+0.0j],
+            [0.969535582221486+0.0j, -0.030487947816511+0.019209512814155j,
+             -0.102617597092033-0.086768163389074j, -0.201583215545478+0.002712242856831j],
+            [-0.030487947816511-0.019209512814155j, 0.615006795598241+0.0j,
+             -0.648227916916283-0.267915952722143j, 0.20166840205107-0.29634369681992j],
         ],
     ),
     (1, 500, 2): (
-        (0.9382964645346, 0.9362923855034, 0.9382964645346),
+        (0.924459895861172, 0.922793611281777, 0.924459895861172),
         [
-            (0, 0, 0.990804495678818), (0, 2, 0.990470203056076), (0, 3, 0.980866796613091),
-            (0, 4, 0.973046104349467), (0, 6, 0.971969991300319), (0, 7, 0.96948813010331),
-            (0, 8, 0.962091125309706), (0, 9, 0.958923931474686), (0, 10, 0.949997898067588),
-            (0, 12, 0.949068080767814), (0, 15, 0.941729003185014), (0, 16, 0.941294936611471),
-            (0, 18, 0.940653181279948), (0, 21, 0.940423036313955), (0, 23, 0.9382964645346),
+            (0, 0, 0.990804495678818), (0, 1, 0.972762474117365), (0, 2, 0.96754626848569),
+            (0, 5, 0.96317753826116), (0, 7, 0.949769659029534), (0, 8, 0.929748533899942),
+            (0, 11, 0.926929007318689), (0, 15, 0.926758172643566), (0, 19, 0.924459919435274),
+            (0, 23, 0.924459895861172),
         ],
         [
-            [0.275538729867494+0.178071397498286j, -0.316760979636053-0.444812532967827j,
-             0.529230614273419+0.02573721153525j, -0.541748405469298-0.141189574899894j],
-            [0.622820299253822+0.478512725253775j, 0.019570538872069+0.041444485935792j,
-             0.166029730037948+0.095266025122566j, 0.529215223256846+0.253593288309133j],
-            [0.008477515320669-0.186432754508923j, -0.07982566609693+0.64007902501454j,
-             0.390711292610355+0.61631841540682j, -0.12818981240075+0.012701700777988j],
-            [-0.163175600266835-0.462638212431012j, -0.058805837557165-0.52931296897615j,
-             0.183467945871534+0.341243132610598j, 0.303419619240563+0.483258144434987j],
+            [0.114922000676353+0.05600522876647j, -0.363041367155335-0.211687953642679j,
+             0.897742217369977+0.0j, 0.031494699702207-0.010607505372379j],
+            [0.718029695156931+0.288963831205111j, 0.285644844599514+0.189023332018208j,
+             0.031494699702207+0.010607505372379j, 0.531512961793977+0.0j],
+            [0.602164547932691+0.0j, -0.144232686640343-0.034415091994571j,
+             -0.114922000676353+0.05600522876647j, -0.718029695156931+0.288963831205111j],
+            [-0.144232686640343+0.034415091994571j, 0.827090631231262+0.0j,
+             0.363041367155335-0.211687953642679j, -0.285644844599514+0.189023332018208j],
         ],
     ),
     (3, 150, 4): (
-        (0.919548840126663, 0.920132523176912, 0.920132523176912),
+        (0.895059292820839, 0.893071197254853, 0.895059292820839),
         [
-            (0, 0, 0.980012269106732), (0, 2, 0.976791154814923), (0, 3, 0.975742255999906),
-            (0, 4, 0.956711779204301), (0, 5, 0.953047324501216), (0, 6, 0.951557408025396),
-            (0, 8, 0.94034133961868), (0, 9, 0.930598037852602), (0, 12, 0.926998346908082),
-            (0, 14, 0.926399375363596), (0, 15, 0.925303632935048), (0, 19, 0.924278874237265),
-            (0, 20, 0.922764381854227), (0, 21, 0.922082089543283), (0, 23, 0.920732115794397),
-            (0, 24, 0.920132523176912), (1, 0, 0.99832213289434), (1, 1, 0.9980480671172),
-            (1, 3, 0.997073400332841), (1, 4, 0.99255925477173), (1, 6, 0.989646412276004),
-            (1, 7, 0.988583172653513), (1, 8, 0.982422153725713), (1, 9, 0.972188196117035),
-            (1, 10, 0.969493009537739), (1, 11, 0.961698274837129), (1, 12, 0.946997019428054),
-            (1, 13, 0.941759512818002), (1, 14, 0.928463981929839), (1, 16, 0.92683332213131),
-            (1, 17, 0.924107623351134), (1, 22, 0.924040009080385), (1, 23, 0.922373073314895),
-            (2, 0, 0.984368309019528), (2, 2, 0.977998913984777), (2, 4, 0.976783972735123),
-            (2, 10, 0.97612561950966), (2, 15, 0.975854676313728), (2, 16, 0.975421537468165),
-            (2, 18, 0.975067603178013),
+            (0, 0, 0.980012269106732), (0, 1, 0.943423401248721), (0, 3, 0.942808444757439),
+            (0, 4, 0.934678676683689), (0, 7, 0.922204285401073), (0, 8, 0.912692248512338),
+            (0, 9, 0.898569256556071), (0, 12, 0.898158865693999), (0, 16, 0.89654817709274),
+            (0, 17, 0.895279835495735), (0, 24, 0.895059292820839), (1, 0, 0.95074692107122),
+            (1, 1, 0.945133839572738), (1, 4, 0.944367387636366), (1, 9, 0.944062594407051),
+            (1, 11, 0.943048997302054), (1, 12, 0.942473432976964), (1, 15, 0.939462157647253),
+            (1, 19, 0.939266412624734), (1, 20, 0.939102455532546), (1, 23, 0.938317859928513),
+            (2, 0, 0.957387512723122), (2, 1, 0.936897934187051), (2, 3, 0.936810807725706),
+            (2, 7, 0.923373711964013), (2, 10, 0.919582196454484), (2, 16, 0.917206696634573),
+            (2, 20, 0.917182715861948), (2, 22, 0.916938237028091), (2, 24, 0.916326580367957),
         ],
         [
-            [-0.069038970722063-0.529794297485569j, -0.104983389649973+0.203934172014583j,
-             0.530025953982255-0.332337047580876j, 0.520044442264103+0.010923242942651j],
-            [-0.571007973049035-0.260264730929691j, -0.21560603479349-0.305339914303361j,
-             -0.262711717796288-0.057149540074517j, -0.046654835377762+0.626125825038419j],
-            [-0.368908322189686+0.159630447490927j, -0.141030042026961-0.543913973157543j,
-             0.588688946389631+0.182019360017081j, -0.178188823208858-0.333550456998589j],
-            [0.329005444582979+0.225707720093336j, 0.246790749414522-0.656531308415251j,
-             -0.088703162855941-0.38572928873656j, 0.422325248815637+0.117721954290405j],
+            [-0.182854171022516-0.462417206523689j, 0.044892730549728+0.099601595217354j,
+             0.843143762674094+0.0j, -0.155012120097199-0.076672565570653j],
+            [-0.460479312149677-0.38411488273058j, -0.236070974400509-0.053927309555471j,
+             -0.155012120097199+0.076672565570653j, 0.742879169575053+0.0j],
+            [0.623947937722238+0.0j, -0.047385044763779+0.039910747204618j,
+             0.182854171022516-0.462417206523689j, 0.460479312149677-0.38411488273058j],
+            [-0.047385044763779-0.039910747204618j, 0.96207499452691+0.0j,
+             -0.044892730549728+0.099601595217354j, 0.236070974400509-0.053927309555471j],
         ],
     ),
 }
