@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmac import adversary
 from qmac.adversary import (
     SIGMA_X,
     AttackResult,
@@ -401,13 +402,29 @@ class TestPolarAscent:
             assert same_attack(res, reference_ascent(u_secure, budget))
         res = best_message_attack(u_identity, budget=300)
         assert res.iterations == 4 and res.converged
-        # At the same starts a smaller budget's steps are a prefix of a larger
-        # one's, so a larger budget never returns less.  (A start's steps round
-        # alike only in batches of one size, as the overlap matmul's blocking
-        # depends on it: budgets 1-599 run one start here, 3,600 on run 12.)
-        for budgets in ((1, 64, 65, 300, 599), (3_600, 12_000, 36_000)):
+        # A start's steps do not depend on how many starts run, so a budget
+        # that adds starts without cutting the steps per start never returns
+        # less: budgets 1-599 run one start here, 600 two (300 steps each),
+        # 900 three, and 3,600 on twelve.
+        for budgets in ((1, 64, 65, 300, 599), (300, 600, 900, 3_600, 12_000, 36_000)):
             probs = [best_message_attack(u_secure, budget=b).probability for b in budgets]
             assert all(later >= earlier for earlier, later in zip(probs, probs[1:]))
+
+    def test_converges_within_budget(self):
+        # Plain polar steps hit budget 2,000 unconverged on three of these.
+        for u in ascent_unitaries():
+            res = best_message_attack(u, budget=2_000)
+            assert res.converged and res.iterations < 2_000
+
+    def test_fallen_extrapolation_is_not_converged(self):
+        # The tenth evaluation is an extrapolated V3 that fell below V2 and was
+        # dropped: it gained nothing, but these searches are far from done.
+        for k in (34, 175):
+            u = TaggingUnitary(haar_random_unitary(4, np.random.default_rng(k)))
+            res = best_message_attack(u, budget=10)
+            assert res.probability == best_message_attack(u, budget=9).probability
+            assert res.probability < best_message_attack(u, budget=599).probability - 1e-4
+            assert not res.converged
 
     def test_budget_caps_evaluations(self, u_identity):
         # identity has two starts (swap, perfect attack): one budget unit
@@ -440,12 +457,20 @@ def test_stop_at_is_exact(seed):
     assert same_attack(stopped, best_message_attack(u, budget=stopped.iterations))
 
 
-def reference_ascent(u, budget, stop_at=np.inf, p0=0.5, stall=True, einsum=False):
+def reference_ascent(u, budget, stop_at=np.inf, p0=0.5, stall=True, squarem=True,
+                     einsum=False):
     """best_message_attack at rng seed 0, with the stop rules and the running
-    best checked after every step.  ``stall=False`` drops the rule that stops
-    once no start gained more than 1e-13 over the last 64 steps, so the search
-    runs to the budget or to another stop.  ``einsum=True`` takes the overlaps
-    and the linearisation by 3-operand einsums instead of the K contraction."""
+    best checked after every evaluation.  The iterates are the SQUAREM cycles
+    of the polar map F: from a base V0, V1 = F(V0), V2 = F(V1) and V3 =
+    F(V0 - 2 alpha r + alpha^2 d), with r = V1 - V0, d = V2 - 2 V1 + V0 and
+    alpha = min(-|r|/|d|, -1); the next base is V3 unless f(V3) < f(V2).
+    ``squarem=False`` takes plain steps V <- F(V) instead.  ``stall=False``
+    drops the rule that stops once no start gained more than 1e-13 over the
+    last 64 evaluations, so the search runs to the budget or to another stop.
+    ``einsum=True`` takes the overlaps and the linearisation by 3-operand
+    einsums instead of the K contraction.  Otherwise each start's overlaps
+    and linearisation are taken on their own, so a bit-identical match also
+    shows that a start's arithmetic does not depend on how many starts run."""
     a = np.stack([E[1], u.u[:, 1], E[0], u.u[:, 0]])
     b = np.stack([E[0], u.u[:, 0], E[1], u.u[:, 1]])
     w = 0.5 * np.array([p0, p0, 1 - p0, 1 - p0])
@@ -456,31 +481,61 @@ def reference_ascent(u, budget, stop_at=np.inf, p0=0.5, stall=True, einsum=False
     rng = np.random.default_rng(0)
     while len(starts) < min(12, budget // 300):
         starts.append(haar_random_unitary(4, rng))
-    step = np.stack(starts[:budget])
-    n = len(step)
-    v, f = step, np.full(n, -np.inf)
-    history = deque([f], maxlen=65)  # running best 64 steps ago ... now
-    evals, converged = 0, False
-    while evals + n <= budget:
+    start = np.stack(starts[:budget])
+    n = len(start)
+
+    def overlaps(x):
         if einsum:
-            c = np.einsum("ki,sij,kj->sk", a.conj(), step, b)
+            return np.einsum("ki,sij,kj->sk", a.conj(), x, b)
+        return np.stack([x[s].reshape(1, 16) @ k_mat for s in range(n)])[:, 0]
+
+    def value(x):
+        return (np.abs(overlaps(x)) ** 2 * w).sum(axis=-1)
+
+    def polar(x):
+        c = overlaps(x)
+        if einsum:
+            g = np.einsum("sk,ki,kj->sij", w * c, a, b.conj())
         else:
-            c = step.reshape(n, 16) @ k_mat
-        f_step = (np.abs(c) ** 2 * w).sum(axis=-1)
+            g = np.stack([(c[s] @ g_mat).reshape(4, 4) for s in range(n)])
+        left, _, right = np.linalg.svd(g)
+        return left @ right
+
+    def evaluated():
+        v0 = start
+        yield v0
+        while True:
+            v1 = polar(v0)
+            yield v1
+            v2 = polar(v1)
+            yield v2
+            if not squarem:
+                v0 = v2
+                continue
+            r, d = v1 - v0, v2 - 2 * v1 + v0
+            r_norm, d_norm = (np.linalg.norm(x, axis=(1, 2)) for x in (r, d))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                alpha = np.where(d_norm > 0, np.minimum(-r_norm / d_norm, -1), -1)
+            alpha = alpha[:, None, None]
+            v3 = polar(v0 - 2 * alpha * r + alpha**2 * d)
+            yield v3
+            v0 = np.where((value(v3) >= value(v2))[:, None, None], v3, v2)
+
+    v, f = start, np.full(n, -np.inf)
+    history = deque([f], maxlen=65)  # running best 64 evaluations ago ... now
+    evals, converged = 0, False
+    for step in evaluated():
+        if evals + n > budget:
+            break
+        f_step = value(step)
         evals += n
-        converged = bool((f_step - f).max() <= 1e-13)
+        converged = bool(np.abs(f_step - f).max() <= 1e-13)
         gained = f_step > f
         v, f = np.where(gained[:, None, None], step, v), np.where(gained, f_step, f)
         history.append(f)
         stalled = len(history) == 65 and (f - history[0]).max() <= 1e-13
         if f.max() >= stop_at or (converged and f.max() >= 1 - 1e-13) or (stall and stalled):
             break
-        if einsum:
-            g = np.einsum("sk,ki,kj->sij", w * c, a, b.conj())
-        else:
-            g = (c @ g_mat).reshape(n, 4, 4)
-        left, _, right = np.linalg.svd(g)
-        step = left @ right
     best = int(np.argmax(f))
     return AttackResult(float(f[best]), v[best], "polar_ascent", budget, evals, converged)
 
@@ -521,15 +576,16 @@ def test_stall_rule_never_weaker(budget, p0):
     # Against the same ascent run until its budget or another stop.
     for u in grid_unitaries():
         res = best_message_attack(u, p0=p0, p1=1 - p0, budget=budget)
-        full = reference_ascent(u, budget, p0=p0, stall=False)
+        full = reference_ascent(u, budget, p0=p0, stall=False, squarem=False)
         assert res.probability >= full.probability - 1e-14
         assert res.iterations <= full.iterations
         assert res.converged or res.iterations == full.iterations
 
 
-def test_working_memory_does_not_grow_with_budget():
-    # Both budgets run 12 starts.  This tagging has a start that climbs
-    # slowly, so the long run takes many times the short run's steps.
+def test_working_memory_does_not_grow_with_budget(monkeypatch):
+    # Both budgets run 12 starts.  With no gain small enough to stop on, no
+    # stall or certainty stop fires, so each run takes its whole budget.
+    monkeypatch.setattr(adversary, "_ASCENT_GAIN", -1.0)
     u = TaggingUnitary(haar_random_unitary(4, np.random.default_rng(34)))
     best_message_attack(u, budget=3_600)
     tracemalloc.start()

