@@ -10,6 +10,7 @@ entangling attacks.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,7 +38,6 @@ from .protocol import (
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _ASCENT_GAIN = 1e-13  # a substitution-ascent step gaining no more has converged
-_CHUNK = 16  # most substitution-ascent steps between two checks of the stop rules
 _STALL_STEPS = 64  # the ascent stops once no start gained > _ASCENT_GAIN in this many steps
 _PRIOR_SUM_SLACK = 1e-12  # priors typed in decimal can miss 1 by rounding
 _ACCEPT_FLOOR = 1e-15  # acceptance this small is rounding: do not condition on it
@@ -336,12 +336,6 @@ def best_message_attack(
     extrapolation that fell below the best does not read as convergence; a
     polar step never lowers f beyond rounding, so on it this is the gain.
 
-    The stop rules are checked once per chunk of 1, 2, 4, ... up to
-    ``_CHUNK`` steps, on f of all the chunk's iterates at once, and the
-    search is cut at the first step where one holds; each start keeps its
-    first best iterate.  So the result is exactly that of checking after
-    every step; a stop only costs the rest of its chunk's SVDs, and working
-    memory is set by ``_CHUNK`` and ``_STALL_STEPS``, not by ``budget``.
     Deterministic for a given rng seed.  The perfect-attack construction,
     when available, is a start, so no known certainty attack is missed.
     """
@@ -377,59 +371,42 @@ def best_message_attack(
         left, _, right = np.linalg.svd((c[:, None] @ g_mat).reshape(n, 4, 4))
         return left @ right
 
-    steps_left = budget // n
     v, f = step, np.full(n, -np.inf)
-    iterates = np.empty((min(_CHUNK, steps_left), n, 4, 4), dtype=complex)
-    overlaps = np.empty(iterates.shape[:3], dtype=complex)
-    # Each start's running best after each of the last _STALL_STEPS evaluations.
-    recent = np.full((_STALL_STEPS, n), -np.inf)
-    # The SQUAREM cycle so far: its base V0, then V1 and V2, with their overlaps.
+    # Each start's running best after each of the last _STALL_STEPS + 1 evaluations.
+    recent = deque(maxlen=_STALL_STEPS + 1)
+    # The SQUAREM cycle so far: its base V0, then V1 and V2, with their overlaps and f.
     cycle = []
-    taken, size, converged, stopped = 0, 1, False, False
-    while steps_left and not stopped:
-        size = min(size, steps_left)
-        for t in range(size):
-            if len(cycle) == 3:
-                (v0, _), (v1, _), (v2, _) = cycle
-                r, d = v1 - v0, v2 - 2 * v1 + v0
-                r_norm, d_norm = (np.linalg.norm(x, axis=(1, 2)) for x in (r, d))
-                # alpha = min(-|r|/|d|, -1), and -1 when d = 0.
-                alpha = -np.divide(np.maximum(r_norm, d_norm), d_norm,
-                                   out=np.ones(n), where=d_norm > 0)[:, None, None]
-                step = polar(overlaps_of(v0 - 2 * alpha * r + alpha**2 * d))
-            elif cycle:
-                step = polar(cycle[-1][1])
-            iterates[t] = step
-            overlaps[t] = c = overlaps_of(step)
-            cycle.append((step, c))
-            if len(cycle) == 4:
-                # Keep the extrapolated V3 as the next base unless it fell below V2.
-                f2, f3 = (np.abs([cycle[2][1], c]) ** 2 * w).sum(axis=-1)
-                keep = f3 >= f2
-                cycle = [(np.where(keep[:, None, None], step, cycle[2][0]),
-                          np.where(keep[:, None], c, cycle[2][1]))]
-        f_steps = (np.abs(overlaps[:size]) ** 2 * w).sum(axis=-1)
-        # best[t] is each start's best f before step t of the chunk.
-        best = np.maximum.accumulate(np.concatenate([f[None], f_steps]), axis=0)
+    for taken in range(1, budget // n + 1):
+        if len(cycle) == 3:
+            (v0, *_), (v1, *_), (v2, *_) = cycle
+            r, d = v1 - v0, v2 - 2 * v1 + v0
+            r_norm, d_norm = (np.linalg.norm(x, axis=(1, 2)) for x in (r, d))
+            # alpha = min(-|r|/|d|, -1), and -1 when d = 0.
+            alpha = -np.divide(np.maximum(r_norm, d_norm), d_norm,
+                               out=np.ones(n), where=d_norm > 0)[:, None, None]
+            step = polar(overlaps_of(v0 - 2 * alpha * r + alpha**2 * d))
+        elif cycle:
+            step = polar(cycle[-1][1])
+        c = overlaps_of(step)
+        f_step = (np.abs(c) ** 2 * w).sum(axis=-1)
+        cycle.append((step, c, f_step))
+        if len(cycle) == 4:
+            # Keep the extrapolated V3 as the next base unless it fell below V2.
+            keep = f_step >= cycle[2][2]
+            cycle = [(np.where(keep[:, None, None], step, cycle[2][0]),
+                      np.where(keep[:, None], c, cycle[2][1]),
+                      np.where(keep, f_step, cycle[2][2]))]
         # A step is flat if it moved f by at most _ASCENT_GAIN either way, so an
         # extrapolation that fell below the best does not read as converged.
-        flat = np.abs(f_steps - best[:-1]).max(axis=1) <= _ASCENT_GAIN
-        # window[t] is each start's best f _STALL_STEPS steps before best[t + 1].
-        window = np.concatenate([recent, best[1:]])
-        stalled = (best[1:] - window[:size]).max(axis=1) <= _ASCENT_GAIN
-        top = best[1:].max(axis=1)
-        stops = (top >= stop_at) | (flat & (top >= 1 - _ASCENT_GAIN)) | stalled
-        stopped = bool(stops.any())
-        used = int(np.argmax(stops)) + 1 if stopped else size
+        converged = bool(np.abs(f_step - f).max() <= _ASCENT_GAIN)
         # Keep each start's first best iterate: at a fixed point rounding can dip f.
-        first = np.argmax(f_steps[:used], axis=0)
-        gained = best[used] > f
-        v = np.where(gained[:, None, None], iterates[first, np.arange(n)], v)
-        f, converged = best[used], bool(flat[used - 1])
-        recent = window[used:used + _STALL_STEPS]
-        taken += used
-        steps_left -= used
-        size = min(2 * size, _CHUNK)
+        gained = f_step > f
+        v, f = np.where(gained[:, None, None], step, v), np.where(gained, f_step, f)
+        recent.append(f)
+        stalled = len(recent) > _STALL_STEPS and (f - recent[0]).max() <= _ASCENT_GAIN
+        top = f.max()
+        if top >= stop_at or (converged and top >= 1 - _ASCENT_GAIN) or stalled:
+            break
 
     top_start = int(np.argmax(f))
     return AttackResult(

@@ -25,13 +25,15 @@ from .protocol import as_tagging_unitary
 def ec_gorda_lhs(x: float, y: float, z: float) -> float:
     """Left-hand side of the overlapping-rows bound (must be < 1).
 
-    (1/2) x {1 + (x/y)[1 + (x/y)^2]^(-1/2)} + (1/2) y [1 + (x/y)^2]^(1/2) + z
+    (1/2) x {1 + (x/y)[1 + (x/y)^2]^(-1/2)} + (1/2) y [1 + (x/y)^2]^(1/2) + z,
+
+    evaluated through h = hypot(x, y) = y [1 + (x/y)^2]^(1/2), so that
+    (x/y)[1 + (x/y)^2]^(-1/2) = x/h and a tiny y cannot overflow (x/y)^2.
     """
     if y <= 0:
         raise ValueError("y must be positive; y = 0 routes to case 1")
-    r = x / y
-    s = np.sqrt(1 + r * r)
-    return float(0.5 * x * (1 + r / s) + 0.5 * y * s + z)
+    h = np.hypot(x, y)
+    return float(0.5 * x * (1 + x / h) + 0.5 * h + z)
 
 
 @dataclass(frozen=True)

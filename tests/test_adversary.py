@@ -433,6 +433,24 @@ class TestPolarAscent:
         assert res.iterations == 1 and not res.converged
         assert res.probability == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("budget", [300, 500, 2_000])
+    def test_no_polar_step_past_the_stop(self, budget, monkeypatch):
+        # One batched SVD per evaluated step after the starts, none beyond.
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        n = max(1, budget // 300)  # starts: no perfect attack on a Haar draw
+        for k in range(40):
+            u = TaggingUnitary(haar_random_unitary(4, np.random.default_rng(k)))
+            calls.clear()
+            res = best_message_attack(u, budget=budget)
+            assert len(calls) == res.iterations // n - 1
+
 
 def same_attack(a, b):
     return (a.probability == b.probability and np.array_equal(a.strategy, b.strategy)
@@ -546,7 +564,8 @@ def oracle_unitaries():
     return [TaggingUnitary(m) for m in [BUILTIN[name]() for name in builtins] + haar]
 
 
-# Budgets either side of the chunk edges (1, 3, 7, ..., 63, 127, ... steps at one start).
+# Budgets over the first SQUAREM cycle (1-3 steps at one start) and either side
+# of the 65-entry stall window (63-65), then longer searches.
 CHUNK_EDGE_BUDGETS = [1, 2, 3, 63, 64, 65, 127, 128, 129, 500, 2000]
 
 

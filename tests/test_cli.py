@@ -5,7 +5,7 @@ import pytest
 
 from qmac.cli import main
 from qmac.fixtures import BUILTIN, secure_example_unitary
-from qmac.linalg import matrix_to_json
+from qmac.linalg import halmos_dilation, matrix_to_json
 
 
 @pytest.fixture
@@ -95,6 +95,21 @@ class TestValidate:
 
         _, out, _ = run_cli(capsys, "validate", "--input", name, "--budget", "100")
         json.loads(out, parse_constant=reject)
+
+    def test_tiny_y_under_zero_strict_is_strict_json(self, capsys, tmp_path):
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        path = tmp_path / "tiny_y.json"
+        m0 = np.array([[0.5, 0], [1e-170, 0.3]])
+        path.write_text(json.dumps(matrix_to_json(halmos_dilation(m0))))
+        code, out, _ = run_cli(
+            capsys, "validate", "--input", str(path), "--budget", "100",
+            "--tol", "strict=0",
+        )
+        assert code == 0
+        report = json.loads(out, parse_constant=reject)["report"]
+        assert report["case2"]["satisfied"] and report["overall_secure"]
 
     @pytest.mark.parametrize("override", ["strict=nan", "unitary=inf", "phase_equiv=-1"])
     def test_bad_tolerance_value_exit_two(self, capsys, override):

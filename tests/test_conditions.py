@@ -12,7 +12,7 @@ from qmac.conditions import (
     row_parameters,
     validate,
 )
-from qmac.linalg import haar_random_unitary
+from qmac.linalg import haar_random_unitary, halmos_dilation
 from qmac.protocol import TaggingUnitary
 
 
@@ -106,6 +106,19 @@ class TestCases:
             assert not (c.details["disagrees"] and c.satisfied)
             flagged += c.details["disagrees"]
         assert flagged == 597
+
+    def test_case2_lhs_finite_at_tiny_y(self):
+        # (x/y)^2 overflows below y ~ 1e-154, reachable once strict = 0.
+        u = TaggingUnitary(halmos_dilation(np.array([[0.5, 0], [1e-170, 0.3]])),
+                           DEFAULT_TOL.override(strict=0))
+        c = check_case2(u)
+        x, y, z = row_parameters(u)
+        h = np.hypot(x, y)
+        assert c.applies
+        assert np.isfinite(c.details["lhs"])
+        assert c.details["lhs"] == pytest.approx(0.5 * x * (1 + x / h) + 0.5 * h + z, abs=1e-15)
+        assert c.satisfied
+        assert validate(u, attack_budget=100).overall_secure
 
     def test_exactly_one_case_applies(self, rng):
         for _ in range(100):
