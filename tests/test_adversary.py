@@ -394,7 +394,8 @@ class TestPolarAscent:
         assert res.converged
 
     def test_stops_once_stalled(self, u_secure, u_identity):
-        # Without a certainty attack the ascent stops once no start has gained
+        # Without a certainty attack the ascent stops once every start has
+        # settled at a fixed point of the polar map, or once no start has gained
         # more than 1e-13 over 64 steps; with one it stops once it is certain.
         for budget in (300, 12_000):
             res = best_message_attack(u_secure, budget=budget)
@@ -432,6 +433,26 @@ class TestPolarAscent:
         res = best_message_attack(u_identity, budget=1, rng=np.random.default_rng(0))
         assert res.iterations == 1 and not res.converged
         assert res.probability == pytest.approx(1.0, abs=1e-15)
+
+    def test_fixed_point_stop_at_degenerate_prior(self, u_secure):
+        # At p0 = 1 two weights vanish, so G has rank 2 and the SVD's free
+        # null-space part lets V drift at every step; the weighted overlaps,
+        # all that the polar map reads, settle all the same.  The 64-step
+        # window alone stops this search after 432 evaluations.
+        res = best_message_attack(u_secure, p0=1.0, p1=0.0, budget=2_000)
+        assert res.iterations < 200 and res.converged
+        assert res.stop == "fixed_point"
+
+    def test_stop_names_the_rule(self, u_secure, u_identity, monkeypatch):
+        assert best_message_attack(u_secure, budget=2_000).stop == "fixed_point"
+        assert best_message_attack(u_identity, budget=300).stop == "certain"
+        assert best_message_attack(u_identity, budget=1).stop == "budget"
+        half = best_message_attack(u_secure, budget=30).probability
+        cut = best_message_attack(u_secure, budget=2_000, stop_at=half)
+        assert cut.stop == "stop_at"
+        assert cut.to_json()["stop"] == "stop_at"
+        monkeypatch.setattr(adversary, "_FIXED_POINT", -1.0)
+        assert best_message_attack(u_secure, budget=2_000).stop == "stall"
 
     @pytest.mark.parametrize("budget", [300, 500, 2_000])
     def test_no_polar_step_past_the_stop(self, budget, monkeypatch):
@@ -475,16 +496,19 @@ def test_stop_at_is_exact(seed):
     assert same_attack(stopped, best_message_attack(u, budget=stopped.iterations))
 
 
-def reference_ascent(u, budget, stop_at=np.inf, p0=0.5, stall=True, squarem=True,
-                     einsum=False):
+def reference_ascent(u, budget, stop_at=np.inf, p0=0.5, stall=True, settle=True,
+                     squarem=True, einsum=False):
     """best_message_attack at rng seed 0, with the stop rules and the running
     best checked after every evaluation.  The iterates are the SQUAREM cycles
     of the polar map F: from a base V0, V1 = F(V0), V2 = F(V1) and V3 =
     F(V0 - 2 alpha r + alpha^2 d), with r = V1 - V0, d = V2 - 2 V1 + V0 and
     alpha = min(-|r|/|d|, -1); the next base is V3 unless f(V3) < f(V2).
-    ``squarem=False`` takes plain steps V <- F(V) instead.  ``stall=False``
-    drops the rule that stops once no start gained more than 1e-13 over the
-    last 64 evaluations, so the search runs to the budget or to another stop.
+    ``squarem=False`` takes plain steps V <- F(V) instead.  A start settles
+    once the step V1 = F(V0) from its base moves its overlaps, weighted by
+    sqrt(w), by at most 1e-9 in norm; ``settle=False`` drops the rule that
+    stops once every start has settled.  ``stall=False`` drops it too, and
+    the rule that stops once no start gained more than 1e-13 over the last 64
+    evaluations, so the search runs to the budget or to another stop.
     ``einsum=True`` takes the overlaps and the linearisation by 3-operand
     einsums instead of the K contraction.  Otherwise each start's overlaps
     and linearisation are taken on their own, so a bit-identical match also
@@ -520,13 +544,14 @@ def reference_ascent(u, budget, stop_at=np.inf, p0=0.5, stall=True, squarem=True
         return left @ right
 
     def evaluated():
+        # Each iterate, with its cycle base when it is V1 = F(V0).
         v0 = start
-        yield v0
+        yield v0, None
         while True:
             v1 = polar(v0)
-            yield v1
+            yield v1, v0
             v2 = polar(v1)
-            yield v2
+            yield v2, None
             if not squarem:
                 v0 = v2
                 continue
@@ -536,23 +561,28 @@ def reference_ascent(u, budget, stop_at=np.inf, p0=0.5, stall=True, squarem=True
                 alpha = np.where(d_norm > 0, np.minimum(-r_norm / d_norm, -1), -1)
             alpha = alpha[:, None, None]
             v3 = polar(v0 - 2 * alpha * r + alpha**2 * d)
-            yield v3
+            yield v3, None
             v0 = np.where((value(v3) >= value(v2))[:, None, None], v3, v2)
 
     v, f = start, np.full(n, -np.inf)
     history = deque([f], maxlen=65)  # running best 64 evaluations ago ... now
-    evals, converged = 0, False
-    for step in evaluated():
+    evals, converged, settled = 0, False, np.zeros(n, dtype=bool)
+    for step, base in evaluated():
         if evals + n > budget:
             break
         f_step = value(step)
         evals += n
+        if base is not None:
+            moved = np.sqrt(w) * (overlaps(step) - overlaps(base))
+            settled |= np.linalg.norm(moved, axis=-1) <= 1e-9
         converged = bool(np.abs(f_step - f).max() <= 1e-13)
         gained = f_step > f
         v, f = np.where(gained[:, None, None], step, v), np.where(gained, f_step, f)
         history.append(f)
         stalled = len(history) == 65 and (f - history[0]).max() <= 1e-13
-        if f.max() >= stop_at or (converged and f.max() >= 1 - 1e-13) or (stall and stalled):
+        fixed_point = settle and settled.all()
+        if (f.max() >= stop_at or (converged and f.max() >= 1 - 1e-13)
+                or (stall and (stalled or fixed_point))):
             break
     best = int(np.argmax(f))
     return AttackResult(float(f[best]), v[best], "polar_ascent", budget, evals, converged)
@@ -601,10 +631,24 @@ def test_stall_rule_never_weaker(budget, p0):
         assert res.converged or res.iterations == full.iterations
 
 
+@pytest.mark.parametrize("p0", [0.5, 0.8, 1.0])
+@pytest.mark.parametrize("budget", [300, 2_000])
+def test_fixed_point_stop_dominates_window(budget, p0):
+    # The fixed-point test only adds a stop to the 64-step window, and it
+    # fires only where the search has nothing left to gain beyond rounding.
+    for u in ascent_unitaries():
+        res = best_message_attack(u, p0=p0, p1=1 - p0, budget=budget)
+        window = reference_ascent(u, budget, p0=p0, settle=False)
+        assert res.iterations <= window.iterations
+        assert res.probability >= window.probability - 1e-14
+
+
 def test_working_memory_does_not_grow_with_budget(monkeypatch):
-    # Both budgets run 12 starts.  With no gain small enough to stop on, no
-    # stall or certainty stop fires, so each run takes its whole budget.
+    # Both budgets run 12 starts.  With no gain or overlap step small enough to
+    # stop on, no stall, fixed-point or certainty stop fires, so each run takes
+    # its whole budget.
     monkeypatch.setattr(adversary, "_ASCENT_GAIN", -1.0)
+    monkeypatch.setattr(adversary, "_FIXED_POINT", -1.0)
     u = TaggingUnitary(haar_random_unitary(4, np.random.default_rng(34)))
     best_message_attack(u, budget=3_600)
     tracemalloc.start()

@@ -195,6 +195,7 @@ class TestAttack:
         assert body["message"]["probability"] > 1 - 1e-6
         assert body["message"]["iterations"] <= 300
         assert body["message"]["converged"] is True
+        assert body["message"]["stop"] == "certain"
         assert body["key_distinguishing"]["distinguishable"] is False
         assert body["key_reuse"]["ruled_out"] is True
 
