@@ -10,7 +10,6 @@ entangling attacks.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +37,6 @@ from .protocol import (
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _ASCENT_GAIN = 1e-13  # a substitution-ascent step gaining no more has converged
-_STALL_STEPS = 64  # the ascent stops once no start gained > _ASCENT_GAIN in this many steps
 _FIXED_POINT = 1e-9  # a polar step moving a start's weighted overlaps no more has settled it
 _PRIOR_SUM_SLACK = 1e-12  # priors typed in decimal can miss 1 by rounding
 _ACCEPT_FLOOR = 1e-15  # acceptance this small is rounding: do not condition on it
@@ -61,7 +59,7 @@ class AttackResult:
     converged: Optional[bool] = None  # the last step moved f by <= _ASCENT_GAIN
     # The rule that ended the search: fixed_point (every start settled: a polar
     # step from its cycle base moved its weighted overlaps by <= _FIXED_POINT),
-    # stall (no gain > _ASCENT_GAIN in _STALL_STEPS steps), certain, stop_at or budget.
+    # certain, stop_at or budget.
     stop: Optional[str] = None
 
     def to_json(self) -> dict:
@@ -314,38 +312,32 @@ def best_message_attack(
     one batched SVD.
 
     Plain steps V <- F(V) converge only linearly, so the search runs SQUAREM
-    cycles of F (Varadhan & Roland, Scand. J. Stat. 35 (2008) 335): from a
-    base V0, V1 = F(V0) and V2 = F(V1); with r = V1 - V0, d = V2 - 2 V1 + V0
-    and alpha = min(-|r|/|d|, -1) (-1 when d = 0, which makes the cycle plain
-    steps), V3 = F(V0 - 2 alpha r + alpha^2 d).  The safeguard: the next base
-    is V3 unless f(V3) < f(V2), when it is V2.  Every iterate is a polar
-    factor, hence a unitary, so the reported probability is an exact witness.
-    Each evaluated iterate (V1, V2, V3, and the start) is one step: ``budget``
-    caps the objective evaluations (starts × steps), and the stop rules below
-    count in these steps.
+    cycles of F (Varadhan & Roland, Scand. J. Stat. 35 (2008) 335) on the
+    overlaps, which are linear in V and all that F reads: from a base V0 with
+    overlaps c0, V1 = F(V0) and V2 = F(V1) give c1 and c2; with r = c1 - c0,
+    d = c2 - 2 c1 + c0 and alpha = min(-|sqrt(w) r|/|sqrt(w) d|, -1) (-1 when
+    d = 0, which makes the cycle plain steps), V3 is F taken at the overlaps
+    c0 - 2 alpha r + alpha^2 d.  The safeguard: the next base is V3 unless f(V3) < f(V2),
+    when it is V2.  Every iterate is a polar factor, hence a unitary, so the
+    reported probability is an exact witness.  Each evaluated iterate (V1,
+    V2, V3, and the start) is one step: ``budget`` caps the objective
+    evaluations (starts × steps), and the stop rules below count in these
+    steps.
 
     The search stops before the cap once every start has settled at a fixed
-    point of F.  F sees V only through the overlaps c_k = <a_k|V|b_k>, so a
-    start is settled once the step V1 = F(V0) from its cycle base moves its
-    weighted overlaps by ||sqrt(w) (c1 - c0)|| <= ``_FIXED_POINT``; once
-    settled it stays settled.  The step is not measured on V: at priors 0 or
-    1 two weights vanish, G has rank 2, and the SVD's free null-space part
-    moves V at every step.  The threshold 1e-9 was measured, not derived: on
-    the grid below, 1.5e-8 (sqrt(eps)) took 12% fewer evaluations but ended
-    up to 7.4e-15 below the window alone, against 2.2e-15 at 1e-9.
-    As a backstop the search also stops once it has stalled: no start's best
-    f has risen by more than ``_ASCENT_GAIN`` over the last ``_STALL_STEPS``
-    steps.  Over the three builtins and 60 Haar taggings at budgets 300,
-    500, 2,000 and 12,000 and priors 1/2,1/2 and 0.8,0.2, the cycles stopped
-    converged on all 504 searches with 111,682 evaluations, against 244,698
-    for the stall window alone and 573,059 for plain steps; no search took
-    more evaluations than under the window alone or ended more than 2.2e-15
-    below it.  At priors 1, 0 and 0.99 (60 Haar taggings, budgets 500 and
-    2,000) the evaluations fell from 200,509 to 155,193, with the same 343
-    of 360 searches converged.  The other stops are a certainty
-    attack (f <= 1, so once a start is within ``_ASCENT_GAIN`` of 1 and the
-    last step gained no more, nothing is left to gain) and ``stop_at``: the
-    search ends once any start's best f reaches it.  Each start keeps its
+    point of F: the step V1 = F(V0) from its cycle base moved its weighted
+    overlaps by ||sqrt(w) (c1 - c0)|| <= ``_FIXED_POINT``; once settled it
+    stays settled.  Both this test and alpha read the weighted overlaps, not
+    V: at priors 0 or 1 two weights vanish, G has rank 2, and the SVD's free
+    null-space part moves V at every step without moving f.  The threshold
+    1e-9 was measured, not derived: over the three builtins and Haar
+    taggings 5000-5299 at priors 0.5, 0.7, 1, 0 and 0.999 and budgets 500
+    and 2,000, the 3,030 searches took 365,969 evaluations and all but one
+    converged; 1.5e-8 (sqrt(eps)) took 327,620 but ended up to 8.2e-15
+    lower.  The other stops are a certainty attack (f <= 1, so once a start
+    is within ``_ASCENT_GAIN`` of 1 and the last step gained no more,
+    nothing is left to gain) and ``stop_at``: the search ends once any
+    start's best f reaches it.  Each start keeps its
     best iterate, so the reported probability never falls during the search;
     a result cut by ``stop_at`` is at least ``stop_at`` and only a lower end
     of what the search would find without it.  ``converged`` says whether
@@ -353,7 +345,7 @@ def best_message_attack(
     extrapolation that fell below the best does not read as convergence; a
     polar step never lowers f beyond rounding, so on it this is the gain.
     ``stop`` names the rule that ended the search: ``fixed_point``,
-    ``stall``, ``certain``, ``stop_at`` or ``budget``.
+    ``certain``, ``stop_at`` or ``budget``.
 
     Deterministic for a given rng seed.  The perfect-attack construction,
     when available, is a start, so no known certainty attack is missed.
@@ -383,54 +375,44 @@ def best_message_attack(
     n = len(step)
 
     # Overlaps and G row by row, so a start's arithmetic is the same at any n.
-    def overlaps_of(x):
-        return (x.reshape(n, 1, 16) @ k_mat)[:, 0]
-
     def polar(c):
         left, _, right = np.linalg.svd((c[:, None] @ g_mat).reshape(n, 4, 4))
         return left @ right
 
     v, f = step, np.full(n, -np.inf)
-    # Each start's running best after each of the last _STALL_STEPS + 1 evaluations.
-    recent = deque(maxlen=_STALL_STEPS + 1)
     settled, root_w = np.zeros(n, dtype=bool), np.sqrt(w)
-    # The SQUAREM cycle so far: its base V0, then V1 and V2, with their overlaps and f.
+    # The SQUAREM cycle so far: the overlaps and f of its base V0, then V1 and V2.
     cycle = []
     for taken in range(1, budget // n + 1):
         if len(cycle) == 3:
-            (v0, *_), (v1, *_), (v2, *_) = cycle
-            r, d = v1 - v0, v2 - 2 * v1 + v0
-            r_norm, d_norm = (np.linalg.norm(x, axis=(1, 2)) for x in (r, d))
-            # alpha = min(-|r|/|d|, -1), and -1 when d = 0.
+            (c0, _), (c1, _), (c2, _) = cycle
+            r, d = c1 - c0, c2 - 2 * c1 + c0
+            r_norm, d_norm = (np.linalg.norm(root_w * x, axis=-1) for x in (r, d))
+            # alpha = min(-|sqrt(w) r|/|sqrt(w) d|, -1), and -1 when d = 0.
             alpha = -np.divide(np.maximum(r_norm, d_norm), d_norm,
-                               out=np.ones(n), where=d_norm > 0)[:, None, None]
-            step = polar(overlaps_of(v0 - 2 * alpha * r + alpha**2 * d))
+                               out=np.ones(n), where=d_norm > 0)[:, None]
+            step = polar(c0 - 2 * alpha * r + alpha**2 * d)
         elif cycle:
-            step = polar(cycle[-1][1])
-        c = overlaps_of(step)
+            step = polar(cycle[-1][0])
+        c = (step.reshape(n, 1, 16) @ k_mat)[:, 0]
         f_step = (np.abs(c) ** 2 * w).sum(axis=-1)
-        cycle.append((step, c, f_step))
+        cycle.append((c, f_step))
         if len(cycle) == 2:
-            # F sees V only through the overlaps, so a polar step from the base
-            # that leaves the weighted overlaps in place has reached a fixed point.
-            settled |= np.linalg.norm(root_w * (c - cycle[0][1]), axis=-1) <= _FIXED_POINT
+            settled |= np.linalg.norm(root_w * (c - cycle[0][0]), axis=-1) <= _FIXED_POINT
         if len(cycle) == 4:
             # Keep the extrapolated V3 as the next base unless it fell below V2.
-            keep = f_step >= cycle[2][2]
-            cycle = [(np.where(keep[:, None, None], step, cycle[2][0]),
-                      np.where(keep[:, None], c, cycle[2][1]),
-                      np.where(keep, f_step, cycle[2][2]))]
+            c2, f2 = cycle[2]
+            keep = f_step >= f2
+            cycle = [(np.where(keep[:, None], c, c2), np.where(keep, f_step, f2))]
         # A step is flat if it moved f by at most _ASCENT_GAIN either way, so an
         # extrapolation that fell below the best does not read as converged.
         converged = bool(np.abs(f_step - f).max() <= _ASCENT_GAIN)
         # Keep each start's first best iterate: at a fixed point rounding can dip f.
         gained = f_step > f
         v, f = np.where(gained[:, None, None], step, v), np.where(gained, f_step, f)
-        recent.append(f)
-        stalled = len(recent) > _STALL_STEPS and (f - recent[0]).max() <= _ASCENT_GAIN
         top = f.max()
         rules = {"stop_at": top >= stop_at, "certain": converged and top >= 1 - _ASCENT_GAIN,
-                 "fixed_point": settled.all(), "stall": stalled}
+                 "fixed_point": settled.all()}
         stop = next((rule for rule, hit in rules.items() if hit), "budget")
         if stop != "budget":
             break

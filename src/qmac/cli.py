@@ -57,6 +57,12 @@ def _parse_priors(text):
     return priors
 
 
+def _parse_seed(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expects a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _load_unitary(source, tol):
     """The tagging unitary named by ``source``: a builtin name or a JSON path."""
     if source is None:
@@ -256,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="matrix JSON path, or a builtin name: "
                 + ", ".join(sorted(BUILTIN)),
             )
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_parse_seed, default=0)
         if trials:
             p.add_argument("--trials", type=int, default=10_000)
         if budget:

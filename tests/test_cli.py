@@ -216,6 +216,14 @@ class TestAttack:
         assert exc.value.code == 2
         assert f"argument --priors: expects two numbers p0,p1, got {priors!r}" in err
 
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "a"])
+    def test_seed_must_be_a_non_negative_integer(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "--input", "secure_example", "--seed", seed])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument --seed: expects a non-negative integer, got {seed!r}" in err
+
     @pytest.mark.parametrize("priors", ["nan,0.5", "0.5,nan", "inf,0"])
     def test_non_finite_priors_exit_two(self, capsys, priors):
         code, out, err = run_cli(
