@@ -55,11 +55,13 @@ class AttackResult:
     strategy: np.ndarray  # state vector or attack unitary
     method: str  # closed_form | polar_ascent
     budget: Optional[int] = None
-    iterations: Optional[int] = None  # evaluations, at most budget: each start and SQUAREM iterate
+    # Evaluations made, summed over the starts (each start and SQUAREM
+    # iterate); each start takes at most budget // starts, so at most budget.
+    iterations: Optional[int] = None
     converged: Optional[bool] = None  # the last step moved f by <= _ASCENT_GAIN
     # The rule that ended the search: fixed_point (every start settled: a polar
     # step from its cycle base moved its weighted overlaps by <= _FIXED_POINT),
-    # certain, stop_at or budget.
+    # certain, stop_at or budget (a start still stepping took its share).
     stop: Optional[str] = None
 
     def to_json(self) -> dict:
@@ -308,8 +310,8 @@ def best_message_attack(
     lower f.  Each F is one SVD; the overlaps <a_k|V|b_k> are
     ``V.reshape(16) @ K`` with K[ij, k] = conj(a_k[i]) b_k[j], and G is the
     overlaps times ``w_k K[:, k]†``, both taken start by start, so a start's
-    iterates do not depend on how many starts run.  All starts step through
-    one batched SVD.
+    iterates do not depend on how many starts run.  The live starts step
+    through one batched SVD.
 
     Plain steps V <- F(V) converge only linearly, so the search runs SQUAREM
     cycles of F (Varadhan & Roland, Scand. J. Stat. 35 (2008) 335) on the
@@ -320,30 +322,35 @@ def best_message_attack(
     c0 - 2 alpha r + alpha^2 d.  The safeguard: the next base is V3 unless f(V3) < f(V2),
     when it is V2.  Every iterate is a polar factor, hence a unitary, so the
     reported probability is an exact witness.  Each evaluated iterate (V1,
-    V2, V3, and the start) is one step: ``budget`` caps the objective
-    evaluations (starts × steps), and the stop rules below count in these
-    steps.
+    V2, V3, and the start) is one step of its start, and each start takes
+    at most ``budget // n`` steps (n starts), so ``iterations``, the
+    evaluations made summed over the starts, is at most ``budget``.
 
-    The search stops before the cap once every start has settled at a fixed
-    point of F: the step V1 = F(V0) from its cycle base moved its weighted
-    overlaps by ||sqrt(w) (c1 - c0)|| <= ``_FIXED_POINT``; once settled it
-    stays settled.  Both this test and alpha read the weighted overlaps, not
-    V: at priors 0 or 1 two weights vanish, G has rank 2, and the SVD's free
-    null-space part moves V at every step without moving f.  The threshold
-    1e-9 was measured, not derived: over the three builtins and Haar
-    taggings 5000-5299 at priors 0.5, 0.7, 1, 0 and 0.999 and budgets 500
-    and 2,000, the 3,030 searches took 365,969 evaluations and all but one
-    converged; 1.5e-8 (sqrt(eps)) took 327,620 but ended up to 8.2e-15
-    lower.  The other stops are a certainty attack (f <= 1, so once a start
-    is within ``_ASCENT_GAIN`` of 1 and the last step gained no more,
-    nothing is left to gain) and ``stop_at``: the search ends once any
-    start's best f reaches it.  Each start keeps its
-    best iterate, so the reported probability never falls during the search;
-    a result cut by ``stop_at`` is at least ``stop_at`` and only a lower end
-    of what the search would find without it.  ``converged`` says whether
-    the last step moved f by no more than ``_ASCENT_GAIN`` either way, so an
-    extrapolation that fell below the best does not read as convergence; a
-    polar step never lowers f beyond rounding, so on it this is the gain.
+    A start settles at a fixed point of F once the step V1 = F(V0) from its
+    cycle base moved its weighted overlaps by ||sqrt(w) (c1 - c0)|| <=
+    ``_FIXED_POINT``.  A settled start has nothing left to compute: it
+    leaves the batch with its best iterate and takes no further step, and
+    the search stops once no start is left.  Both this test and alpha read
+    the weighted overlaps, not V: at priors 0 or 1 two weights vanish, G has
+    rank 2, and the SVD's free null-space part moves V at every step without
+    moving f.  The threshold 1e-9 was measured, not derived: over the three
+    builtins and Haar taggings 5000-5299 at priors 0.5, 0.7, 1, 0 and 0.999
+    and budgets 500 and 2,000, the 3,030 searches took 300,487 evaluations
+    and all but one converged; 1.5e-8 (sqrt(eps)) took 269,215 but ended up
+    to 8.2e-15 lower, and three more searches ended unconverged.  The other
+    stops are a certainty attack (f <= 1, so once a start is within
+    ``_ASCENT_GAIN`` of 1 and the last step gained no more, nothing is left
+    to gain), ``stop_at`` (the search ends once any start's best f reaches
+    it) and ``budget`` (a start still live took its share of the budget).
+    The stop rules are read after every step and over every start, settled
+    or live.  Each start keeps its best iterate, so the reported probability
+    never falls during the search; a result cut by ``stop_at`` is at least
+    ``stop_at`` and only a lower end of what the search would find without
+    it.  ``converged`` says whether the last step
+    moved the f of every start that took it by no more than
+    ``_ASCENT_GAIN`` either way (a start that left the batch is settled), so
+    an extrapolation that fell below the best does not read as convergence;
+    a polar step never lowers f beyond rounding, so on it this is the gain.
     ``stop`` names the rule that ended the search: ``fixed_point``,
     ``certain``, ``stop_at`` or ``budget``.
 
@@ -376,55 +383,70 @@ def best_message_attack(
 
     # Overlaps and G row by row, so a start's arithmetic is the same at any n.
     def polar(c):
-        left, _, right = np.linalg.svd((c[:, None] @ g_mat).reshape(n, 4, 4))
+        left, _, right = np.linalg.svd((c[:, None] @ g_mat).reshape(-1, 4, 4))
         return left @ right
 
-    v, f = step, np.full(n, -np.inf)
-    settled, root_w = np.zeros(n, dtype=bool), np.sqrt(w)
+    # A step is flat if it moved f by at most _ASCENT_GAIN either way, so an
+    # extrapolation that fell below the best does not read as converged.
+    def flat():
+        return bool(np.all(np.abs(f_step - before) <= _ASCENT_GAIN))
+
+    # The live starts (indices `live`) with their best iterate v and f; a
+    # settled start leaves them for best_v and best_f.
+    live, v, f = np.arange(n), step, np.full(n, -np.inf)
+    best_v, best_f = v.copy(), f.copy()
+    top, evals, root_w = -np.inf, 0, np.sqrt(w)
     # The SQUAREM cycle so far: the overlaps and f of its base V0, then V1 and V2.
     cycle = []
-    for taken in range(1, budget // n + 1):
+    for _ in range(budget // n):
         if len(cycle) == 3:
             (c0, _), (c1, _), (c2, _) = cycle
             r, d = c1 - c0, c2 - 2 * c1 + c0
             r_norm, d_norm = (np.linalg.norm(root_w * x, axis=-1) for x in (r, d))
             # alpha = min(-|sqrt(w) r|/|sqrt(w) d|, -1), and -1 when d = 0.
             alpha = -np.divide(np.maximum(r_norm, d_norm), d_norm,
-                               out=np.ones(n), where=d_norm > 0)[:, None]
+                               out=np.ones(len(live)), where=d_norm > 0)[:, None]
             step = polar(c0 - 2 * alpha * r + alpha**2 * d)
         elif cycle:
             step = polar(cycle[-1][0])
-        c = (step.reshape(n, 1, 16) @ k_mat)[:, 0]
+        c = (step.reshape(-1, 1, 16) @ k_mat)[:, 0]
         f_step = (np.abs(c) ** 2 * w).sum(axis=-1)
+        evals += len(live)
         cycle.append((c, f_step))
-        if len(cycle) == 2:
-            settled |= np.linalg.norm(root_w * (c - cycle[0][0]), axis=-1) <= _FIXED_POINT
         if len(cycle) == 4:
             # Keep the extrapolated V3 as the next base unless it fell below V2.
             c2, f2 = cycle[2]
             keep = f_step >= f2
             cycle = [(np.where(keep[:, None], c, c2), np.where(keep, f_step, f2))]
-        # A step is flat if it moved f by at most _ASCENT_GAIN either way, so an
-        # extrapolation that fell below the best does not read as converged.
-        converged = bool(np.abs(f_step - f).max() <= _ASCENT_GAIN)
         # Keep each start's first best iterate: at a fixed point rounding can dip f.
-        gained = f_step > f
+        gained, before = f_step > f, f
         v, f = np.where(gained[:, None, None], step, v), np.where(gained, f_step, f)
-        top = f.max()
-        rules = {"stop_at": top >= stop_at, "certain": converged and top >= 1 - _ASCENT_GAIN,
-                 "fixed_point": settled.all()}
+        top = max(top, f.max())
+        if len(cycle) == 2:
+            # A settled start has nothing left to compute: it leaves the batch.
+            settled = np.linalg.norm(root_w * (c - cycle[0][0]), axis=-1) <= _FIXED_POINT
+            if settled.any():
+                best_v[live[settled]], best_f[live[settled]] = v[settled], f[settled]
+                keep = ~settled
+                live, v, f = live[keep], v[keep], f[keep]
+                cycle = [(c_x[keep], f_x[keep]) for c_x, f_x in cycle]
+        rules = {"stop_at": top >= stop_at,
+                 "certain": top >= 1 - _ASCENT_GAIN and flat(),
+                 "fixed_point": not len(live)}
         stop = next((rule for rule, hit in rules.items() if hit), "budget")
         if stop != "budget":
             break
 
-    top_start = int(np.argmax(f))
+    best_v[live], best_f[live] = v, f
+    top_start = int(np.argmax(best_f))
     return AttackResult(
-        probability=float(f[top_start]),
-        strategy=v[top_start],
+        probability=float(best_f[top_start]),
+        strategy=best_v[top_start],
         method="polar_ascent",
         budget=budget,
-        iterations=taken * n,
-        converged=converged,
+        iterations=evals,
+        # Starts that left the batch have settled; the last step's starts decide.
+        converged=flat(),
         stop=stop,
     )
 

@@ -452,21 +452,41 @@ class TestPolarAscent:
 
     @pytest.mark.parametrize("budget", [300, 500, 2_000])
     def test_no_polar_step_past_the_stop(self, budget, monkeypatch):
-        # One batched SVD per evaluated step after the starts, none beyond.
-        calls = []
-        svd = np.linalg.svd
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        # One SVD'd matrix per evaluation after the starts, none beyond; a
+        # settled start leaves the batch, so the batch never grows.
+        batches = svd_batches(monkeypatch)
         n = max(1, budget // 300)  # starts: no perfect attack on a Haar draw
         for k in range(40):
             u = TaggingUnitary(haar_random_unitary(4, np.random.default_rng(k)))
-            calls.clear()
+            batches.clear()
             res = best_message_attack(u, budget=budget)
-            assert len(calls) == res.iterations // n - 1
+            assert sum(batches) == res.iterations - n
+            assert batches[0] == n and batches == sorted(batches, reverse=True)
+            # Every search here settles, and not all its starts at one step.
+            assert n == 1 or batches[-1] < n
+
+    def test_settled_starts_leave_the_batch(self, u_secure, monkeypatch):
+        # Twelve starts.  With every start stepping until the slowest one
+        # settled, this search took 780 evaluations.
+        batches = svd_batches(monkeypatch)
+        res = best_message_attack(u_secure, budget=20_000)
+        assert res.iterations < 1_000 and res.stop == "fixed_point" and res.converged
+        assert abs(res.probability - 0.8599751046455918) <= 1e-14
+        assert batches[0] == 12 and batches[-1] == 1
+        assert batches == sorted(batches, reverse=True)
+
+
+def svd_batches(monkeypatch):
+    """Record the number of matrices in each np.linalg.svd call."""
+    batches = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        batches.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return batches
 
 
 def same_attack(a, b):
@@ -493,7 +513,7 @@ def test_stop_at_is_exact(seed):
 
 
 def reference_ascent(u, budget, stop_at=np.inf, p0=0.5, settle=True, squarem=True,
-                     einsum=False):
+                     einsum=False, retire=True):
     """best_message_attack at rng seed 0, with the stop rules and the running
     best checked after every evaluation.  The iterates are the SQUAREM cycles
     of the polar map F on the overlaps c: from a base V0, V1 = F(c0), V2 =
@@ -501,9 +521,11 @@ def reference_ascent(u, budget, stop_at=np.inf, p0=0.5, settle=True, squarem=Tru
     2 c1 + c0 and alpha = min(-|sqrt(w) r|/|sqrt(w) d|, -1); the next base is
     V3 unless f(V3) < f(V2).  ``squarem=False`` takes plain steps V <- F(V)
     instead.  A start settles once the step V1 = F(V0) from its base moves
-    its overlaps, weighted by sqrt(w), by at most 1e-9 in norm;
-    ``settle=False`` drops the rule that stops once every start has settled,
-    so the search runs to the budget or to another stop.  ``einsum=True``
+    its overlaps, weighted by sqrt(w), by at most 1e-9 in norm; it then
+    stops stepping and keeps its best, and the search stops once every start
+    has settled.  ``retire=False`` keeps settled starts stepping until then.
+    ``settle=False`` drops both rules, so every start runs to the budget or
+    to another stop.  ``einsum=True``
     takes the overlaps and the linearisation by 3-operand einsums instead of
     the K contraction.  Otherwise each start's overlaps and linearisation are
     taken on their own, so a bit-identical match also shows that a start's
@@ -560,22 +582,32 @@ def reference_ascent(u, budget, stop_at=np.inf, p0=0.5, settle=True, squarem=Tru
             c0 = np.where((value(c3) >= value(c2))[:, None], c3, c2)
 
     v, f = start, np.full(n, -np.inf)
-    evals, converged, settled = 0, False, np.zeros(n, dtype=bool)
-    for step, c, base in evaluated():
-        if evals + n > budget:
+    evals, converged, stop = 0, False, "budget"
+    live, settled = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    for taken, (step, c, base) in enumerate(evaluated(), 1):
+        if taken > budget // n:
             break
+        # Only the live starts step: the others' iterates are dropped.
         f_step = value(c)
-        evals += n
-        if base is not None:
+        evals += int(live.sum())
+        if base is not None and settle:
             settled |= np.linalg.norm(np.sqrt(w) * (c - base), axis=-1) <= 1e-9
-        converged = bool(np.abs(f_step - f).max() <= 1e-13)
-        gained = f_step > f
+        converged = bool(np.abs(f_step - f)[live].max() <= 1e-13)
+        gained = live & (f_step > f)
         v, f = np.where(gained[:, None, None], step, v), np.where(gained, f_step, f)
-        if (f.max() >= stop_at or (converged and f.max() >= 1 - 1e-13)
-                or (settle and settled.all())):
+        if f.max() >= stop_at:
+            stop = "stop_at"
+        elif converged and f.max() >= 1 - 1e-13:
+            stop = "certain"
+        elif settled.all():
+            stop = "fixed_point"
+        if stop != "budget":
             break
+        if retire:
+            live = ~settled
     best = int(np.argmax(f))
-    return AttackResult(float(f[best]), v[best], "polar_ascent", budget, evals, converged)
+    return AttackResult(float(f[best]), v[best], "polar_ascent", budget, evals, converged,
+                        stop)
 
 
 def oracle_unitaries():
@@ -596,8 +628,9 @@ def test_chunked_stop_rules_match_per_step_reference(budget):
         limits = [np.inf, full.probability, np.nextafter(full.probability, np.inf),
                   0.9 * full.probability]
         for stop_at in limits:
-            res = best_message_attack(u, budget=budget, stop_at=stop_at)
-            assert same_attack(res, reference_ascent(u, budget, stop_at))
+            res, ref = (best_message_attack(u, budget=budget, stop_at=stop_at),
+                        reference_ascent(u, budget, stop_at))
+            assert same_attack(res, ref) and res.stop == ref.stop
         # The einsum contraction sums in another order: last bits only.
         old = reference_ascent(u, budget, einsum=True)
         assert abs(full.probability - old.probability) <= 1e-14
@@ -619,6 +652,17 @@ def test_stall_rule_never_weaker(budget, p0):
         assert res.probability >= full.probability - 1e-14
         assert res.iterations <= full.iterations
         assert res.converged or res.iterations == full.iterations
+
+
+def test_retiring_settled_starts_never_weaker():
+    # Against the same search with settled starts stepping until every start
+    # has settled: rounding at a fixed point may raise f by an ulp, no more.
+    for u in grid_unitaries():
+        res = best_message_attack(u, budget=2_000)
+        kept = reference_ascent(u, 2_000, retire=False)
+        assert res.probability >= kept.probability - 1e-14
+        assert res.iterations <= kept.iterations
+        assert (res.converged, res.stop) == (kept.converged, kept.stop)
 
 
 @pytest.mark.parametrize("p0", [0.5, 0.8, 1.0])
