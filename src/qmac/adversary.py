@@ -386,6 +386,12 @@ def best_message_attack(
         left, _, right = np.linalg.svd((c[:, None] @ g_mat).reshape(-1, 4, 4))
         return left @ right
 
+    # np.linalg.norm(root_w * x, axis=-1): its own arithmetic for a complex
+    # vector norm, without its argument handling.
+    def weighted_norm(x):
+        x = root_w * x
+        return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
+
     # A step is flat if it moved f by at most _ASCENT_GAIN either way, so an
     # extrapolation that fell below the best does not read as converged.
     def flat():
@@ -393,16 +399,16 @@ def best_message_attack(
 
     # The live starts (indices `live`) with their best iterate v and f; a
     # settled start leaves them for best_v and best_f.
-    live, v, f = np.arange(n), step, np.full(n, -np.inf)
+    live, v, f = np.arange(n), step.copy(), np.full(n, -np.inf)
     best_v, best_f = v.copy(), f.copy()
-    top, evals, root_w = -np.inf, 0, np.sqrt(w)
+    top, evals, root_w, stop = -np.inf, 0, np.sqrt(w), "budget"
     # The SQUAREM cycle so far: the overlaps and f of its base V0, then V1 and V2.
     cycle = []
     for _ in range(budget // n):
         if len(cycle) == 3:
             (c0, _), (c1, _), (c2, _) = cycle
             r, d = c1 - c0, c2 - 2 * c1 + c0
-            r_norm, d_norm = (np.linalg.norm(root_w * x, axis=-1) for x in (r, d))
+            r_norm, d_norm = weighted_norm(r), weighted_norm(d)
             # alpha = min(-|sqrt(w) r|/|sqrt(w) d|, -1), and -1 when d = 0.
             alpha = -np.divide(np.maximum(r_norm, d_norm), d_norm,
                                out=np.ones(len(live)), where=d_norm > 0)[:, None]
@@ -410,30 +416,36 @@ def best_message_attack(
         elif cycle:
             step = polar(cycle[-1][0])
         c = (step.reshape(-1, 1, 16) @ k_mat)[:, 0]
-        f_step = (np.abs(c) ** 2 * w).sum(axis=-1)
+        f_step = np.add.reduce(np.abs(c) ** 2 * w, axis=-1)
         evals += len(live)
         cycle.append((c, f_step))
         if len(cycle) == 4:
             # Keep the extrapolated V3 as the next base unless it fell below V2.
             c2, f2 = cycle[2]
             keep = f_step >= f2
-            cycle = [(np.where(keep[:, None], c, c2), np.where(keep, f_step, f2))]
+            cycle = [(c, f_step) if keep.all() else
+                     (np.where(keep[:, None], c, c2), np.where(keep, f_step, f2))]
         # Keep each start's first best iterate: at a fixed point rounding can dip f.
         gained, before = f_step > f, f
-        v, f = np.where(gained[:, None, None], step, v), np.where(gained, f_step, f)
-        top = max(top, f.max())
+        np.copyto(v, step, where=gained[:, None, None])
+        f = np.where(gained, f_step, f)
+        f_top = f.max()
+        if f_top > top:
+            top = f_top
         if len(cycle) == 2:
             # A settled start has nothing left to compute: it leaves the batch.
-            settled = np.linalg.norm(root_w * (c - cycle[0][0]), axis=-1) <= _FIXED_POINT
+            settled = weighted_norm(c - cycle[0][0]) <= _FIXED_POINT
             if settled.any():
                 best_v[live[settled]], best_f[live[settled]] = v[settled], f[settled]
                 keep = ~settled
                 live, v, f = live[keep], v[keep], f[keep]
                 cycle = [(c_x[keep], f_x[keep]) for c_x, f_x in cycle]
-        rules = {"stop_at": top >= stop_at,
-                 "certain": top >= 1 - _ASCENT_GAIN and flat(),
-                 "fixed_point": not len(live)}
-        stop = next((rule for rule, hit in rules.items() if hit), "budget")
+        if top >= stop_at:
+            stop = "stop_at"
+        elif top >= 1 - _ASCENT_GAIN and flat():
+            stop = "certain"
+        elif not len(live):
+            stop = "fixed_point"
         if stop != "budget":
             break
 

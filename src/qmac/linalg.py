@@ -18,15 +18,31 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.kron's own single multiply, of an (m, 1, n, 1) view of a by a
+    # (1, p, 1, q) view of b, without its expand_dims wrapper.  The operand
+    # with fewer dimensions is padded with leading 1s, as np.kron does.
+    a, b = np.asarray(a), np.asarray(b)
+    nd = max(a.ndim, b.ndim)
+    a_shape = (1,) * (nd - a.ndim) + a.shape
+    b_shape = (1,) * (nd - b.ndim) + b.shape
+    prod = (a.reshape([x for m in a_shape for x in (m, 1)])
+            * b.reshape([x for m in b_shape for x in (1, m)]))
+    return prod.reshape([m * k for m, k in zip(a_shape, b_shape)])
+
+
 def tensor(*mats: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more matrices / vectors.
 
     Index convention for ``tensor(a, b)``: row ``i_a * b.rows + i_b``,
-    column ``j_a * b.cols + j_b``.
+    column ``j_a * b.cols + j_b``.  For factors of one or more dimensions
+    it equals ``reduce(np.kron, mats)`` bit for bit, in shape, dtype and
+    every entry: each pairwise product is the same single multiply np.kron
+    makes, without its argument handling.
     """
     if not mats:
         raise ValueError("tensor() needs at least one factor")
-    return reduce(np.kron, mats)
+    return reduce(_kron, mats)
 
 
 def partial_trace(rho: np.ndarray, dims: list[int], keep) -> np.ndarray:

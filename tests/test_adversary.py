@@ -636,6 +636,18 @@ def test_chunked_stop_rules_match_per_step_reference(budget):
         assert abs(full.probability - old.probability) <= 1e-14
 
 
+@pytest.mark.parametrize("budget", [3, 65, 500, 2000])
+@pytest.mark.parametrize("p0", [0.8, 1.0, 0.0])
+def test_stop_rules_match_per_step_reference_at_unequal_priors(budget, p0):
+    # At p0 = 1 or 0 two weights vanish: G has rank 2, and d = 0 makes alpha -1.
+    for u in oracle_unitaries():
+        full = best_message_attack(u, p0, 1 - p0, budget=budget)
+        for stop_at in (np.inf, full.probability, 0.9 * full.probability):
+            res = best_message_attack(u, p0, 1 - p0, budget=budget, stop_at=stop_at)
+            ref = reference_ascent(u, budget, stop_at, p0=p0)
+            assert same_attack(res, ref) and res.stop == ref.stop
+
+
 def grid_unitaries():
     builtins = ("identity", "x_block", "secure_example")
     haar = [haar_random_unitary(4, np.random.default_rng(1000 + k)) for k in range(60)]

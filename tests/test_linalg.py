@@ -1,6 +1,8 @@
+from functools import reduce
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmac.linalg import (
@@ -46,6 +48,36 @@ class TestTensor:
             for n in (2, 3, 2)
         )
         assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
+
+
+# A factor: its 1-d or 2-d shape, its entries' kind and its memory layout.
+# Column vectors such as MESSAGE_BASIS[:, [m]] are the 2-d shapes (m, 1);
+# transposed and strided views are the layouts of dagger(u) and
+# MESSAGE_BASIS[:, m].
+FACTORS = st.lists(
+    st.tuples(st.lists(st.integers(1, 4), min_size=1, max_size=2),
+              st.sampled_from(["int", "float", "complex"]),
+              st.sampled_from(["contiguous", "transposed", "strided"])),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FACTORS, st.integers(min_value=0, max_value=2**32 - 1))
+# One-entry factors: a product formed in another loop (np.multiply.outer,
+# say) can round differently here.
+@example([([1], "complex", "contiguous")] * 2, 2)
+def test_tensor_equals_kron_bit_for_bit(factors, seed):
+    rng = np.random.default_rng(seed)
+    mats = []
+    for shape, kind, layout in factors:
+        if layout == "strided":
+            shape = shape[:-1] + [2 * shape[-1]]
+        re, im = rng.standard_normal((2, *shape))
+        m = {"int": np.rint(3 * re).astype(int), "float": re, "complex": re + 1j * im}[kind]
+        mats.append({"contiguous": m, "transposed": m.T, "strided": m[..., ::2]}[layout])
+    out, ref = tensor(*mats), reduce(np.kron, mats)
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert np.array_equal(out, ref) and out.tobytes() == ref.tobytes()
 
 
 class TestPartialTrace:

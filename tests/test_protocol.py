@@ -54,6 +54,20 @@ class TestTaggingUnitary:
             TaggingUnitary(np.eye(3))
 
 
+@pytest.mark.parametrize("source", [*BUILTIN, *range(20)])
+def test_joint_operators_equal_kron_construction(source):
+    mat = BUILTIN[source]() if source in BUILTIN else haar_random_unitary(
+        4, np.random.default_rng(source))
+    u = TaggingUnitary(mat)
+    p0, p1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
+    i2, i4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
+    encode_op = np.kron(np.kron(p0, i2), i4) + np.kron(np.kron(p1, i2), u.u)
+    decode_op = np.kron(np.kron(i2, p0), u.u.conj().T) + np.kron(np.kron(i2, p1), i4)
+    for op, ref in ((u.encode_op, encode_op), (u.decode_op, decode_op)):
+        assert op.dtype == ref.dtype and op.shape == ref.shape == (16, 16)
+        assert op.tobytes() == ref.tobytes()
+
+
 class TestEncode:
     def test_identity_tagging(self, u_identity):
         expected = tensor(singlet(), MESSAGE_BASIS[:, 0])
