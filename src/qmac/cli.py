@@ -8,6 +8,7 @@ reports; stderr is for humans only.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -97,25 +98,20 @@ def _report_header(args, tol, mat) -> dict:
     }
 
 
-def _emit(report: dict, out_path):
+def _emit(report: dict, out_path, records: str = ""):
     """Write ``json.dumps(report, sort_keys=True, indent=2)`` and a newline.
 
-    A top-level ``records`` list is spliced in with each distinct record
-    object rendered once: simulate repeats a few objects thousands of times,
-    and the indenting encoder is pure Python.
+    ``records``, when not empty, is the rendered body of the report's
+    top-level ``records`` list (items indented four spaces, joined by
+    ``",\n"``); it is spliced in where the report holds ``"records": []``.
+    simulate renders each of its few distinct records once and joins them
+    per trial, since the indenting encoder is pure Python.
     """
-    records = report.get("records")
-    text = json.dumps({**report, "records": []} if records else report,
-                      sort_keys=True, indent=2) + "\n"
-    parts = [text]
+    text = json.dumps(report, sort_keys=True, indent=2)
+    parts = [text, "\n"]
     if records:
-        rendered = {
-            key: "    " + json.dumps(rec, sort_keys=True, indent=2).replace("\n", "\n    ")
-            for key, rec in dict(zip(map(id, records), records)).items()
-        }
         head, tail = text.split('\n  "records": []', 1)
-        items = ",\n".join(map(rendered.__getitem__, map(id, records)))
-        parts = [head, '\n  "records": [\n', items, "\n  ]", tail]
+        parts = [head, '\n  "records": [\n', records, "\n  ]", tail, "\n"]
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.writelines(parts)
@@ -135,18 +131,21 @@ def cmd_validate(args, tol) -> int:
 def cmd_simulate(args, tol) -> int:
     u = _load_unitary(args.input, tol)
     rng = np.random.default_rng(args.seed)
-    records = []
+    rendered = []  # record text of (message, outcome) at 4 * message + outcome
+    order = []
     correct = accepted = 0
     fidelities = []
     for message in (0, 1):
         outcomes, fid = simulate_honest_batch(u, message, args.trials, rng)
-        # One shared record object per outcome; _emit renders each once.
-        distinct = [
-            {"message": message, "outcome": o, "accepted": o < 2,
-             "decoded": o if o < 2 else None, "key_fidelity": fid}
+        rendered += (
+            "    " + json.dumps(
+                {"message": message, "outcome": o, "accepted": o < 2,
+                 "decoded": o if o < 2 else None, "key_fidelity": fid},
+                sort_keys=True, indent=2,
+            ).replace("\n", "\n    ")
             for o in range(4)
-        ]
-        records.extend(distinct[outcome] for outcome in outcomes)
+        )
+        order += (outcomes + 4 * message).tolist()
         accepted += int((outcomes < 2).sum())
         correct += int((outcomes == message).sum())
         fidelities.append(fid)
@@ -159,9 +158,9 @@ def cmd_simulate(args, tol) -> int:
         "mean_key_fidelity": float(np.mean(fidelities)),
     }
     body = _report_header(args, tol, u.u)
-    body["records"] = records
+    body["records"] = []
     body["summary"] = summary
-    _emit(body, args.out)
+    _emit(body, args.out, ",\n".join(map(rendered.__getitem__, order)))
     return EXIT_OK
 
 
@@ -205,10 +204,7 @@ def cmd_optimize(args, tol) -> int:
         )
     except RuntimeError as exc:  # no candidate passes the checks under ``tol``
         raise ValueError(str(exc)) from exc
-    body = _report_header(args, tol, result.unitary)
-    body["result"] = result.to_json()
-    _emit(body, args.out)
-    if args.trace_out:
+    if args.trace_out:  # before the report, so a bad path leaves no report
         with open(args.trace_out, "w", encoding="utf-8") as fh:
             for restart, it, score in result.trace:
                 fh.write(
@@ -218,6 +214,9 @@ def cmd_optimize(args, tol) -> int:
                     )
                     + "\n"
                 )
+    body = _report_header(args, tol, result.unitary)
+    body["result"] = result.to_json()
+    _emit(body, args.out)
     return EXIT_OK
 
 
@@ -298,9 +297,14 @@ COMMANDS = {
 }
 
 
+# Built by the first main call and reused (building takes about 15 times as
+# long as parsing); not at import, so importers that never call main do not
+# pay for it.  parse_args leaves the parser unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         tol = DEFAULT_TOL.override(**_parse_tol_overrides(args.tol))
         return COMMANDS[args.command](args, tol)

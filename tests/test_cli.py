@@ -1,11 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmac
+from qmac import cli
 from qmac.cli import main
+from qmac.config import DEFAULT_TOL
 from qmac.fixtures import BUILTIN, secure_example_unitary
 from qmac.linalg import halmos_dilation, matrix_to_json
+from qmac.protocol import TaggingUnitary, simulate_honest_batch
 
 
 @pytest.fixture
@@ -150,6 +158,26 @@ class TestSimulate:
         assert code == 0
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
+    @pytest.mark.parametrize("trials", [0, 1, 1000])
+    def test_records_follow_the_draws(self, capsys, tmp_path, trials):
+        argv = ["simulate", "--input", "secure_example", "--seed", "7",
+                "--trials", str(trials)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "r.json"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert path.read_bytes() == out.encode()
+
+        u = TaggingUnitary(secure_example_unitary())
+        rng = np.random.default_rng(7)
+        draws = [simulate_honest_batch(u, m, trials, rng) for m in (0, 1)]
+        want = [
+            {"message": m, "outcome": o, "accepted": o < 2,
+             "decoded": o if o < 2 else None, "key_fidelity": fid}
+            for m, (outcomes, fid) in enumerate(draws) for o in outcomes.tolist()
+        ]
+        assert json.loads(out)["records"] == want
+
     def test_negative_trials_exit_two(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--input", "secure_example", "--trials", "-1"
@@ -280,6 +308,17 @@ class TestOptimize:
         assert code == 2
         assert "no secure candidate" in err
 
+    def test_bad_trace_out_leaves_no_report(self, capsys, tmp_path):
+        argv = ["optimize", "--restarts", "1", "--budget", "50",
+                "--trace-out", str(tmp_path / "missing" / "t.jsonl")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "No such file or directory" in err
+        report = tmp_path / "r.json"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(report))
+        assert code == 2 and out == ""
+        assert not report.exists()
+
     def test_zero_budget_exit_two(self, capsys):
         code, out, err = run_cli(capsys, "optimize", "--budget", "0")
         assert code == 2 and out == ""
@@ -321,3 +360,41 @@ def test_flag_not_read_by_subcommand_exit_two(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_shared_parser_carries_no_state(capsys):
+    cli._parser.cache_clear()
+    code, out, _ = run_cli(
+        capsys, "attack", "--input", "secure_example", "--priors", "0.8,0.2",
+        "--tol", "strict=1e-6", "--budget", "50",
+    )
+    assert code == 0
+    body = json.loads(out)
+    assert body["attacks"]["message"]["priors"] == [0.8, 0.2]
+    assert body["tolerances"]["strict"] == 1e-6
+
+    code, out, _ = run_cli(capsys, "attack", "--input", "secure_example", "--budget", "50")
+    assert code == 0
+    body = json.loads(out)
+    assert body["attacks"]["message"]["priors"] == [0.5, 0.5]
+    assert body["tolerances"] == DEFAULT_TOL.as_dict()
+
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--input", "secure_example", "--trials", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    argv = ["validate", "--input", "secure_example", "--budget", "50"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    src = str(Path(qmac.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "qmac.cli", *argv],
+        capture_output=True, env=env, check=False, timeout=120,
+    )
+    assert fresh.returncode == 0
+    assert fresh.stdout == out.encode()
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
