@@ -35,16 +35,10 @@ from .protocol import (
     singlet,
 )
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _ASCENT_GAIN = 1e-13  # a substitution-ascent step gaining no more has converged
 _FIXED_POINT = 1e-9  # a polar step moving a start's weighted overlaps no more has settled it
 _PRIOR_SUM_SLACK = 1e-12  # priors typed in decimal can miss 1 by rounding
 _ACCEPT_FLOOR = 1e-15  # acceptance this small is rounding: do not condition on it
-
-
-def phase_shift(beta: float) -> np.ndarray:
-    """S(beta) = diag(1, e^{i beta})."""
-    return np.diag([1.0, np.exp(1j * beta)]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -239,12 +233,36 @@ def message_attack_sim(
     return hits / trials
 
 
-def swap_mismatch(u) -> float:
-    """Distance of the M0 columns from the relation c0 = e^{ig} S(d) sigma_x c1.
+def _substitution_objective(u: TaggingUnitary, p0: float, p1: float):
+    """Eve's substitution objective f(V) = sum_k w_k |<a_k|V|b_k>|^2, with
+    a = (e1, Ue1, e0, Ue0), b = (e0, Ue0, e1, Ue1) and w = (p0, p0, p1, p1)/2.
 
-    With both phases free the relation reduces to moduli equality between
-    swapped components; the return value is the worst moduli mismatch
-    (0 means the relation is satisfiable).
+    Returns w, K (``V.reshape(16) @ K`` are the overlaps <a_k|V|b_k>) and the
+    polar map, which takes overlaps c, one row per start, to the polar
+    factors of G = sum_k w_k c_k |a_k><b_k|.
+    """
+    # Terms (a_k, b_k, w_k): the bit flip on the bare message, then under U.
+    a = np.stack([I4[1], u.u[:, 1], I4[0], u.u[:, 0]])
+    b = np.stack([I4[0], u.u[:, 0], I4[1], u.u[:, 1]])
+    w = 0.5 * np.array([p0, p0, p1, p1])
+    k_mat = (a.conj()[:, :, None] * b[:, None, :]).reshape(4, 16).T
+    g_mat = w[:, None] * k_mat.T.conj()
+
+    # Overlaps and G row by row, so a start's arithmetic is the same at any n.
+    def polar(c):
+        left, _, right = np.linalg.svd((c[:, None] @ g_mat).reshape(-1, 4, 4))
+        return left @ right
+
+    return w, k_mat, polar
+
+
+def swap_mismatch(u) -> float:
+    """Distance of the M0 columns from phase equivalence under the swap.
+
+    The worst of ||m00| - |m11|| and ||m01| - |m10||: 0 exactly when each
+    entry of one column matches the other column's swapped entry up to a
+    phase, which is when a certainty substitution attack exists (see
+    :func:`perfect_message_attack`).
     """
     u = as_tagging_unitary(u)
     c0, c1 = u.col(0, 0), u.col(0, 1)
@@ -254,40 +272,26 @@ def swap_mismatch(u) -> float:
 def perfect_message_attack(u) -> Optional[np.ndarray]:
     """Construct a certainty substitution attack if one exists.
 
-    A perfect attack forces V to be block diagonal with an anti-diagonal
-    top block, and exists precisely when the two columns of the M0 block
-    are phase-equivalent under S(delta) sigma_x, i.e. when
-    |M0^0[0]| = |M0^1[1]| and |M0^0[1]| = |M0^1[0]|.  The bottom block of
-    V is the polar factor of T S†, which maps the M2 columns S = [c20, c21]
-    onto T = [e^{i theta0} c21, e^{i theta1} c20], their swap with the
-    phases the top block forces.  Column orthogonality of U makes the Gram
-    matrices S†S and T†T agree, so the polar factor maps S onto T at any
-    rank.  Returns None when :func:`swap_mismatch` exceeds
-    ``tol.phase_equiv`` or the constructed V reaches pf < 1 - ``tol.strict``;
-    under a loosened ``phase_equiv`` the second can happen while condition 3
-    reports a certainty attack.
+    In the terms of :func:`_substitution_objective`, V is certain (pf = 1)
+    exactly when it maps each b_k to e^{i theta_k} a_k.  A unitary does that
+    exactly when the Gram matrices agree, <b_j|b_k> = e^{i(theta_k -
+    theta_j)} <a_j|a_k>, and M0 builds both: <b_0|b_1> = m00 against m11,
+    <b_0|b_3> = m01 against m10.  With theta_0 = 0 this forces theta = (0,
+    arg m00 conj(m11), theta_1 + theta_3, arg m01 conj(m10)) and needs
+    :func:`swap_mismatch` = 0.  At equal priors G = sum_k w_k e^{i theta_k}
+    |a_k><b_k| = V B with B = sum_k w_k |b_k><b_k| >= 0, so G's polar factor,
+    one step of the polar map, agrees with V on span{b_k}, all pf reads.
+    Returns None when the swap mismatch exceeds its tolerance (the gate
+    below) or the built V reaches pf < 1 - ``tol.strict``; under a loosened
+    swap tolerance the second can happen while condition 3 fails.
     """
     u = as_tagging_unitary(u)
-    tol = u.tol.phase_equiv
-    if swap_mismatch(u) > tol:
+    if swap_mismatch(u) > u.tol.phase_equiv:
         return None
-    c00, c01 = u.col(0, 0), u.col(0, 1)
-    c20, c21 = u.col(2, 0), u.col(2, 1)
-    gamma = np.angle(c00[0] / c01[1]) if abs(c01[1]) > tol else 0.0
-    gd = np.angle(c00[1] / c01[0]) if abs(c01[0]) > tol else gamma
-    delta = gd - gamma
-    m0e = np.exp(-1j * (gamma + delta)) * phase_shift(delta) @ SIGMA_X
-    # Global phases forced on the bottom block by the top block.
-    t0 = m0e @ c00
-    theta0 = np.angle(np.vdot(c01, t0)) if np.linalg.norm(c01) > tol else 0.0
-    t1 = m0e @ c01
-    theta1 = np.angle(np.vdot(c00, t1)) if np.linalg.norm(c00) > tol else 0.0
-    sources = np.stack([c20, c21], axis=1)
-    targets = np.stack([np.exp(1j * theta0) * c21, np.exp(1j * theta1) * c20], axis=1)
-    left, _, right = np.linalg.svd(targets @ dagger(sources))
-    v = np.zeros((4, 4), dtype=complex)
-    v[:2, :2] = m0e
-    v[2:, 2:] = left @ right
+    (m00, m01), (m10, m11) = u.block(0)
+    theta1, theta3 = np.angle(m00 * np.conj(m11)), np.angle(m01 * np.conj(m10))
+    _, _, polar = _substitution_objective(u, 0.5, 0.5)
+    v = polar(np.exp(1j * np.array([[0, theta1, theta1 + theta3, theta3]])))[0]
     if message_attack_pf(u, v) < 1 - u.tol.strict:
         return None
     return v
@@ -363,12 +367,7 @@ def best_message_attack(
         raise ValueError("budget must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    # Terms (a_k, b_k, w_k): the bit flip on the bare message, then under U.
-    a = np.stack([I4[1], u.u[:, 1], I4[0], u.u[:, 0]])
-    b = np.stack([I4[0], u.u[:, 0], I4[1], u.u[:, 1]])
-    w = 0.5 * np.array([p0, p0, p1, p1])
-    k_mat = (a.conj()[:, :, None] * b[:, None, :]).reshape(4, 16).T
-    g_mat = w[:, None] * k_mat.T.conj()
+    w, k_mat, polar = _substitution_objective(u, p0, p1)
 
     starts = [I4[[1, 0, 2, 3]]]  # sigma_x on the message bit
     perfect = perfect_message_attack(u)
@@ -380,11 +379,6 @@ def best_message_attack(
 
     step = np.stack(starts[:budget])
     n = len(step)
-
-    # Overlaps and G row by row, so a start's arithmetic is the same at any n.
-    def polar(c):
-        left, _, right = np.linalg.svd((c[:, None] @ g_mat).reshape(-1, 4, 4))
-        return left @ right
 
     # np.linalg.norm(root_w * x, axis=-1): its own arithmetic for a complex
     # vector norm, without its argument handling.

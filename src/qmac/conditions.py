@@ -103,18 +103,20 @@ def check_case2(u) -> ConditionCheck:
 def check_condition3(u) -> ConditionCheck:
     """No certainty substitution attack.
 
-    Satisfied when the M0 columns are NOT phase-equivalent under the
-    phase-shifted swap, decided on ``tol.phase_equiv`` by the same
+    Satisfied when the M0 columns are NOT phase-equivalent under the swap,
+    decided on ``tol.phase_equiv`` by the same
     :func:`~qmac.adversary.swap_mismatch` test that gates
-    :func:`~qmac.adversary.perfect_message_attack`.  When they are exactly
-    phase-equivalent, a certainty attack is always constructible (the
-    bottom-block completion exists for every unitary, so the paper's
-    auxiliary M2-column clause never rescues security).  ``margin`` is the
-    swap mismatch.
-    Under a loosened ``phase_equiv`` the two can disagree: the condition
-    fails while ``perfect_message_attack`` returns None, because its
-    constructed attack must still reach pf >= 1 - ``tol.strict``.  The
-    ``perfect_attack_constructed`` detail says whether it was built.
+    :func:`~qmac.adversary.perfect_message_attack`.  A certainty attack maps
+    each ray b_k of Eve's substitution objective to e^{i theta_k} a_k; a
+    unitary doing so exists exactly when the Gram matrices of the a_k and
+    the b_k agree up to those phases, and M0 alone builds both.  So a swap
+    mismatch of 0 always admits the attack, the polar factor of
+    sum_k e^{i theta_k} |a_k><b_k|, and the paper's auxiliary M2-column
+    clause never rescues security.  ``margin`` is the swap mismatch.
+    Under a loosened ``phase_equiv`` the condition can fail at a nonzero
+    mismatch, where the built attack falls short of pf >= 1 -
+    ``tol.strict`` and none is returned; the ``perfect_attack_constructed``
+    detail says whether it was built.
     """
     u = as_tagging_unitary(u)
     mismatch = swap_mismatch(u)

@@ -16,7 +16,7 @@ class Tolerances:
         an injected no-message state.
     strict : margin used for the strict inequalities of the security
         conditions (a quantity is "strictly less than c" iff < c - strict).
-    phase_equiv : threshold for deciding phase-equivalence of vectors.
+    phase_equiv : threshold of the M0 column swap test (condition 3).
 
     Each must be finite and >= 0.
 

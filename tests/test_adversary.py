@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qmac import adversary
 from qmac.adversary import (
-    SIGMA_X,
     AttackResult,
     best_message_attack,
     eve_state_from_restricted,
@@ -36,6 +35,7 @@ from qmac.linalg import haar_random_unitary, halmos_dilation, is_unitary, tensor
 from qmac.protocol import MESSAGE_BASIS, TaggingUnitary, singlet
 
 E = np.eye(4, dtype=complex)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SWAP01 = np.zeros((4, 4), complex)
 SWAP01[:2, :2] = SIGMA_X
 SWAP01[2:, 2:] = np.eye(2)
@@ -304,6 +304,64 @@ class TestPerfectMessageAttack:
             u = TaggingUnitary(haar_random_unitary(4, rng))
             assert perfect_message_attack(u) is None
 
+    @pytest.mark.parametrize("phase_equiv", [0.05, 0.1, 0.3, 0.6])
+    def test_loosened_phase_equiv_still_builds(self, phase_equiv, rng):
+        # phase_equiv gates the swap test only: on exactly swap-related
+        # taggings the attack is built whatever its value.
+        tol = DEFAULT_TOL.override(phase_equiv=phase_equiv)
+        for _ in range(100):
+            moduli, angles = rng.random(2), rng.uniform(0, 2 * np.pi, 4)
+            m = swap_related_tagging(moduli, angles, rng.uniform(0.01, 0.99), False,
+                                     int(rng.integers(2**32)))
+            u = TaggingUnitary(m, tol)
+            v = perfect_message_attack(u)
+            assert v is not None
+            assert message_attack_pf(u, v) >= 1 - 1e-12
+
+
+def swap_related_tagging(moduli, angles, scale, unitary_m0, seed):
+    """A tagging whose M0 columns are exactly swap related, |m00| = |m11| and
+    |m01| = |m10|: M0 is a 2x2 unitary (every one is) or has the given moduli
+    and phases scaled to sigma_max = ``scale``, and its completion is
+    recompleted by diagonal phases and unitaries on the lower block."""
+    rng = np.random.default_rng(seed)
+    if unitary_m0:
+        m = np.zeros((4, 4), dtype=complex)
+        m[:2, :2], m[2:, 2:] = haar_random_unitary(2, rng), haar_random_unitary(2, rng)
+    else:
+        (r0, r1), p = moduli, np.exp(1j * np.asarray(angles))
+        m0 = np.array([[r0 * p[0], r1 * p[1]], [r1 * p[2], r0 * p[3]]])
+        top = np.linalg.norm(m0, 2)
+        m = halmos_dilation(m0 * scale / top if top > 0 else m0)
+    r1, r2 = (lower(haar_random_unitary(2, rng)) for _ in range(2))
+    return phases(rng) @ r1 @ m @ r2 @ phases(rng)
+
+
+def phases(rng):
+    return np.diag(np.exp(2j * np.pi * rng.random(4)))
+
+
+def lower(r):
+    out = np.eye(4, dtype=complex)
+    out[2:, 2:] = r
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    moduli=st.tuples(*[st.just(0.0) | st.floats(0, 1)] * 2),
+    angles=st.tuples(*[st.floats(0, 2 * np.pi)] * 4),
+    scale=st.sampled_from([1e-12, 1e-8, 1e-4, 0.5, 1 - 1e-9]) | st.floats(1e-12, 0.999),
+    unitary_m0=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_perfect_attack_on_swap_related_draws(moduli, angles, scale, unitary_m0, seed):
+    u = TaggingUnitary(swap_related_tagging(moduli, angles, scale, unitary_m0, seed))
+    v = perfect_message_attack(u)
+    assert v is not None
+    assert is_unitary(v, 1e-12)[0]
+    assert message_attack_pf(u, v) >= 1 - 1e-12
+
 
 class TestBestMessageAttack:
     def test_identity_reaches_one(self, u_identity, rng):
@@ -392,7 +450,7 @@ class TestPolarAscent:
         assert res.probability >= 0.85997
         assert res.converged
 
-    def test_stops_once_stalled(self, u_secure, u_identity):
+    def test_stops_once_settled_or_certain(self, u_secure, u_identity):
         # Without a certainty attack the ascent stops once every start has
         # settled at a fixed point of the polar map; with one it stops once it
         # is certain.
@@ -618,10 +676,10 @@ def oracle_unitaries():
 
 # Budgets over the first SQUAREM cycle (1-3 steps at one start), around 64 and
 # 128 steps at one start, then longer searches.
-CHUNK_EDGE_BUDGETS = [1, 2, 3, 63, 64, 65, 127, 128, 129, 500, 2000]
+REFERENCE_BUDGETS = [1, 2, 3, 63, 64, 65, 127, 128, 129, 500, 2000]
 
 
-@pytest.mark.parametrize("budget", CHUNK_EDGE_BUDGETS)
+@pytest.mark.parametrize("budget", REFERENCE_BUDGETS)
 def test_chunked_stop_rules_match_per_step_reference(budget):
     for u in oracle_unitaries():
         full = best_message_attack(u, budget=budget)
@@ -731,24 +789,19 @@ def same_m0_variants(m, rng):
     gives the same rays with the halves swapped.  At equal priors, swapping
     e0 with e1 (SWAP01) on either side of U only relabels the messages, and
     conj(U) conjugates every amplitude, which no probability sees."""
-    def phases():
-        return np.diag(np.exp(2j * np.pi * rng.random(4)))
-
-    def lower(r):
-        out = np.eye(4, dtype=complex)
-        out[2:, 2:] = r
-        return out
-
     def recompletion():
         r1, r2 = (lower(haar_random_unitary(2, rng)) for _ in range(2))
-        return phases() @ r1 @ m @ r2 @ phases()
+        return phases(rng) @ r1 @ m @ r2 @ phases(rng)
 
     return [halmos_dilation(m[:2, :2]), m.conj().T, recompletion(), recompletion(),
             SWAP01 @ m, m @ SWAP01, SWAP01 @ m @ SWAP01, m.conj()]
 
 
+REFLECTION_VEC = np.array([0.2, 0.2j, np.sqrt(0.92), 0])  # M0 columns swap related
+
 METAMORPHIC_TAGGINGS = {
     "secure_example": secure_example_unitary(),
+    "reflection": np.eye(4) - 2 * np.outer(REFLECTION_VEC, REFLECTION_VEC.conj()),
     **{f"haar{k}": haar_random_unitary(4, np.random.default_rng(k)) for k in range(6)},
 }
 
@@ -759,7 +812,9 @@ def test_optima_depend_only_on_m0(name):
     u = TaggingUnitary(m)
     no_message = no_message_optimal(u).probability
     substitution = best_message_attack(u, budget=12_000).probability
+    certain = perfect_message_attack(u) is not None
     for variant in map(TaggingUnitary, same_m0_variants(m, np.random.default_rng(7))):
+        assert (perfect_message_attack(variant) is not None) == certain
         assert abs(no_message_optimal(variant).probability - no_message) <= 1e-12
         assert abs(best_message_attack(variant, budget=12_000).probability
                    - substitution) <= 1e-9

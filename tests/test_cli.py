@@ -96,6 +96,21 @@ class TestValidate:
         assert report[check]["satisfied"] is False
         assert report["overall_secure"] is False
 
+    def test_loosened_phase_equiv_builds_the_attack(self, capsys, tmp_path):
+        # The M0 columns of I - 2vv† are exactly swap related, so the
+        # certainty attack is built at any phase_equiv.
+        vec = np.array([0.2, 0.2j, np.sqrt(0.92), 0])
+        path = tmp_path / "refl.json"
+        path.write_text(json.dumps(matrix_to_json(np.eye(4) - 2 * np.outer(vec, vec.conj()))))
+        code, out, _ = run_cli(
+            capsys, "validate", "--input", str(path), "--budget", "100",
+            "--tol", "phase_equiv=0.1",
+        )
+        assert code == 3
+        condition3 = json.loads(out)["report"]["condition3"]
+        assert condition3["margin"] == 0.0
+        assert condition3["details"]["perfect_attack_constructed"] is True
+
     @pytest.mark.parametrize("name", sorted(BUILTIN))
     def test_report_is_strict_json(self, capsys, name):
         def reject(constant):

@@ -12,6 +12,7 @@ from qmac.conditions import (
     row_parameters,
     validate,
 )
+from qmac.fixtures import BUILTIN
 from qmac.linalg import haar_random_unitary, halmos_dilation
 from qmac.protocol import TaggingUnitary
 
@@ -150,8 +151,6 @@ class TestCondition3:
 
     def test_failure_implies_perfect_attack(self, rng):
         # Cross-module contract on the fixture corpus plus Haar samples.
-        from qmac.fixtures import BUILTIN
-
         mats = [fn() for fn in BUILTIN.values()]
         mats += [haar_random_unitary(4, rng) for _ in range(50)]
         for m in mats:
