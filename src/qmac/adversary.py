@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import sqrt
 from typing import Optional
 
 import numpy as np
@@ -575,14 +576,21 @@ def _reuse_kernel(u: TaggingUnitary, interaction: np.ndarray, forge_bit: int):
     return maps, forge
 
 
-def _outcome_cdf(probs: np.ndarray) -> list:
-    """The CDF ``Generator.choice(4, p=probs / probs.sum())`` builds.
+def _outcome_cdf(probs: list) -> list:
+    """The CDF ``Generator.choice(4, p=probs / probs.sum())`` builds, in
+    Python floats with numpy's association: the sequential sum, the running
+    sum of p_k / total, then each entry divided by the last.
 
     ``bisect_right(cdf, rng.random())`` then draws the outcome that call
     would, from the same single uniform, at a fraction of its cost.
     """
-    cdf = np.cumsum(probs / probs.sum())
-    return (cdf / cdf[-1]).tolist()
+    p0, p1, p2, p3 = probs
+    total = p0 + p1 + p2 + p3
+    c0 = p0 / total
+    c1 = c0 + p1 / total
+    c2 = c1 + p2 / total
+    c3 = c2 + p3 / total
+    return [c0 / c3, c1 / c3, c2 / c3, c3 / c3]
 
 
 def simulate_key_reuse(
@@ -603,10 +611,12 @@ def simulate_key_reuse(
     maps of :func:`_reuse_kernel` and renormalises the key ⊗ ancilla state.
 
     That state depends only on the trial's history of (bit, outcome) pairs,
-    so each history's state, outcome CDF, key fidelity and forgery CDF are
-    worked out once per call; a trial only draws.  Each draw inverts a CDF
-    with one ``rng.random()``, as ``Generator.choice`` does, so the random
-    stream and the counts are those of sampling every trial afresh.
+    so each history's state, outcome CDFs, key fidelity and forgery CDF are
+    worked out once per call; a trial only draws.  The first trial to reach
+    a history expands it for both of Alice's bits at once.  Each draw
+    inverts a CDF with one ``rng.random()``, as ``Generator.choice`` does,
+    so the random stream and the counts are those of sampling every trial
+    afresh.
     """
     u = as_tagging_unitary(u)
     if rounds < 1:
@@ -615,45 +625,50 @@ def simulate_key_reuse(
     maps, forge = _reuse_kernel(u, interaction, forge_bit)
 
     # Keyed by the history of (bit, outcome) pairs: its normalised
-    # psi[a, b, e]; with the next bit appended, phi[k] (the state after
-    # outcome k, unnormalised) and the outcome CDF; for a history that passed
-    # every round, its key fidelity and forgery-outcome CDF.
-    states, branches, leaves = {(): _START}, {}, {}
-    accept_counts = np.zeros(rounds, dtype=int)
-    round_attempts = np.zeros(rounds, dtype=int)
+    # psi[a, b, e]; once expanded, phi[i, k] (the state after bit i and
+    # outcome k, unnormalised) and the outcome CDF of each bit; for a history
+    # that passed every round, its key fidelity and forgery-outcome CDF.
+    states, expanded, leaves = {(): _START}, {}, {}
+    accept_counts, round_attempts = [0] * rounds, [0] * rounds
     attempts = successes = 0
     fidelities = []
     for _ in range(trials):
         history = ()
         for r in range(rounds):
-            branch = history + (int(rng.integers(2)),)
-            if branch not in branches:
-                phi = (maps[branch[-1]] @ states[history][..., None])[..., 0]
-                branches[branch] = phi, _outcome_cdf((np.abs(phi) ** 2).sum(axis=(1, 2, 3)))
-            phi, cdf = branches[branch]
-            outcome = bisect_right(cdf, rng.random())
+            bit = int(rng.integers(2))
+            node = expanded.get(history)
+            if node is None:
+                phi = (maps @ states[history][..., None])[..., 0]
+                probs = (np.abs(phi) ** 2).sum(axis=(2, 3, 4)).tolist()
+                node = expanded[history] = phi, [_outcome_cdf(p) for p in probs]
+            phi, cdfs = node
+            outcome = bisect_right(cdfs[bit], rng.random())
             round_attempts[r] += 1
             if outcome > 1:
                 break
             accept_counts[r] += 1
-            history = branch + (outcome,)
+            history += (bit, outcome)
             if history not in states:
-                states[history] = phi[outcome] / np.linalg.norm(phi[outcome])
+                # Divided by np.linalg.norm's own arithmetic, without its wrapper.
+                kept = phi[bit, outcome]
+                x = kept.ravel()
+                states[history] = kept / sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
         else:
-            if history not in leaves:
+            leaf = leaves.get(history)
+            if leaf is None:
                 psi = states[history]
-                leaves[history] = (
+                leaf = leaves[history] = (
                     key_fidelity(psi.reshape(8)),
-                    _outcome_cdf(np.einsum("kbe,abe->k", forge, np.abs(psi) ** 2)),
+                    _outcome_cdf(np.einsum("kbe,abe->k", forge, np.abs(psi) ** 2).tolist()),
                 )
-            fidelity, cdf = leaves[history]
+            fidelity, cdf = leaf
             fidelities.append(fidelity)
             attempts += 1
             successes += bisect_right(cdf, rng.random()) < 2
 
     per_round = [
-        accept_counts[r] / round_attempts[r] if round_attempts[r] else float("nan")
-        for r in range(rounds)
+        accepted / reached if reached else float("nan")
+        for accepted, reached in zip(accept_counts, round_attempts)
     ]
     return KeyReuseStats(
         per_round_acceptance=per_round,

@@ -6,6 +6,7 @@ Everything operates on plain numpy complex arrays.  Matrices are row-major
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -53,7 +54,7 @@ def partial_trace(rho: np.ndarray, dims: list[int], keep) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     dims = list(dims)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("partial_trace expects a square matrix")
     if rho.shape[0] != total:
@@ -68,8 +69,8 @@ def partial_trace(rho: np.ndarray, dims: list[int], keep) -> np.ndarray:
     reshaped = rho.reshape(dims + dims)
     # Contract the traced subsystems pairwise.
     for sub in sorted(set(range(n)) - set(keep), reverse=True):
-        reshaped = np.trace(reshaped, axis1=sub, axis2=sub + reshaped.ndim // 2)
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
+        reshaped = reshaped.trace(axis1=sub, axis2=sub + reshaped.ndim // 2)
+    d_keep = math.prod(dims[k] for k in keep)
     return reshaped.reshape(d_keep, d_keep)
 
 

@@ -31,6 +31,9 @@ def singlet() -> np.ndarray:
     return psi
 
 
+_SINGLET = singlet()
+
+
 class TaggingUnitary:
     """The public 4×4 tagging operation with block/row/column accessors.
 
@@ -137,8 +140,7 @@ def key_fidelity(state: np.ndarray) -> float:
     state = np.asarray(state, dtype=complex)
     dims = (2, 2, state.size // 4)
     rho_key = partial_trace(np.outer(state, state.conj()), dims, keep={0, 1})
-    psi = singlet()
-    return float(np.real(psi.conj() @ rho_key @ psi))
+    return float(np.real(_SINGLET.conj() @ rho_key @ _SINGLET))
 
 
 def simulate_honest_batch(u, message: int, trials: int, rng: np.random.Generator):

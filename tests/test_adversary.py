@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmac import adversary
@@ -32,7 +32,7 @@ from qmac.adversary import (
 from qmac.config import DEFAULT_TOL
 from qmac.fixtures import BUILTIN, secure_example_unitary
 from qmac.linalg import haar_random_unitary, halmos_dilation, is_unitary, tensor
-from qmac.protocol import MESSAGE_BASIS, TaggingUnitary, singlet
+from qmac.protocol import MESSAGE_BASIS, TaggingUnitary, key_fidelity, singlet
 
 E = np.eye(4, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -329,10 +329,14 @@ def swap_related_tagging(moduli, angles, scale, unitary_m0, seed):
         m = np.zeros((4, 4), dtype=complex)
         m[:2, :2], m[2:, 2:] = haar_random_unitary(2, rng), haar_random_unitary(2, rng)
     else:
-        (r0, r1), p = moduli, np.exp(1j * np.asarray(angles))
+        # Bring the moduli to at most 1 first: dividing by a subnormal
+        # sigma_max would overflow.
+        moduli = np.asarray(moduli, dtype=float)
+        big = moduli.max()
+        (r0, r1), p = moduli / big if big > 0 else moduli, np.exp(1j * np.asarray(angles))
         m0 = np.array([[r0 * p[0], r1 * p[1]], [r1 * p[2], r0 * p[3]]])
         top = np.linalg.norm(m0, 2)
-        m = halmos_dilation(m0 * scale / top if top > 0 else m0)
+        m = halmos_dilation(m0 * (scale / top) if top > 0 else m0)
     r1, r2 = (lower(haar_random_unitary(2, rng)) for _ in range(2))
     return phases(rng) @ r1 @ m @ r2 @ phases(rng)
 
@@ -355,6 +359,7 @@ def lower(r):
     unitary_m0=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+@example(moduli=(0.0, 5e-324), angles=(0.0,) * 4, scale=1e-12, unitary_m0=False, seed=0)
 def test_perfect_attack_on_swap_related_draws(moduli, angles, scale, unitary_m0, seed):
     u = TaggingUnitary(swap_related_tagging(moduli, angles, scale, unitary_m0, seed))
     v = perfect_message_attack(u)
@@ -714,7 +719,7 @@ def grid_unitaries():
 
 @pytest.mark.parametrize("p0", [0.5, 0.8])
 @pytest.mark.parametrize("budget", [300, 500, 2_000, 12_000])
-def test_stall_rule_never_weaker(budget, p0):
+def test_settle_rule_never_weaker(budget, p0):
     # Against the same ascent run until its budget or another stop.
     for u in grid_unitaries():
         res = best_message_attack(u, p0=p0, p1=1 - p0, budget=budget)
@@ -1052,6 +1057,78 @@ def test_key_reuse_zero_probability_branches(name, eve, forge_bit):
     assert (stats.forgery_attempts, stats.forgery_successes) == (attempts, successes)
     assert stats.per_round_acceptance == [1.0, 1.0, 1.0]
     assert stats.final_key_fidelity == fidelity
+
+
+def reference_key_reuse(u, rounds, w, rng, trials, forge_bit):
+    """simulate_key_reuse with no caching: each trial runs afresh from
+    _START through _reuse_kernel's maps and draws with Generator.choice.
+    Returns the forgery counts, per-round acceptance and final key fidelity,
+    with None for NaN."""
+    u = TaggingUnitary(u)
+    maps, forge = adversary._reuse_kernel(u, w, forge_bit)
+    accepted, reached = [0] * rounds, [0] * rounds
+    successes, fidelities = 0, []
+    for _ in range(trials):
+        psi = adversary._START
+        for r in range(rounds):
+            phi = (maps[int(rng.integers(2))] @ psi[..., None])[..., 0]
+            probs = (np.abs(phi) ** 2).sum(axis=(1, 2, 3))
+            outcome = rng.choice(4, p=probs / probs.sum())
+            reached[r] += 1
+            if outcome > 1:
+                break
+            accepted[r] += 1
+            psi = phi[outcome] / np.linalg.norm(phi[outcome])
+        else:
+            fidelities.append(key_fidelity(psi.reshape(8)))
+            probs = np.einsum("kbe,abe->k", forge, np.abs(psi) ** 2)
+            successes += int(rng.choice(4, p=probs / probs.sum()) < 2)
+    acceptance = [a / n if n else None for a, n in zip(accepted, reached)]
+    fidelity = float(np.mean(fidelities)) if fidelities else None
+    return len(fidelities), successes, acceptance, fidelity
+
+
+def sampler_summary(stats):
+    def plain(x):
+        return None if np.isnan(x) else x
+
+    return (stats.forgery_attempts, stats.forgery_successes,
+            [plain(a) for a in stats.per_round_acceptance], plain(stats.final_key_fidelity))
+
+
+@pytest.mark.parametrize("forge_bit", [0, 1])
+def test_key_reuse_sampler_equals_uncached_reference(forge_bit):
+    # The same random stream as sampling every trial afresh, so the counts,
+    # the per-round acceptance and the fidelity are equal, not just close.
+    rng = np.random.default_rng(31)
+    taggings = [BUILTIN[name]() for name in ("identity", "x_block", "secure_example")]
+    taggings += [haar_random_unitary(4, rng) for _ in range(2)]
+    cases = [(u, haar_random_unitary(8, rng), rounds, int(rng.integers(2**31)))
+             for u in taggings for rounds in (1, 2, 3, 4)]
+    # The interactions that leave outcomes of probability zero.
+    cases += [(BUILTIN[name](), tensor(eve, np.eye(2)), 3, 5)
+              for name in ("identity", "x_block") for eve in (E, SWAP01)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u, w, rounds, seed in cases:
+            stats = simulate_key_reuse(u, rounds, w, np.random.default_rng(seed),
+                                       trials=100, forge_bit=forge_bit)
+            ref = reference_key_reuse(u, rounds, w, np.random.default_rng(seed),
+                                      100, forge_bit)
+            assert sampler_summary(stats) == ref
+
+
+probability_entries = st.one_of(
+    st.just(0.0), st.floats(0, 1e-300), st.floats(0, 1), st.floats(0, 1e300)
+)
+
+
+@given(st.lists(probability_entries, min_size=4, max_size=4).filter(any))
+def test_outcome_cdf_is_generator_choice_cdf(probs):
+    p = np.array(probs)
+    cdf = np.cumsum(p / p.sum())
+    want = (cdf / cdf[-1]).tolist()
+    assert [x.hex() for x in adversary._outcome_cdf(probs)] == [x.hex() for x in want]
 
 
 class TestKeyReuseJson:
