@@ -20,7 +20,6 @@ from .linalg import (
     dagger,
     haar_random_unitary,
     is_unitary,
-    matrix_to_json,
     tensor,
 )
 from .protocol import (
@@ -59,17 +58,6 @@ class AttackResult:
     # certain, stop_at or budget (a start still stepping took its share).
     stop: Optional[str] = None
 
-    def to_json(self) -> dict:
-        return {
-            "probability": self.probability,
-            "method": self.method,
-            "strategy": matrix_to_json(self.strategy),
-            "budget": self.budget,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "stop": self.stop,
-        }
-
 
 # --- no-message attack -------------------------------------------------------
 
@@ -98,7 +86,7 @@ def no_message_pf_batch(u, states: np.ndarray) -> np.ndarray:
 def row_parameters(u) -> tuple:
     """(x, y, z) from the first-block rows of the tagging unitary."""
     u = as_tagging_unitary(u)
-    r0, r1 = u.row(0, 0), u.row(0, 1)
+    r0, r1 = u.m0
     x = float(np.linalg.norm(r0) ** 2 - np.linalg.norm(r1) ** 2)
     y = float(2 * abs(r1 @ r0.conj()))
     z = float(np.linalg.norm(r1) ** 2)
@@ -125,7 +113,8 @@ def no_message_pf_restricted(u, abs_e0: float, theta: float) -> float:
 def eve_state_from_restricted(u, abs_e0: float, theta: float) -> np.ndarray:
     """Explicit injected state realizing the restricted parameters."""
     u = as_tagging_unitary(u)
-    g = u.row(0, 0) @ u.row(0, 1).conj()  # cross-row coupling, phase matters
+    r0, r1 = u.m0
+    g = r0 @ r1.conj()  # cross-row coupling, phase matters
     phase = theta - np.angle(g) if abs(g) > 0 else theta
     e1 = np.sqrt(max(0.0, 1 - abs_e0**2)) * np.exp(1j * phase)
     return np.array([abs_e0, e1, 0, 0], dtype=complex)
@@ -148,7 +137,7 @@ def no_message_optimal(u) -> AttackResult:
     singular pair M0 v = s0 a.
     """
     u = as_tagging_unitary(u)
-    left, s, right = np.linalg.svd(u.block(0))
+    left, s, right = np.linalg.svd(u.m0)
     eve = u.u[:, :2] @ right[0].conj()
     eve[:2] += left[:, 0]
     return AttackResult(
@@ -266,7 +255,7 @@ def swap_mismatch(u) -> float:
     :func:`perfect_message_attack`).
     """
     u = as_tagging_unitary(u)
-    c0, c1 = u.col(0, 0), u.col(0, 1)
+    c0, c1 = u.m0.T
     return float(max(abs(abs(c0[0]) - abs(c1[1])), abs(abs(c0[1]) - abs(c1[0]))))
 
 
@@ -289,7 +278,7 @@ def perfect_message_attack(u) -> Optional[np.ndarray]:
     u = as_tagging_unitary(u)
     if swap_mismatch(u) > u.tol.phase_equiv:
         return None
-    (m00, m01), (m10, m11) = u.block(0)
+    (m00, m01), (m10, m11) = u.m0
     theta1, theta3 = np.angle(m00 * np.conj(m11)), np.angle(m01 * np.conj(m10))
     _, _, polar = _substitution_objective(u, 0.5, 0.5)
     v = polar(np.exp(1j * np.array([[0, theta1, theta1 + theta3, theta3]])))[0]
@@ -465,12 +454,6 @@ class KeyDistinguishabilityReport:
     distinguishable: bool
     gram: np.ndarray  # <phi_i|U|phi_j> for i, j in {0, 1}
 
-    def to_json(self) -> dict:
-        return {
-            "distinguishable": self.distinguishable,
-            "gram": matrix_to_json(self.gram),
-        }
-
 
 def key_distinguishability(u) -> KeyDistinguishabilityReport:
     """Can Eve perfectly identify which channel branch occurred?
@@ -479,7 +462,7 @@ def key_distinguishability(u) -> KeyDistinguishabilityReport:
     block vanishes.
     """
     u = as_tagging_unitary(u)
-    gram = u.block(0).copy()
+    gram = u.m0.copy()
     return KeyDistinguishabilityReport(
         distinguishable=bool(np.abs(gram).max() <= u.tol.strict), gram=gram
     )
@@ -492,13 +475,6 @@ class KeyReuseFeasibilityReport:
     ruled_out: bool
     witness: Optional[int]  # message index with <phi_i|U|phi_i> != 0
     diagonal_overlaps: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "ruled_out": self.ruled_out,
-            "witness": self.witness,
-            "diagonal_overlaps": list(self.diagonal_overlaps),
-        }
 
 
 def key_reuse_feasibility(u) -> KeyReuseFeasibilityReport:

@@ -8,6 +8,7 @@ reports; stderr is for humans only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -98,8 +99,22 @@ def _report_header(args, tol, mat) -> dict:
     }
 
 
+def _json_default(obj):
+    """How ``json.dumps`` renders what it cannot: a matrix as matrix JSON, a
+    result with its own ``to_json()`` by that, any other dataclass as its
+    fields."""
+    if isinstance(obj, np.ndarray):
+        return matrix_to_json(obj)
+    if hasattr(obj, "to_json"):
+        return obj.to_json()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, out_path, records: str = ""):
-    """Write ``json.dumps(report, sort_keys=True, indent=2)`` and a newline.
+    """Write ``json.dumps(report, sort_keys=True, indent=2)`` and a newline,
+    rendering result objects and matrices by :func:`_json_default`.
 
     ``records``, when not empty, is the rendered body of the report's
     top-level ``records`` list (items indented four spaces, joined by
@@ -107,7 +122,7 @@ def _emit(report: dict, out_path, records: str = ""):
     simulate renders each of its few distinct records once and joins them
     per trial, since the indenting encoder is pure Python.
     """
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default)
     parts = [text, "\n"]
     if records:
         head, tail = text.split('\n  "records": []', 1)
@@ -123,7 +138,7 @@ def cmd_validate(args, tol) -> int:
     u = _load_unitary(args.input, tol)
     report = validate(u, attack_budget=args.budget, seed=args.seed)
     body = _report_header(args, tol, u.u)
-    body["report"] = report.to_json()
+    body["report"] = report
     _emit(body, args.out)
     return EXIT_OK if report.overall_secure else EXIT_INSECURE
 
@@ -177,18 +192,18 @@ def cmd_attack(args, tol) -> int:
     body = _report_header(args, tol, u.u)
     body["attacks"] = {
         "no_message": {
-            **opt.to_json(),
+            **vars(opt),
             "monte_carlo_frequency": nm_freq,
             "monte_carlo_delta": nm_freq - opt.probability,
         },
         "message": {
-            **search.to_json(),
+            **vars(search),
             "priors": [p0, p1],
             "monte_carlo_frequency": msg_freq,
             "monte_carlo_delta": msg_freq - search.probability,
         },
-        "key_distinguishing": dist.to_json(),
-        "key_reuse": reuse.to_json(),
+        "key_distinguishing": dist,
+        "key_reuse": reuse,
     }
     body["trials"] = args.trials
     _emit(body, args.out)
@@ -215,7 +230,7 @@ def cmd_optimize(args, tol) -> int:
                     + "\n"
                 )
     body = _report_header(args, tol, result.unitary)
-    body["result"] = result.to_json()
+    body["result"] = result
     _emit(body, args.out)
     return EXIT_OK
 
@@ -227,13 +242,13 @@ def cmd_demo(args, tol) -> int:
     pf_nm = report.advisory["no_message_pf_optimal"]
     pf_msg = report.advisory["message_attack_pf_best"]
     body = _report_header(args, tol, u.u)
-    body["unitary"] = matrix_to_json(u.u)
-    body["report"] = report.to_json()
+    body["unitary"] = u.u
+    body["report"] = report
     body["attacks"] = {
         "no_message_optimal": pf_nm,
         "message_attack_best": pf_msg,
-        "key_distinguishing": key_distinguishability(u).to_json(),
-        "key_reuse": key_reuse_feasibility(u).to_json(),
+        "key_distinguishing": key_distinguishability(u),
+        "key_reuse": key_reuse_feasibility(u),
     }
     _emit(body, args.out)
     print(

@@ -43,22 +43,15 @@ class ConditionCheck:
     applies: bool = True
     details: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "satisfied": self.satisfied,
-            "applies": self.applies,
-            "margin": self.margin,
-            "details": self.details,
-        }
-
 
 def check_case1(u) -> ConditionCheck:
     """Non-overlapping rows: both M0 row norms must stay strictly below 1."""
     u = as_tagging_unitary(u)
     x, y, z = row_parameters(u)
     applies = y <= u.tol.strict
-    n0sq = float(np.linalg.norm(u.row(0, 0)) ** 2)
-    n1sq = float(np.linalg.norm(u.row(0, 1)) ** 2)
+    r0, r1 = u.m0
+    n0sq = float(np.linalg.norm(r0) ** 2)
+    n1sq = float(np.linalg.norm(r1) ** 2)
     margin = min(1 - n0sq, 1 - n1sq)
     return ConditionCheck(
         satisfied=applies and margin > u.tol.strict,
@@ -86,7 +79,7 @@ def check_case2(u) -> ConditionCheck:
             satisfied=False, margin=None, applies=False, details={"y": y}
         )
     lhs = ec_gorda_lhs(x, y, z)
-    sigma_max_sq = float(np.linalg.norm(u.block(0), 2) ** 2)
+    sigma_max_sq = float(np.linalg.norm(u.m0, 2) ** 2)
     satisfied = lhs < 1 - u.tol.strict
     return ConditionCheck(
         satisfied=satisfied,
@@ -152,16 +145,6 @@ class ConditionReport:
     condition4: ConditionCheck
     overall_secure: bool
     advisory: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "case1": self.case1.to_json(),
-            "case2": self.case2.to_json(),
-            "condition3": self.condition3.to_json(),
-            "condition4": self.condition4.to_json(),
-            "overall_secure": self.overall_secure,
-            "advisory": self.advisory,
-        }
 
 
 def validate(

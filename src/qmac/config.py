@@ -18,7 +18,9 @@ class Tolerances:
         conditions (a quantity is "strictly less than c" iff < c - strict).
     phase_equiv : threshold of the M0 column swap test (condition 3).
 
-    Each must be finite and >= 0.
+    Each must be finite and >= 0, and ``unitary`` below 1: a matrix with a
+    zero column puts -1 on the diagonal of ``U†U - I``, so below 1 it can
+    never pass as unitary.
 
     A :class:`~qmac.protocol.TaggingUnitary` carries the tolerances it was
     built with; every check on it reads them from there.
@@ -32,6 +34,8 @@ class Tolerances:
         for name, value in self.as_dict().items():
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"tolerance {name!r} must be finite and >= 0, got {value!r}")
+        if self.unitary >= 1:
+            raise ValueError(f"tolerance 'unitary' must be below 1, got {self.unitary!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)

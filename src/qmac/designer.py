@@ -15,7 +15,7 @@ import numpy as np
 from .adversary import best_message_attack, no_message_optimal
 from .conditions import validate
 from .config import DEFAULT_TOL, Tolerances
-from .linalg import haar_random_unitary, halmos_dilation, matrix_to_json
+from .linalg import haar_random_unitary, halmos_dilation
 from .protocol import TaggingUnitary, as_tagging_unitary
 
 INSECURE = float("inf")
@@ -75,9 +75,10 @@ class DesignResult:
     trace: list = field(default_factory=list)  # (restart, iter, score) tuples
 
     def to_json(self) -> dict:
+        """The trace's length stands in for the trace."""
         return {
-            "unitary": matrix_to_json(self.unitary),
-            "score": self.score.to_json(),
+            "unitary": self.unitary,
+            "score": self.score,
             "trace_length": len(self.trace),
         }
 
@@ -127,7 +128,7 @@ def optimize(
     for restart in range(restarts):
         for draw in range(_DRAWS):
             if draw == 0 and restart == 0 and warm is not None:
-                m0 = warm.block(0)
+                m0 = warm.m0
             else:
                 m0 = haar_random_unitary(4, rng)[:2, :2]
             sc = evaluate(m0, seed=restart)

@@ -35,12 +35,10 @@ _SINGLET = singlet()
 
 
 class TaggingUnitary:
-    """The public 4×4 tagging operation with block/row/column accessors.
+    """The public 4×4 tagging operation and its top-left block M0.
 
-    Blocks are numbered row-major: block 0 = top-left, 1 = top-right,
-    2 = bottom-left, 3 = bottom-right.  ``row(i, j)`` is row j of block i;
-    ``col(i, j)`` is column j of block i.  ``tol`` is the
-    :class:`~qmac.config.Tolerances` in force for every check on it.
+    ``tol`` is the :class:`~qmac.config.Tolerances` in force for every
+    check on it.
     """
 
     def __init__(self, u: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -63,19 +61,11 @@ class TaggingUnitary:
     def u(self) -> np.ndarray:
         return self._u
 
-    def block(self, i: int) -> np.ndarray:
-        if i not in (0, 1, 2, 3):
-            raise ValueError("block index must be 0..3")
-        r, c = divmod(i, 2)
-        return self._u[2 * r:2 * r + 2, 2 * c:2 * c + 2]
-
-    def row(self, i: int, j: int) -> np.ndarray:
-        """Row j of the 2x2 block i."""
-        return self.block(i)[j, :]
-
-    def col(self, i: int, j: int) -> np.ndarray:
-        """Column j of block i."""
-        return self.block(i)[:, j]
+    @property
+    def m0(self) -> np.ndarray:
+        """M0 = U[:2, :2], <phi_i|U|phi_j> for i, j in {0, 1}: the block
+        every attack sees the tagging through (read-only view)."""
+        return self._u[:2, :2]
 
 
 def as_tagging_unitary(u, tol: Tolerances = DEFAULT_TOL) -> TaggingUnitary:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmac import adversary
+from qmac import adversary, cli
 from qmac.adversary import (
     AttackResult,
     best_message_attack,
@@ -131,7 +131,7 @@ class TestRestrictedForm:
         for _ in range(50):
             u = TaggingUnitary(haar_random_unitary(4, rng))
             x, y, _ = row_parameters(u)
-            optimum = (1 + np.linalg.norm(u.block(0), 2) ** 2) / 2
+            optimum = (1 + np.linalg.norm(u.m0, 2) ** 2) / 2
             e0 = np.sqrt((1 + x / np.hypot(x, y)) / 2)
             assert no_message_pf_restricted(u, e0, 0.0) == pytest.approx(optimum, abs=1e-12)
             assert max(no_message_pf_restricted(u, a, th)
@@ -294,7 +294,7 @@ class TestPerfectMessageAttack:
             bottom *= np.sqrt(1 - 2 * abs(top[0]) ** 2) / np.linalg.norm(bottom)
             vec = np.concatenate([top, bottom])
             u = TaggingUnitary(np.eye(4) - 2 * np.outer(vec, vec.conj()))
-            assert np.linalg.matrix_rank(u.block(2), tol=1e-9) <= 1
+            assert np.linalg.matrix_rank(u.u[2:, :2], tol=1e-9) <= 1
             v = perfect_message_attack(u)
             assert v is not None
             assert message_attack_pf(u, v) == pytest.approx(1.0, abs=1e-12)
@@ -511,7 +511,7 @@ class TestPolarAscent:
         half = best_message_attack(u_secure, budget=30).probability
         cut = best_message_attack(u_secure, budget=2_000, stop_at=half)
         assert cut.stop == "stop_at"
-        assert cut.to_json()["stop"] == "stop_at"
+        assert json.loads(json.dumps(cut, default=cli._json_default))["stop"] == "stop_at"
 
     @pytest.mark.parametrize("budget", [300, 500, 2_000])
     def test_no_polar_step_past_the_stop(self, budget, monkeypatch):
@@ -742,7 +742,7 @@ def test_retiring_settled_starts_never_weaker():
 
 @pytest.mark.parametrize("p0", [0.5, 0.8, 1.0])
 @pytest.mark.parametrize("budget", [300, 2_000])
-def test_fixed_point_stop_dominates_window(budget, p0):
+def test_fixed_point_stop_never_weaker_than_full_cycles(budget, p0):
     # The fixed-point stop fires only where the search has nothing left to
     # gain beyond rounding: against the same cycles run to the budget.
     for u in ascent_unitaries():

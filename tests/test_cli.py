@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,17 @@ from qmac import cli
 from qmac.cli import main
 from qmac.config import DEFAULT_TOL
 from qmac.fixtures import BUILTIN, secure_example_unitary
-from qmac.linalg import halmos_dilation, matrix_to_json
+from qmac.adversary import (
+    AttackResult,
+    KeyDistinguishabilityReport,
+    KeyReuseFeasibilityReport,
+    best_message_attack,
+    key_distinguishability,
+    key_reuse_feasibility,
+)
+from qmac.conditions import ConditionCheck, ConditionReport, validate
+from qmac.designer import optimize
+from qmac.linalg import halmos_dilation, matrix_from_json, matrix_to_json
 from qmac.protocol import TaggingUnitary, simulate_honest_batch
 
 
@@ -142,6 +153,20 @@ class TestValidate:
         )
         assert code == 2 and out == ""
         assert "must be finite and >= 0" in err and override.split("=")[0] in err
+
+
+    @pytest.mark.parametrize("command", ["validate", "attack"])
+    @pytest.mark.parametrize("value", ["1.0", "1.5"])
+    def test_zero_matrix_under_loose_unitary_tolerance_exit_two(
+        self, capsys, tmp_path, command, value
+    ):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(matrix_to_json(np.zeros((4, 4)))))
+        code, out, err = run_cli(
+            capsys, command, "--input", str(path), "--tol", f"unitary={value}"
+        )
+        assert code == 2 and out == ""
+        assert "'unitary' must be below 1" in err
 
 
 class TestSimulate:
@@ -413,3 +438,54 @@ def test_shared_parser_carries_no_state(capsys):
     assert fresh.stdout == out.encode()
     info = cli._parser.cache_info()
     assert (info.misses, info.hits) == (1, 3)
+
+
+class TestReportRendering:
+    """``cli._json_default``: the one rule by which reports render results."""
+
+    @staticmethod
+    def render(obj):
+        return json.loads(json.dumps(obj, default=cli._json_default, allow_nan=False))
+
+    @pytest.fixture
+    def results(self):
+        u = TaggingUnitary(secure_example_unitary())
+        return {
+            AttackResult: best_message_attack(u, budget=300),
+            KeyDistinguishabilityReport: key_distinguishability(u),
+            KeyReuseFeasibilityReport: key_reuse_feasibility(u),
+            ConditionReport: validate(u, attack_budget=300),
+        }
+
+    def test_keys_are_the_dataclass_fields(self, results):
+        report = results[ConditionReport]
+        for obj in [*results.values(), report.case1, report.case2]:
+            assert not hasattr(obj, "to_json")
+            names = {f.name for f in dataclasses.fields(obj)}
+            assert set(self.render(obj)) == names, type(obj).__name__
+
+    def test_matrices_round_trip(self, results):
+        attack, dist = results[AttackResult], results[KeyDistinguishabilityReport]
+        strategy = matrix_from_json(self.render(attack)["strategy"])
+        assert np.array_equal(strategy, attack.strategy)
+        assert np.array_equal(matrix_from_json(self.render(dist)["gram"]), dist.gram)
+
+    def test_nested_dataclasses_render_by_the_same_rule(self, results):
+        report = results[ConditionReport]
+        body = self.render(report)
+        for name in ("case1", "case2", "condition3", "condition4"):
+            assert body[name] == self.render(getattr(report, name))
+        check = ConditionCheck(satisfied=True, margin=0.5, details={"inner": report.case2})
+        assert self.render(check)["details"]["inner"] == body["case2"]
+
+    def test_own_to_json_wins(self):
+        result = optimize(restarts=1, budget=50, rng=np.random.default_rng(0))
+        body = self.render(result)
+        assert set(body) == {"unitary", "score", "trace_length"}
+        assert body["score"] == result.score.to_json()
+        assert np.array_equal(matrix_from_json(body["unitary"]), result.unitary)
+
+    @pytest.mark.parametrize("obj", [object(), {1, 2}], ids=["object", "set"])
+    def test_anything_else_is_a_type_error(self, obj):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json.dumps({"x": obj}, default=cli._json_default)

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from qmac import cli
 from qmac.adversary import key_distinguishability, no_message_optimal, perfect_message_attack
 from qmac.config import DEFAULT_TOL
 from qmac.conditions import (
@@ -99,7 +102,7 @@ class TestCases:
             c = check_case2(u)
             x, y, z = row_parameters(u)
             s2 = c.details["sigma_max_sq"]
-            assert s2 == pytest.approx(np.linalg.svd(u.block(0))[1][0] ** 2, abs=1e-12)
+            assert s2 == pytest.approx(np.linalg.svd(u.m0)[1][0] ** 2, abs=1e-12)
             root = np.sqrt(1 + (x / y) ** 2)
             corrected = 0.5 * x * (1 + x / y / root) + 0.5 * y / root + z
             assert s2 == pytest.approx(corrected, abs=1e-12)
@@ -232,7 +235,8 @@ class TestValidate:
             validate(np.diag([1, 1, 1, 2.0]), include_attacks=False)
 
     def test_report_json_shape(self, u_secure):
-        body = validate(u_secure, include_attacks=False).to_json()
+        report = validate(u_secure, include_attacks=False)
+        body = json.loads(json.dumps(report, default=cli._json_default))
         assert body["overall_secure"] is True
         for key in ("case1", "case2", "condition3", "condition4"):
             assert "satisfied" in body[key] and "margin" in body[key]

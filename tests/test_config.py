@@ -15,3 +15,14 @@ def test_bad_value_rejected(make, name):
 
 def test_zero_is_allowed():
     assert Tolerances(unitary=0, strict=0, phase_equiv=0).strict == 0
+
+
+@pytest.mark.parametrize("value", [1, 1.0, 1.5])
+def test_unitary_tolerance_capped_below_one(value):
+    # At 1 or more a matrix with a zero column would pass as unitary.
+    with pytest.raises(ValueError, match="tolerance 'unitary' must be below 1"):
+        Tolerances(unitary=value)
+
+
+def test_unitary_tolerance_just_below_one_is_allowed():
+    assert DEFAULT_TOL.override(unitary=0.999).unitary == 0.999

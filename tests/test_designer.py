@@ -117,7 +117,7 @@ class TestOptimize:
 
         monkeypatch.setattr(designer, "halmos_dilation", spy)
         result = optimize(restarts=1, budget=100, rng=np.random.default_rng(12),
-                          tol=DEFAULT_TOL.override(unitary=1))
+                          tol=DEFAULT_TOL.override(unitary=0.5))
         assert max(sigma_max) > 1  # such a move was tried
         ok, dev = is_unitary(result.unitary, 1e-12)
         assert ok, dev

@@ -37,13 +37,12 @@ class TestSinglet:
 class TestTaggingUnitary:
     def test_accessors_agree_with_entries(self, rng):
         u = TaggingUnitary(haar_random_unitary(4, rng))
-        for i in range(4):
-            r, c = divmod(i, 2)
-            blk = u.u[2 * r:2 * r + 2, 2 * c:2 * c + 2]
-            assert np.array_equal(u.block(i), blk)
+        assert u.m0.shape == (2, 2)
+        for i in range(2):
             for j in range(2):
-                assert np.array_equal(u.row(i, j), blk[j, :])
-                assert np.array_equal(u.col(i, j), blk[:, j])
+                assert u.m0[i, j] == u.u[i, j]
+        with pytest.raises(ValueError):
+            u.m0[0, 0] = 0
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
