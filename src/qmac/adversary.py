@@ -587,12 +587,11 @@ def simulate_key_reuse(
     maps of :func:`_reuse_kernel` and renormalises the key ⊗ ancilla state.
 
     That state depends only on the trial's history of (bit, outcome) pairs,
-    so each history's state, outcome CDFs, key fidelity and forgery CDF are
-    worked out once per call; a trial only draws.  The first trial to reach
-    a history expands it for both of Alice's bits at once.  Each draw
-    inverts a CDF with one ``rng.random()``, as ``Generator.choice`` does,
-    so the random stream and the counts are those of sampling every trial
-    afresh.
+    so each history is one node, built from its normalised state when a
+    trial first reaches it; a trial only looks nodes up and draws.  Each
+    draw inverts a CDF with one ``rng.random()``, as ``Generator.choice``
+    does, so the random stream and the counts are those of sampling every
+    trial afresh.
     """
     u = as_tagging_unitary(u)
     if rounds < 1:
@@ -600,46 +599,41 @@ def simulate_key_reuse(
     _check_trials(trials)
     maps, forge = _reuse_kernel(u, interaction, forge_bit)
 
-    # Keyed by the history of (bit, outcome) pairs: its normalised
-    # psi[a, b, e]; once expanded, phi[i, k] (the state after bit i and
-    # outcome k, unnormalised) and the outcome CDF of each bit; for a history
-    # that passed every round, its key fidelity and forgery-outcome CDF.
-    states, expanded, leaves = {(): _START}, {}, {}
+    def node(psi, completed):
+        """A completed history's key fidelity and forgery-outcome CDF; any
+        other's phi[i, k] (the state after bit i and outcome k, unnormalised)
+        and the outcome CDF of each bit."""
+        if completed:
+            probs = np.einsum("kbe,abe->k", forge, np.abs(psi) ** 2).tolist()
+            return key_fidelity(psi.reshape(8)), _outcome_cdf(probs)
+        phi = (maps @ psi[..., None])[..., 0]
+        probs = (np.abs(phi) ** 2).sum(axis=(2, 3, 4)).tolist()
+        return phi, [_outcome_cdf(p) for p in probs]
+
+    nodes = {(): node(_START, False)}  # keyed by the history of (bit, outcome) pairs
     accept_counts, round_attempts = [0] * rounds, [0] * rounds
-    attempts = successes = 0
+    successes = 0
     fidelities = []
     for _ in range(trials):
         history = ()
         for r in range(rounds):
             bit = int(rng.integers(2))
-            node = expanded.get(history)
-            if node is None:
-                phi = (maps @ states[history][..., None])[..., 0]
-                probs = (np.abs(phi) ** 2).sum(axis=(2, 3, 4)).tolist()
-                node = expanded[history] = phi, [_outcome_cdf(p) for p in probs]
-            phi, cdfs = node
+            phi, cdfs = nodes[history]
             outcome = bisect_right(cdfs[bit], rng.random())
             round_attempts[r] += 1
             if outcome > 1:
                 break
             accept_counts[r] += 1
             history += (bit, outcome)
-            if history not in states:
+            if history not in nodes:
                 # Divided by np.linalg.norm's own arithmetic, without its wrapper.
                 kept = phi[bit, outcome]
                 x = kept.ravel()
-                states[history] = kept / sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+                psi = kept / sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+                nodes[history] = node(psi, r + 1 == rounds)
         else:
-            leaf = leaves.get(history)
-            if leaf is None:
-                psi = states[history]
-                leaf = leaves[history] = (
-                    key_fidelity(psi.reshape(8)),
-                    _outcome_cdf(np.einsum("kbe,abe->k", forge, np.abs(psi) ** 2).tolist()),
-                )
-            fidelity, cdf = leaf
+            fidelity, cdf = nodes[history]
             fidelities.append(fidelity)
-            attempts += 1
             successes += bisect_right(cdf, rng.random()) < 2
 
     per_round = [
@@ -649,7 +643,7 @@ def simulate_key_reuse(
     return KeyReuseStats(
         per_round_acceptance=per_round,
         final_key_fidelity=float(np.mean(fidelities)) if fidelities else float("nan"),
-        forgery_attempts=attempts,
+        forgery_attempts=len(fidelities),
         forgery_successes=successes,
     )
 

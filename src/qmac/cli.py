@@ -45,7 +45,10 @@ def _parse_tol_overrides(pairs):
             raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
         if name not in DEFAULT_TOL.as_dict():
             raise ValueError(f"unknown tolerance {name!r}")
-        overrides[name] = float(value)
+        try:
+            overrides[name] = float(value)
+        except ValueError:
+            raise ValueError(f"--tol {name} expects a number, got {value!r}") from None
     return overrides
 
 

@@ -124,7 +124,7 @@ def optimize(
         )
 
     trace = []
-    best: Optional[tuple] = None  # (score value, restart idx, M0, SecurityScore)
+    best: Optional[tuple] = None  # (M0, SecurityScore)
     for restart in range(restarts):
         for draw in range(_DRAWS):
             if draw == 0 and restart == 0 and warm is not None:
@@ -159,10 +159,10 @@ def optimize(
                     break
             if not improved:
                 step *= 0.5
-        if best is None or sc.score < best[0] - 1e-15:
-            best = (sc.score, restart, m0, sc)
+        if best is None or sc.score < best[1].score - 1e-15:
+            best = (m0, sc)
 
     if best is None:
         raise RuntimeError("no secure candidate found; increase restarts")
-    _, _, m0, sc = best
+    m0, sc = best
     return DesignResult(unitary=halmos_dilation(m0), score=sc, trace=trace)

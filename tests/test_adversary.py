@@ -685,7 +685,7 @@ REFERENCE_BUDGETS = [1, 2, 3, 63, 64, 65, 127, 128, 129, 500, 2000]
 
 
 @pytest.mark.parametrize("budget", REFERENCE_BUDGETS)
-def test_chunked_stop_rules_match_per_step_reference(budget):
+def test_stop_rules_match_per_step_reference(budget):
     for u in oracle_unitaries():
         full = best_message_attack(u, budget=budget)
         limits = [np.inf, full.probability, np.nextafter(full.probability, np.inf),
@@ -1063,15 +1063,18 @@ def reference_key_reuse(u, rounds, w, rng, trials, forge_bit):
     """simulate_key_reuse with no caching: each trial runs afresh from
     _START through _reuse_kernel's maps and draws with Generator.choice.
     Returns the forgery counts, per-round acceptance and final key fidelity,
-    with None for NaN."""
+    with None for NaN, and the set of (bit, outcome) histories the trials
+    reached, the empty one included."""
     u = TaggingUnitary(u)
     maps, forge = adversary._reuse_kernel(u, w, forge_bit)
     accepted, reached = [0] * rounds, [0] * rounds
     successes, fidelities = 0, []
+    visited = {()}
     for _ in range(trials):
-        psi = adversary._START
+        psi, history = adversary._START, ()
         for r in range(rounds):
-            phi = (maps[int(rng.integers(2))] @ psi[..., None])[..., 0]
+            bit = int(rng.integers(2))
+            phi = (maps[bit] @ psi[..., None])[..., 0]
             probs = (np.abs(phi) ** 2).sum(axis=(1, 2, 3))
             outcome = rng.choice(4, p=probs / probs.sum())
             reached[r] += 1
@@ -1079,13 +1082,15 @@ def reference_key_reuse(u, rounds, w, rng, trials, forge_bit):
                 break
             accepted[r] += 1
             psi = phi[outcome] / np.linalg.norm(phi[outcome])
+            history += (bit, int(outcome))
+            visited.add(history)
         else:
             fidelities.append(key_fidelity(psi.reshape(8)))
             probs = np.einsum("kbe,abe->k", forge, np.abs(psi) ** 2)
             successes += int(rng.choice(4, p=probs / probs.sum()) < 2)
     acceptance = [a / n if n else None for a, n in zip(accepted, reached)]
     fidelity = float(np.mean(fidelities)) if fidelities else None
-    return len(fidelities), successes, acceptance, fidelity
+    return (len(fidelities), successes, acceptance, fidelity), visited
 
 
 def sampler_summary(stats):
@@ -1113,9 +1118,44 @@ def test_key_reuse_sampler_equals_uncached_reference(forge_bit):
         for u, w, rounds, seed in cases:
             stats = simulate_key_reuse(u, rounds, w, np.random.default_rng(seed),
                                        trials=100, forge_bit=forge_bit)
-            ref = reference_key_reuse(u, rounds, w, np.random.default_rng(seed),
-                                      100, forge_bit)
+            ref, _ = reference_key_reuse(u, rounds, w, np.random.default_rng(seed),
+                                         100, forge_bit)
             assert sampler_summary(stats) == ref
+
+
+@pytest.mark.parametrize("forge_bit", [0, 1])
+@pytest.mark.parametrize("case", ["haar", "zero_branch"])
+def test_key_reuse_builds_each_reached_node_once(monkeypatch, case, forge_bit):
+    # One node per history a trial reached, each built once: a completed
+    # history costs one key fidelity and one forgery CDF, any other history
+    # one outcome CDF per honest bit.
+    rounds, seed = 3, 7
+    if case == "haar":
+        u = secure_example_unitary()
+        w = haar_random_unitary(8, np.random.default_rng(seed))
+    else:
+        u, w = BUILTIN["x_block"](), tensor(SWAP01, np.eye(2))
+    _, visited = reference_key_reuse(u, rounds, w, np.random.default_rng(seed), 100, forge_bit)
+    completed = sum(len(h) == 2 * rounds for h in visited)
+    calls = {"key_fidelity": 0, "_outcome_cdf": 0}
+
+    def counted(name):
+        real = getattr(adversary, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(adversary, name, counted(name))
+    simulate_key_reuse(u, rounds, w, np.random.default_rng(seed), trials=100,
+                       forge_bit=forge_bit)
+    assert completed > 1
+    assert calls == {
+        "key_fidelity": completed,
+        "_outcome_cdf": 2 * (len(visited) - completed) + completed,
+    }
 
 
 probability_entries = st.one_of(

@@ -154,6 +154,13 @@ class TestValidate:
         assert code == 2 and out == ""
         assert "must be finite and >= 0" in err and override.split("=")[0] in err
 
+    @pytest.mark.parametrize("value", ["abc", ""])
+    def test_non_numeric_tolerance_names_the_flag(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "validate", "--input", "secure_example", "--tol", f"strict={value}"
+        )
+        assert code == 2 and out == ""
+        assert f"--tol strict expects a number, got {value!r}" in err
 
     @pytest.mark.parametrize("command", ["validate", "attack"])
     @pytest.mark.parametrize("value", ["1.0", "1.5"])
