@@ -504,21 +504,6 @@ class KeyReuseStats:
             return float("nan")
         return self.forgery_successes / self.forgery_attempts
 
-    def to_json(self) -> dict:
-        """Plain floats, with null for a round no trial reached and for the
-        fidelity and rate of a run with no forgery attempt (NaN fields)."""
-        return {
-            "per_round_acceptance": [_json_float(a) for a in self.per_round_acceptance],
-            "final_key_fidelity": _json_float(self.final_key_fidelity),
-            "forgery_attempts": self.forgery_attempts,
-            "forgery_successes": self.forgery_successes,
-            "forgery_success_rate": _json_float(self.forgery_success_rate),
-        }
-
-
-def _json_float(x: float) -> Optional[float]:
-    return None if np.isnan(x) else float(x)
-
 
 # psi[a, b, e] before the first round: the singlet key, Eve's ancilla in |0>.
 _START = np.multiply.outer(singlet().reshape(2, 2), [1, 0])

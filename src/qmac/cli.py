@@ -82,6 +82,8 @@ def _load_unitary(source, tol):
                 raise ValueError(
                     f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
                 ) from exc
+            except RecursionError as exc:
+                raise ValueError("malformed JSON: nested too deeply") from exc
         mat = matrix_from_json(obj)
     return TaggingUnitary(mat, tol)
 
@@ -104,12 +106,9 @@ def _report_header(args, tol, mat) -> dict:
 
 def _json_default(obj):
     """How ``json.dumps`` renders what it cannot: a matrix as matrix JSON, a
-    result with its own ``to_json()`` by that, any other dataclass as its
-    fields."""
+    result dataclass as its fields."""
     if isinstance(obj, np.ndarray):
         return matrix_to_json(obj)
-    if hasattr(obj, "to_json"):
-        return obj.to_json()
     if dataclasses.is_dataclass(obj):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -117,7 +116,8 @@ def _json_default(obj):
 
 def _emit(report: dict, out_path, records: str = ""):
     """Write ``json.dumps(report, sort_keys=True, indent=2)`` and a newline,
-    rendering result objects and matrices by :func:`_json_default`.
+    rendering result objects and matrices by :func:`_json_default`.  A NaN
+    or infinite float raises ``ValueError`` before anything is written.
 
     ``records``, when not empty, is the rendered body of the report's
     top-level ``records`` list (items indented four spaces, joined by
@@ -125,7 +125,9 @@ def _emit(report: dict, out_path, records: str = ""):
     simulate renders each of its few distinct records once and joins them
     per trial, since the indenting encoder is pure Python.
     """
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default)
+    text = json.dumps(
+        report, sort_keys=True, indent=2, default=_json_default, allow_nan=False
+    )
     parts = [text, "\n"]
     if records:
         head, tail = text.split('\n  "records": []', 1)
@@ -159,7 +161,7 @@ def cmd_simulate(args, tol) -> int:
             "    " + json.dumps(
                 {"message": message, "outcome": o, "accepted": o < 2,
                  "decoded": o if o < 2 else None, "key_fidelity": fid},
-                sort_keys=True, indent=2,
+                sort_keys=True, indent=2, allow_nan=False,
             ).replace("\n", "\n    ")
             for o in range(4)
         )
@@ -233,7 +235,11 @@ def cmd_optimize(args, tol) -> int:
                     + "\n"
                 )
     body = _report_header(args, tol, result.unitary)
-    body["result"] = result
+    body["result"] = {
+        "unitary": result.unitary,
+        "score": {**vars(result.score), "score_kind": "heuristic-worst-case"},
+        "trace_length": len(result.trace),
+    }
     _emit(body, args.out)
     return EXIT_OK
 

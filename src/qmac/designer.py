@@ -30,15 +30,6 @@ class SecurityScore:
     secure: bool
     score: float
 
-    def to_json(self) -> dict:
-        return {
-            "pf_no_message": self.pf_no_message,
-            "pf_message_best": self.pf_message_best,
-            "secure": self.secure,
-            "score": self.score if self.secure else None,
-            "score_kind": "heuristic-worst-case",
-        }
-
 
 def security_score(
     u,
@@ -73,14 +64,6 @@ class DesignResult:
     unitary: np.ndarray
     score: SecurityScore
     trace: list = field(default_factory=list)  # (restart, iter, score) tuples
-
-    def to_json(self) -> dict:
-        """The trace's length stands in for the trace."""
-        return {
-            "unitary": self.unitary,
-            "score": self.score,
-            "trace_length": len(self.trace),
-        }
 
 
 def optimize(

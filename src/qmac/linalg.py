@@ -74,12 +74,30 @@ def partial_trace(rho: np.ndarray, dims: list[int], keep) -> np.ndarray:
     return reshaped.reshape(d_keep, d_keep)
 
 
+# While no real or imaginary part of an entry exceeds this, no sum in U†U
+# can overflow, for any dimension that fits in memory.
+_UNSCALED_MAX = 1e150
+
+
 def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL.unitary):
-    """Return ``(unitary?, max deviation of U†U from I)``."""
+    """Return ``(unitary?, max deviation of U†U from I)``.
+
+    A finite matrix with a larger real or imaginary part s than
+    ``_UNSCALED_MAX`` is divided by s before the product, and the deviation
+    of U†U = s² (U/s)†(U/s) is scaled back in Python floats: it is at least
+    1e300, and beyond the float range it is inf, with no overflow warning.
+    """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("is_unitary expects a square matrix")
-    dev = np.abs(dagger(u) @ u - np.eye(u.shape[0])).max()
+    eye = np.eye(u.shape[0])
+    if np.abs(u).max() > _UNSCALED_MAX:  # a modulus may overflow where no part does
+        s = float(max(np.abs(u.real).max(), np.abs(u.imag).max()))
+        if _UNSCALED_MAX < s < math.inf:
+            v = u / s
+            dev = float(np.abs(dagger(v) @ v - eye * (1 / s) ** 2).max()) * s * s
+            return dev <= tol, dev
+    dev = np.abs(dagger(u) @ u - eye).max()
     return bool(dev <= tol), float(dev)
 
 

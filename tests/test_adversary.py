@@ -218,6 +218,10 @@ class TestMessageAttack:
         with pytest.raises(ValueError):
             message_attack_pf(u_identity, np.diag([1, 1, 1, 2.0]))
 
+    def test_huge_attack_rejected_without_overflow(self, u_identity):
+        with pytest.raises(ValueError, match=r"must be unitary \(deviation inf\)"):
+            message_attack_pf(u_identity, np.diag([1, 1, 1, 1e200]))
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_simulations_need_a_trial(self, u_secure, rng, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):
@@ -898,6 +902,10 @@ class TestKeyReuseSimulation:
         with pytest.raises(ValueError):
             simulate_key_reuse(u_secure, 1, np.eye(8) * 2, rng, trials=1)
 
+    def test_huge_interaction_rejected_without_overflow(self, u_secure):
+        with pytest.raises(ValueError, match=r"must be unitary \(deviation inf\)"):
+            reuse_forgery_probability(u_secure, np.eye(8) * 1e200)
+
     @pytest.mark.parametrize("trials", [0, -5])
     def test_needs_a_trial(self, u_secure, rng, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):
@@ -1171,23 +1179,21 @@ def test_outcome_cdf_is_generator_choice_cdf(probs):
     assert [x.hex() for x in adversary._outcome_cdf(probs)] == [x.hex() for x in want]
 
 
-class TestKeyReuseJson:
-    def test_unreached_rounds_are_null(self, u_identity):
+class TestKeyReuseStats:
+    def test_unreached_rounds_are_nan(self, u_identity):
         # Eve moves the message out of the accept plane: round 1 always fails.
         w = tensor(np.roll(E, 2, axis=0), np.eye(2))
         stats = simulate_key_reuse(u_identity, 2, w, np.random.default_rng(0), trials=10)
-        assert json.loads(json.dumps(stats.to_json(), allow_nan=False)) == {
-            "per_round_acceptance": [0.0, None],
-            "final_key_fidelity": None,
-            "forgery_attempts": 0,
-            "forgery_successes": 0,
-            "forgery_success_rate": None,
-        }
+        first, second = stats.per_round_acceptance
+        assert first == 0.0 and np.isnan(second)
+        assert np.isnan(stats.final_key_fidelity)
+        assert stats.forgery_attempts == stats.forgery_successes == 0
+        assert np.isnan(stats.forgery_success_rate)
 
     def test_plain_floats(self, u_secure):
         w = haar_random_unitary(8, np.random.default_rng(4))
-        body = simulate_key_reuse(u_secure, 2, w, np.random.default_rng(4), trials=50).to_json()
-        numbers = body["per_round_acceptance"] + [
-            body["final_key_fidelity"], body["forgery_success_rate"]
+        stats = simulate_key_reuse(u_secure, 2, w, np.random.default_rng(4), trials=50)
+        numbers = stats.per_round_acceptance + [
+            stats.final_key_fidelity, stats.forgery_success_rate
         ]
         assert all(type(x) is float for x in numbers)

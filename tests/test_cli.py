@@ -17,12 +17,13 @@ from qmac.adversary import (
     AttackResult,
     KeyDistinguishabilityReport,
     KeyReuseFeasibilityReport,
+    KeyReuseStats,
     best_message_attack,
     key_distinguishability,
     key_reuse_feasibility,
 )
 from qmac.conditions import ConditionCheck, ConditionReport, validate
-from qmac.designer import optimize
+from qmac.designer import INSECURE, DesignResult, SecurityScore
 from qmac.linalg import halmos_dilation, matrix_from_json, matrix_to_json
 from qmac.protocol import TaggingUnitary, simulate_honest_batch
 
@@ -71,6 +72,22 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--input", str(path))
         assert code == 2
         assert "line" in err  # position-bearing message
+
+    def test_deeply_nested_json_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "validate", "--input", str(path))
+        assert code == 2 and out == ""
+        assert "malformed JSON: nested too deeply" in err
+
+    def test_huge_entry_is_not_unitary(self, capsys, tmp_path):
+        m = np.eye(4)
+        m[0, 0] = 1e200  # U†U overflows
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(matrix_to_json(m)))
+        code, out, err = run_cli(capsys, "validate", "--input", str(path))
+        assert code == 2 and out == ""
+        assert "matrix is not unitary (deviation inf)" in err
 
     @pytest.mark.parametrize("data", [[["a", "b"]], 5])
     def test_malformed_entries_exit_two(self, capsys, tmp_path, data):
@@ -470,6 +487,8 @@ class TestReportRendering:
             assert not hasattr(obj, "to_json")
             names = {f.name for f in dataclasses.fields(obj)}
             assert set(self.render(obj)) == names, type(obj).__name__
+        for cls in (SecurityScore, DesignResult, KeyReuseStats):
+            assert not hasattr(cls, "to_json"), cls.__name__
 
     def test_matrices_round_trip(self, results):
         attack, dist = results[AttackResult], results[KeyDistinguishabilityReport]
@@ -485,12 +504,27 @@ class TestReportRendering:
         check = ConditionCheck(satisfied=True, margin=0.5, details={"inner": report.case2})
         assert self.render(check)["details"]["inner"] == body["case2"]
 
-    def test_own_to_json_wins(self):
-        result = optimize(restarts=1, budget=50, rng=np.random.default_rng(0))
-        body = self.render(result)
-        assert set(body) == {"unitary", "score", "trace_length"}
-        assert body["score"] == result.score.to_json()
-        assert np.array_equal(matrix_from_json(body["unitary"]), result.unitary)
+    def test_optimize_builds_its_result_entry(self, capsys):
+        code, out, _ = run_cli(capsys, "optimize", "--restarts", "1", "--budget", "50")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert set(result) == {"unitary", "score", "trace_length"}
+        names = {f.name for f in dataclasses.fields(SecurityScore)}
+        assert set(result["score"]) == names | {"score_kind"}
+        assert result["score"]["score_kind"] == "heuristic-worst-case"
+        assert type(result["trace_length"]) is int and result["trace_length"] >= 1
+        TaggingUnitary(matrix_from_json(result["unitary"]))  # unitary, as matrix JSON
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), SecurityScore(0.5, None, False, INSECURE)],
+        ids=["nan", "inf", "insecure-score"],
+    )
+    def test_non_finite_float_is_refused(self, tmp_path, value):
+        out = tmp_path / "r.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._emit({"x": [value]}, str(out))
+        assert not out.exists()
 
     @pytest.mark.parametrize("obj", [object(), {1, 2}], ids=["object", "set"])
     def test_anything_else_is_a_type_error(self, obj):

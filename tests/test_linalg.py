@@ -1,3 +1,4 @@
+import math
 from functools import reduce
 
 import numpy as np
@@ -122,6 +123,17 @@ class TestIsUnitary:
     def test_haar_sample(self, rng):
         ok, dev = is_unitary(haar_random_unitary(4, rng))
         assert ok and dev < 1e-10
+
+    @pytest.mark.parametrize(
+        "entry, dev",
+        [(1e149, 1e298), (1e151, 1e302), (1e155, math.inf), (1e200, math.inf),
+         (-1.7e308, math.inf), (1.5e308 + 1.5e308j, math.inf)],
+    )
+    def test_huge_finite_entry_does_not_overflow(self, entry, dev):
+        # Tier-1 turns a RuntimeWarning into an error.
+        u = np.eye(4, dtype=complex)
+        u[0, 0] = entry
+        assert is_unitary(u, 0.5) == (False, pytest.approx(dev))
 
 
 class TestHaar:
