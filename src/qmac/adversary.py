@@ -68,11 +68,16 @@ def no_message_pf(u, eve: np.ndarray) -> float:
     must be normalised to within ``u.tol.unitary``.
     """
     u = as_tagging_unitary(u)
+    return float(no_message_pf_batch(u, _injected_state(u, eve)[:, None])[0])
+
+
+def _injected_state(u: TaggingUnitary, eve) -> np.ndarray:
+    """``eve`` as a 4-dim vector, checked normalised to within ``u.tol.unitary``."""
     eve = np.asarray(eve, dtype=complex).reshape(4)
     nrm = np.linalg.norm(eve)
-    if abs(nrm - 1) > u.tol.unitary:
+    if not abs(nrm - 1) <= u.tol.unitary:  # phrased so that a NaN norm fails it
         raise ValueError(f"Eve's state must be normalized (norm {nrm})")
-    return float(no_message_pf_batch(u, eve[:, None])[0])
+    return eve
 
 
 def no_message_pf_batch(u, states: np.ndarray) -> np.ndarray:
@@ -153,7 +158,7 @@ def injected_acceptance_distribution(u, eve: np.ndarray) -> np.ndarray:
     Full 16-dim simulation: the key is still the untouched singlet.
     """
     u = as_tagging_unitary(u)
-    state = tensor(singlet(), np.asarray(eve, dtype=complex).reshape(4))
+    state = tensor(singlet(), _injected_state(u, eve))
     return measurement_distribution(decode(u, state))
 
 
@@ -185,10 +190,7 @@ def message_attack_pf(u, v: np.ndarray, p0: float = 0.5, p1: float = 0.5) -> flo
     """
     u = as_tagging_unitary(u)
     _check_priors(p0, p1)
-    v = np.asarray(v, dtype=complex)
-    ok, dev = is_unitary(v, u.tol.unitary)
-    if not ok:
-        raise ValueError(f"attack operation must be unitary (deviation {dev:.3e})")
+    v = _attack_operation(u, v)
     w = dagger(u.u) @ v @ u.u
     total = 0.0
     for i, p in ((0, p0), (1, p1)):
@@ -197,11 +199,19 @@ def message_attack_pf(u, v: np.ndarray, p0: float = 0.5, p1: float = 0.5) -> flo
     return float(total)
 
 
+def _attack_operation(u: TaggingUnitary, v) -> np.ndarray:
+    """``v`` as a complex array, checked unitary to within ``u.tol.unitary``."""
+    v = np.asarray(v, dtype=complex)
+    ok, dev = is_unitary(v, u.tol.unitary)
+    if not ok:
+        raise ValueError(f"attack operation must be unitary (deviation {dev:.3e})")
+    return v
+
+
 def message_attack_distribution(u, v: np.ndarray, message: int) -> np.ndarray:
     """Bob's outcome distribution when Eve applies ``v`` to an honest round."""
     u = as_tagging_unitary(u)
-    state = encode(u, message)
-    state = tensor(I2, I2, np.asarray(v, dtype=complex)) @ state
+    state = tensor(I2, I2, _attack_operation(u, v)) @ encode(u, message)
     return measurement_distribution(decode(u, state))
 
 
@@ -633,24 +643,20 @@ def simulate_key_reuse(
     )
 
 
-def reuse_forgery_probability(
-    u, interaction: np.ndarray, honest_bit: Optional[int] = None, forge_bit: int = 0
-) -> float:
+def reuse_forgery_probability(u, interaction: np.ndarray, forge_bit: int = 0) -> float:
     """Exact success probability of the single-round reuse forgery.
 
-    One honest round with Eve's interaction, conditioned on acceptance;
-    then the probability that Eve's ancilla-controlled forgery passes,
-    averaged over Bob's accepted first-round outcomes.  ``honest_bit``
-    None averages over a uniformly random honest message.
+    One honest round with a uniformly random message and Eve's
+    interaction, conditioned on acceptance; then the probability that
+    Eve's ancilla-controlled forgery passes, averaged over Bob's accepted
+    first-round outcomes.
     """
     u = as_tagging_unitary(u)
-    if honest_bit not in (None, 0, 1):
-        raise ValueError("honest_bit must be None, 0 or 1")
     maps, forge = _reuse_kernel(u, interaction, forge_bit)
-    bits = [0, 1] if honest_bit is None else [honest_bit]
     # |psi|^2 after each accepted first round (bit i, outcome k), weighted by
-    # the bit's prior: its total is the acceptance probability.
-    dens = np.abs(maps[bits, :2] @ _START[..., None])[..., 0] ** 2 / len(bits)
+    # the bit's prior 1/2: its total is the acceptance probability.  Indexed by
+    # a list, not a slice: einsum sums in memory order, which a slice changes.
+    dens = np.abs(maps[[0, 1], :2] @ _START[..., None])[..., 0] ** 2 / 2
     accepted = dens.sum()
     if accepted <= _ACCEPT_FLOOR:
         return 0.0

@@ -277,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, needs_input=True, trials=False, budget=True):
+    def command(name, handler, summary, needs_input=True, trials=False, budget=True):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         if needs_input:
             p.add_argument(
                 "--input",
@@ -297,28 +298,22 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    command("validate", "run the security condition checklist")
-    command("simulate", "honest-protocol Monte Carlo runs", trials=True, budget=False)
-    p_attack = command("attack", "run all four attack analyses", trials=True)
+    command("validate", cmd_validate, "run the security condition checklist")
+    command("simulate", cmd_simulate, "honest-protocol Monte Carlo runs",
+            trials=True, budget=False)
+    p_attack = command("attack", cmd_attack, "run all four attack analyses", trials=True)
     p_attack.add_argument(
         "--priors", type=_parse_priors,
         default=(0.5, 0.5), help="message priors p0,p1",
     )
-    p_opt = command("optimize", "search for a secure tagging unitary", needs_input=False)
+    p_opt = command("optimize", cmd_optimize, "search for a secure tagging unitary",
+                    needs_input=False)
     p_opt.add_argument("--restarts", type=int, default=4)
     p_opt.add_argument("--warm-start", help="matrix JSON path or builtin name")
     p_opt.add_argument("--trace-out", help="write the search trace JSONL here")
-    command("demo", "full story on the builtin secure example", needs_input=False)
+    command("demo", cmd_demo, "full story on the builtin secure example",
+            needs_input=False)
     return parser
-
-
-COMMANDS = {
-    "validate": cmd_validate,
-    "simulate": cmd_simulate,
-    "attack": cmd_attack,
-    "optimize": cmd_optimize,
-    "demo": cmd_demo,
-}
 
 
 # Built by the first main call and reused (building takes about 15 times as
@@ -331,7 +326,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         tol = DEFAULT_TOL.override(**_parse_tol_overrides(args.tol))
-        return COMMANDS[args.command](args, tol)
+        return args.handler(args, tol)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

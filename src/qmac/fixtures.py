@@ -31,15 +31,11 @@ def secure_example_unitary() -> np.ndarray:
         np.array([0.5, 0.5, 0.5, 0.5], dtype=complex),
         np.array([0, 0, 1, -1], dtype=complex) / np.sqrt(2),
     ]
-    for cand in (1, 2, 3):
+    for cand in (1, 2):
         v = np.eye(4, dtype=complex)[cand]
         for r in rows:
             v = v - np.vdot(r, v) * r
-        n = np.linalg.norm(v)
-        if n > 1e-9:
-            rows.append(v / n)
-        if len(rows) == 4:
-            break
+        rows.append(v / np.linalg.norm(v))
     return np.array(rows)
 
 

@@ -68,8 +68,15 @@ class TaggingUnitary:
         return self._u[:2, :2]
 
 
-def as_tagging_unitary(u, tol: Tolerances = DEFAULT_TOL) -> TaggingUnitary:
-    return u if isinstance(u, TaggingUnitary) else TaggingUnitary(u, tol)
+def as_tagging_unitary(u) -> TaggingUnitary:
+    return u if isinstance(u, TaggingUnitary) else TaggingUnitary(u)
+
+
+def _message_state(message: int) -> np.ndarray:
+    """|phi_message> for a message bit 0 or 1."""
+    if message not in (0, 1):
+        raise ValueError("message must be 0 or 1")
+    return MESSAGE_BASIS[:, message]
 
 
 def encode(u, message: int) -> np.ndarray:
@@ -78,10 +85,7 @@ def encode(u, message: int) -> np.ndarray:
     Returns (|01>|phi_i> - |10> U|phi_i>)/sqrt(2).
     """
     u = as_tagging_unitary(u)
-    if message not in (0, 1):
-        raise ValueError("message must be 0 or 1")
-    state = tensor(singlet(), MESSAGE_BASIS[:, message])
-    return u.encode_op @ state
+    return u.encode_op @ tensor(singlet(), _message_state(message))
 
 
 def decode(u, state: np.ndarray) -> np.ndarray:
@@ -96,9 +100,7 @@ def decode(u, state: np.ndarray) -> np.ndarray:
 def channel_density(u, message: int) -> np.ndarray:
     """Density operator of the in-flight message: (rho_i + U rho_i U†)/2."""
     u = as_tagging_unitary(u)
-    if message not in (0, 1):
-        raise ValueError("message must be 0 or 1")
-    phi = MESSAGE_BASIS[:, message]
+    phi = _message_state(message)
     rho = np.outer(phi, phi.conj())
     return (rho + u.u @ rho @ dagger(u.u)) / 2
 
@@ -111,7 +113,7 @@ def channel_density_classical(u, message: int) -> np.ndarray:
     :func:`channel_density`.
     """
     u = as_tagging_unitary(u)
-    phi = MESSAGE_BASIS[:, message]
+    phi = _message_state(message)
     branches = [phi, u.u @ phi]
     return sum(np.outer(b, b.conj()) for b in branches) / 2
 

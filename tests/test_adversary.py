@@ -83,6 +83,20 @@ class TestNoMessagePf:
         with pytest.raises(ValueError):
             no_message_pf(u_identity, np.array([1, 1, 0, 0], complex))
 
+    @pytest.mark.parametrize("eve", [[3, 0, 0, 0], [0, 0, 0, 0], [np.nan, 0, 0, 0]],
+                             ids=["norm-3", "zero", "nan"])
+    def test_simulations_reject_unnormalized(self, u_secure, eve):
+        eve = np.array(eve, complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: no_message_pf(u_secure, eve),
+                lambda: injected_acceptance_distribution(u_secure, eve),
+                lambda: no_message_attack_sim(u_secure, eve, 100, np.random.default_rng(0)),
+            ):
+                with pytest.raises(ValueError, match="Eve's state must be normalized"):
+                    call()
+
     def test_normalisation_tolerance_from_unitary(self, u_secure):
         eve = E[:, 0] * (1 + 1e-6)
         with pytest.raises(ValueError, match="normalized"):
@@ -218,6 +232,13 @@ class TestMessageAttack:
         with pytest.raises(ValueError):
             message_attack_pf(u_identity, np.diag([1, 1, 1, 2.0]))
 
+    @pytest.mark.parametrize("v", [np.diag([1, 1, 1, 2.0]), 2 * E], ids=["diag", "2I"])
+    def test_simulations_reject_non_unitary_attack(self, u_secure, rng, v):
+        with pytest.raises(ValueError, match="attack operation must be unitary"):
+            message_attack_distribution(u_secure, v, 0)
+        with pytest.raises(ValueError, match="attack operation must be unitary"):
+            message_attack_sim(u_secure, v, 100, rng)
+
     def test_huge_attack_rejected_without_overflow(self, u_identity):
         with pytest.raises(ValueError, match=r"must be unitary \(deviation inf\)"):
             message_attack_pf(u_identity, np.diag([1, 1, 1, 1e200]))
@@ -228,6 +249,12 @@ class TestMessageAttack:
             message_attack_sim(u_secure, SWAP01, trials, rng)
         with pytest.raises(ValueError, match="trials must be >= 1"):
             no_message_attack_sim(u_secure, E[:, 0], trials, rng)
+
+    @pytest.mark.parametrize("p0, p1", [(1, 0), (0, 1)])
+    def test_simulation_at_a_certain_prior(self, u_identity, rng, p0, p1):
+        # Every draw is one message: the other's branch has no trials.
+        assert message_attack_sim(u_identity, SWAP01, 100, rng, p0=p0, p1=p1) == 1.0
+        assert message_attack_sim(u_identity, E, 100, rng, p0=p0, p1=p1) == 0.0
 
     def test_matches_simulation_frequency(self, u_secure, rng):
         p = message_attack_pf(u_secure, SWAP01)
@@ -912,7 +939,7 @@ class TestKeyReuseSimulation:
             simulate_key_reuse(u_secure, 2, np.eye(8), rng, trials=trials)
 
 
-def reuse_forgery_oracle(u, w, honest_bit, forge_bit):
+def reuse_forgery_oracle(u, w, forge_bit):
     """The single-round reuse forgery on key A ⊗ key B ⊗ message ⊗ ancilla
     (32-dim), with every operator built by kron."""
     p0, p1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
@@ -922,7 +949,7 @@ def reuse_forgery_oracle(u, w, honest_bit, forge_bit):
     eve = tensor(i2, i2, w)
     forge = tensor(i2, i2, tensor(i4, p0) + tensor(u, p1))
     accepted = forged = 0.0
-    for bit in (0, 1) if honest_bit is None else (honest_bit,):
+    for bit in (0, 1):
         start = tensor(singlet(), MESSAGE_BASIS[:, bit], np.array([1, 0]))
         amps = (dec @ eve @ enc @ start).reshape(2, 2, 4, 2)
         for k in (0, 1):
@@ -936,21 +963,16 @@ def reuse_forgery_oracle(u, w, honest_bit, forge_bit):
 
 
 class TestKeyReuseOracle:
-    @pytest.mark.parametrize("honest_bit", [None, 0, 1])
     @pytest.mark.parametrize("forge_bit", [0, 1])
-    def test_exact_matches_joint_simulation(self, honest_bit, forge_bit):
+    def test_exact_matches_joint_simulation(self, forge_bit):
         rng = np.random.default_rng(17)
         taggings = [secure_example_unitary()] + [haar_random_unitary(4, rng) for _ in range(5)]
         for u in taggings:
             for w in [np.eye(8)] + [haar_random_unitary(8, rng) for _ in range(3)]:
-                p = reuse_forgery_probability(u, w, honest_bit, forge_bit)
-                assert p == pytest.approx(
-                    reuse_forgery_oracle(u, w, honest_bit, forge_bit), abs=1e-12
-                )
+                p = reuse_forgery_probability(u, w, forge_bit)
+                assert p == pytest.approx(reuse_forgery_oracle(u, w, forge_bit), abs=1e-12)
 
     def test_bad_bits_rejected(self, u_secure):
-        with pytest.raises(ValueError, match="honest_bit"):
-            reuse_forgery_probability(u_secure, np.eye(8), honest_bit=2)
         with pytest.raises(ValueError, match="forge_bit"):
             simulate_key_reuse(u_secure, 1, np.eye(8), np.random.default_rng(0), forge_bit=-1)
 
@@ -1025,7 +1047,7 @@ def test_key_reuse_sampler_matches_exact_propagation(forge_bit):
         w = haar_random_unitary(8, rng)
         # One round of the oracle is the single-round exact probability.
         assert reuse_rounds_oracle(u, w, 1, forge_bit)[2] == pytest.approx(
-            reuse_forgery_probability(u, w, None, forge_bit), abs=1e-12
+            reuse_forgery_probability(u, w, forge_bit), abs=1e-12
         )
         acceptance, fidelity, rate = reuse_rounds_oracle(u, w, rounds, forge_bit)
         stats = simulate_key_reuse(u, rounds, w, rng, trials=trials, forge_bit=forge_bit)
@@ -1190,6 +1212,11 @@ class TestKeyReuseStats:
         assert stats.forgery_attempts == stats.forgery_successes == 0
         assert np.isnan(stats.forgery_success_rate)
 
+    def test_zero_acceptance_forgery_is_zero(self, u_identity):
+        # The accept/reject swap: no first round is ever accepted.
+        w = tensor(np.roll(E, 2, axis=0), np.eye(2))
+        assert reuse_forgery_probability(u_identity, w) == 0.0
+
     def test_plain_floats(self, u_secure):
         w = haar_random_unitary(8, np.random.default_rng(4))
         stats = simulate_key_reuse(u_secure, 2, w, np.random.default_rng(4), trials=50)
@@ -1197,3 +1224,20 @@ class TestKeyReuseStats:
             stats.final_key_fidelity, stats.forgery_success_rate
         ]
         assert all(type(x) is float for x in numbers)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda u: no_message_pf_restricted(u, -0.1, 0.0), "abs_e0 must lie in",
+                 id="abs_e0-below-0"),
+    pytest.param(lambda u: no_message_pf_restricted(u, 1.1, 0.0), "abs_e0 must lie in",
+                 id="abs_e0-above-1"),
+    pytest.param(lambda u: best_message_attack(u, budget=0), "budget must be >= 1",
+                 id="budget-0"),
+    pytest.param(lambda u: reuse_forgery_probability(u, np.eye(4)), "8-dim",
+                 id="interaction-4x4"),
+    pytest.param(lambda u: simulate_key_reuse(u, 0, np.eye(8), np.random.default_rng(0)),
+                 "rounds must be >= 1", id="rounds-0"),
+])
+def test_bad_input_rejected(u_secure, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(u_secure)

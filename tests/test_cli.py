@@ -179,6 +179,20 @@ class TestValidate:
         assert code == 2 and out == ""
         assert f"--tol strict expects a number, got {value!r}" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["--input", "secure_example", "--tol", "strict"],
+                     "--tol expects NAME=VALUE, got 'strict'", id="tol-without-equals"),
+        pytest.param(["--input", "nan.json"], "matrix JSON contains non-finite entries",
+                     id="nan-entry"),
+    ])
+    def test_bad_input_exit_two(self, capsys, tmp_path, monkeypatch, argv, message):
+        matrix = matrix_to_json(secure_example_unitary())
+        matrix["data"][0][0] = float("nan")
+        (tmp_path / "nan.json").write_text(json.dumps(matrix))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "validate", *argv)
+        assert code == 2 and out == "" and message in err
+
     @pytest.mark.parametrize("command", ["validate", "attack"])
     @pytest.mark.parametrize("value", ["1.0", "1.5"])
     def test_zero_matrix_under_loose_unitary_tolerance_exit_two(

@@ -202,3 +202,25 @@ def test_unitary_conjugation_preserves_trace(seed):
     rho = a @ dagger(a)
     rho /= np.trace(rho)
     assert abs(np.trace(u @ rho @ dagger(u)) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: tensor(), "at least one factor", id="tensor-no-factors"),
+    pytest.param(lambda: partial_trace(np.ones((2, 4)), [2, 2], {0}), "square matrix",
+                 id="partial_trace-non-square"),
+    pytest.param(lambda: partial_trace(np.eye(4), [2, 2], {2}), "out of range",
+                 id="partial_trace-keep-2"),
+    pytest.param(lambda: partial_trace(np.eye(4), [2, 2], {-1}), "out of range",
+                 id="partial_trace-keep-negative"),
+    pytest.param(lambda: is_unitary(np.ones((2, 3))), "square matrix",
+                 id="is_unitary-non-square"),
+    pytest.param(lambda: haar_random_unitary(0, np.random.default_rng(0)), "dim must be >= 1",
+                 id="haar-dim-0"),
+    pytest.param(lambda: matrix_from_json({"rows": 0, "cols": 1, "data": []}),
+                 "dimensions must be positive", id="matrix_from_json-rows-0"),
+    pytest.param(lambda: matrix_from_json({"rows": 1, "cols": 1, "data": [[math.nan, 0]]}),
+                 "non-finite entries", id="matrix_from_json-nan"),
+])
+def test_bad_input_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -182,3 +182,15 @@ class TestHonestRun:
     def test_batch_empty(self, u_secure, rng):
         outcomes, _ = simulate_honest_batch(u_secure, 0, 0, rng)
         assert outcomes.size == 0
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda u: decode(u, np.zeros(8)), "16-dim vector", id="decode-8-dim"),
+    pytest.param(lambda u: channel_density(u, 2), "message must be 0 or 1",
+                 id="channel_density-message-2"),
+    pytest.param(lambda u: channel_density_classical(u, 2), "message must be 0 or 1",
+                 id="channel_density_classical-message-2"),
+])
+def test_bad_input_rejected(u_secure, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(u_secure)
