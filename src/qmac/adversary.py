@@ -61,31 +61,30 @@ class AttackResult:
 
 # --- no-message attack -------------------------------------------------------
 
-def no_message_pf(u, eve: np.ndarray) -> float:
+def no_message_pf(u, eve: np.ndarray):
     """Forgery probability of injecting the pure state ``eve``.
 
-    Evaluates (1/2) sum_{i=0,1} (|e_i|^2 + |<eve|U|phi_i>|^2).  ``eve``
-    must be normalised to within ``u.tol.unitary``.
+    Evaluates (1/2) sum_{i=0,1} (|e_i|^2 + |<eve|U|phi_i>|^2) for one 4-vector
+    (a float) or each column of a 4×N array, each normalised to within ``u.tol.unitary``.
     """
     u = as_tagging_unitary(u)
-    return float(no_message_pf_batch(u, _injected_state(u, eve)[:, None])[0])
+    states = _injected_state(u, eve)
+    direct = (np.abs(states[:2]) ** 2).sum(axis=0)
+    overlaps = (np.abs(dagger(u.u) @ states)[:2] ** 2).sum(axis=0)
+    pf = 0.5 * (direct + overlaps)
+    return float(pf[0]) if np.ndim(eve) == 1 else pf
 
 
 def _injected_state(u: TaggingUnitary, eve) -> np.ndarray:
-    """``eve`` as a 4-dim vector, checked normalised to within ``u.tol.unitary``."""
-    eve = np.asarray(eve, dtype=complex).reshape(4)
-    nrm = np.linalg.norm(eve)
-    if not abs(nrm - 1) <= u.tol.unitary:  # phrased so that a NaN norm fails it
-        raise ValueError(f"Eve's state must be normalized (norm {nrm})")
-    return eve
-
-
-def no_message_pf_batch(u, states: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`no_message_pf` over columns of a 4×N array."""
-    u = as_tagging_unitary(u)
-    direct = (np.abs(states[:2]) ** 2).sum(axis=0)
-    overlaps = (np.abs(dagger(u.u) @ states)[:2] ** 2).sum(axis=0)
-    return 0.5 * (direct + overlaps)
+    """``eve`` as 4×N columns, each checked normalised to within ``u.tol.unitary``."""
+    eve = np.asarray(eve, dtype=complex)
+    if eve.ndim not in (1, 2) or eve.shape[0] != 4:
+        raise ValueError(f"Eve's state must have 4 rows, got shape {eve.shape}")
+    states = eve.reshape(4, -1)
+    dev = np.abs(np.linalg.norm(states, axis=0) - 1).max(initial=0.0)
+    if not dev <= u.tol.unitary:  # phrased so that a NaN norm fails it
+        raise ValueError(f"Eve's state must be normalized (deviation {dev:.3e})")
+    return states
 
 
 def row_parameters(u) -> tuple:
@@ -104,8 +103,7 @@ def no_message_pf_restricted(u, abs_e0: float, theta: float) -> float:
     Decision variables are |e0| and the relative phase angle; the first
     closed-form term equals 1/2 under the restriction.
     """
-    if not 0 <= abs_e0 <= 1:
-        raise ValueError("abs_e0 must lie in [0, 1]")
+    _check_restricted(abs_e0, theta)
     x, y, z = row_parameters(u)
     second = 0.5 * (
         x * abs_e0**2
@@ -115,8 +113,14 @@ def no_message_pf_restricted(u, abs_e0: float, theta: float) -> float:
     return float(0.5 + second)
 
 
+def _check_restricted(abs_e0: float, theta: float):
+    if not (0 <= abs_e0 <= 1 and np.isfinite(theta)):  # phrased so that NaN fails it
+        raise ValueError(f"abs_e0 must lie in [0, 1] and theta be finite ({abs_e0}, {theta})")
+
+
 def eve_state_from_restricted(u, abs_e0: float, theta: float) -> np.ndarray:
     """Explicit injected state realizing the restricted parameters."""
+    _check_restricted(abs_e0, theta)
     u = as_tagging_unitary(u)
     r0, r1 = u.m0
     g = r0 @ r1.conj()  # cross-row coupling, phase matters
@@ -158,7 +162,9 @@ def injected_acceptance_distribution(u, eve: np.ndarray) -> np.ndarray:
     Full 16-dim simulation: the key is still the untouched singlet.
     """
     u = as_tagging_unitary(u)
-    state = tensor(singlet(), _injected_state(u, eve))
+    if np.ndim(eve) != 1:
+        raise ValueError(f"Eve's state must be one 4-vector, got shape {np.shape(eve)}")
+    state = tensor(singlet(), _injected_state(u, eve)[:, 0])
     return measurement_distribution(decode(u, state))
 
 
@@ -202,6 +208,8 @@ def message_attack_pf(u, v: np.ndarray, p0: float = 0.5, p1: float = 0.5) -> flo
 def _attack_operation(u: TaggingUnitary, v) -> np.ndarray:
     """``v`` as a complex array, checked unitary to within ``u.tol.unitary``."""
     v = np.asarray(v, dtype=complex)
+    if v.shape != (4, 4):
+        raise ValueError(f"attack operation must be 4x4, got {v.shape}")
     ok, dev = is_unitary(v, u.tol.unitary)
     if not ok:
         raise ValueError(f"attack operation must be unitary (deviation {dev:.3e})")

@@ -98,24 +98,15 @@ def decode(u, state: np.ndarray) -> np.ndarray:
 
 
 def channel_density(u, message: int) -> np.ndarray:
-    """Density operator of the in-flight message: (rho_i + U rho_i U†)/2."""
+    """Density operator of the in-flight message: (rho_i + U rho_i U†)/2.
+
+    It is the mixture of |phi_i> and U|phi_i> over a uniform classical key
+    bit, and the singlet key's reduced message state after :func:`encode`.
+    """
     u = as_tagging_unitary(u)
     phi = _message_state(message)
     rho = np.outer(phi, phi.conj())
     return (rho + u.u @ rho @ dagger(u.u)) / 2
-
-
-def channel_density_classical(u, message: int) -> np.ndarray:
-    """Channel state averaged over the degenerate classical-bit-key mode.
-
-    With a uniformly random classical key bit, Alice either sends |phi_i>
-    unchanged or applies U; the ensemble average must agree with
-    :func:`channel_density`.
-    """
-    u = as_tagging_unitary(u)
-    phi = _message_state(message)
-    branches = [phi, u.u @ phi]
-    return sum(np.outer(b, b.conj()) for b in branches) / 2
 
 
 def measurement_distribution(state: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from qmac.adversary import (
     no_message_attack_sim,
     no_message_optimal,
     no_message_pf,
-    no_message_pf_batch,
     no_message_pf_restricted,
     perfect_message_attack,
     reuse_forgery_probability,
@@ -187,7 +186,7 @@ class TestNoMessageOptimal:
     def test_dominates_sampled_states(self, rng):
         for _ in range(20):
             u = TaggingUnitary(haar_random_unitary(4, rng))
-            best = no_message_pf_batch(u, haar_states(2000, rng)).max()
+            best = no_message_pf(u, haar_states(2000, rng)).max()
             assert no_message_optimal(u).probability >= best - 1e-9
 
     def test_lambda_max_range(self, rng):
@@ -1231,6 +1230,27 @@ class TestKeyReuseStats:
                  id="abs_e0-below-0"),
     pytest.param(lambda u: no_message_pf_restricted(u, 1.1, 0.0), "abs_e0 must lie in",
                  id="abs_e0-above-1"),
+    pytest.param(lambda u: no_message_pf_restricted(u, 0.5, np.nan), "theta be finite",
+                 id="theta-nan"),
+    pytest.param(lambda u: eve_state_from_restricted(u, 2.0, 0.3), "abs_e0 must lie in",
+                 id="state-abs_e0-above-1"),
+    pytest.param(lambda u: eve_state_from_restricted(u, np.nan, 0.3), "abs_e0 must lie in",
+                 id="state-abs_e0-nan"),
+    pytest.param(lambda u: eve_state_from_restricted(u, 0.5, np.inf), "theta be finite",
+                 id="state-theta-inf"),
+    pytest.param(lambda u: message_attack_pf(u, np.eye(3)), r"must be 4x4, got \(3, 3\)",
+                 id="attack-3x3"),
+    pytest.param(lambda u: message_attack_distribution(u, np.eye(3), 0),
+                 r"must be 4x4, got \(3, 3\)", id="attack-distribution-3x3"),
+    pytest.param(lambda u: no_message_pf(u, [[3], [0], [0], [0]]),
+                 "Eve's state must be normalized", id="batch-norm-3"),
+    pytest.param(lambda u: no_message_pf(u, np.eye(4)[:, :2] * [1, 1.1]),
+                 "Eve's state must be normalized", id="batch-column-scaled"),
+    pytest.param(lambda u: no_message_pf(u, np.eye(4)[:3, :2]), "must have 4 rows",
+                 id="batch-3-rows"),
+    pytest.param(lambda u: no_message_attack_sim(u, np.eye(4)[:, :2], 10,
+                                                 np.random.default_rng(0)),
+                 "must be one 4-vector", id="sim-batch"),
     pytest.param(lambda u: best_message_attack(u, budget=0), "budget must be >= 1",
                  id="budget-0"),
     pytest.param(lambda u: reuse_forgery_probability(u, np.eye(4)), "8-dim",

@@ -7,7 +7,6 @@ from qmac.protocol import (
     MESSAGE_BASIS,
     TaggingUnitary,
     channel_density,
-    channel_density_classical,
     decode,
     encode,
     key_fidelity,
@@ -108,14 +107,6 @@ class TestChannelDensity:
         assert np.all(w > -1e-12) and np.all(w < 1 + 1e-12)
         assert abs(w.sum() - 1) < 1e-12
 
-    def test_classical_key_mode_average(self, rng):
-        for _ in range(10):
-            u = TaggingUnitary(haar_random_unitary(4, rng))
-            for msg in (0, 1):
-                a = channel_density(u, msg)
-                b = channel_density_classical(u, msg)
-                assert np.abs(a - b).max() < 1e-12
-
 
 class TestDecode:
     def test_round_trip_restores_message(self, rng):
@@ -188,8 +179,6 @@ class TestHonestRun:
     pytest.param(lambda u: decode(u, np.zeros(8)), "16-dim vector", id="decode-8-dim"),
     pytest.param(lambda u: channel_density(u, 2), "message must be 0 or 1",
                  id="channel_density-message-2"),
-    pytest.param(lambda u: channel_density_classical(u, 2), "message must be 0 or 1",
-                 id="channel_density_classical-message-2"),
 ])
 def test_bad_input_rejected(u_secure, call, match):
     with pytest.raises(ValueError, match=match):
