@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .linalg import (
     dagger,
@@ -39,6 +40,20 @@ _ASCENT_GAIN = 1e-13  # a substitution-ascent step gaining no more has converged
 _FIXED_POINT = 1e-9  # a polar step moving a start's weighted overlaps no more has settled it
 _PRIOR_SUM_SLACK = 1e-12  # priors typed in decimal can miss 1 by rounding
 _ACCEPT_FLOOR = 1e-15  # acceptance this small is rounding: do not condition on it
+
+# The gufunc np.linalg.svd calls on a stack of complex matrices: (u, s, vh) for
+# each, bit for bit, without the wrapper's argument handling.
+_svd = _umath_linalg.svd_f
+
+
+def _svd_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+# The floating-point error handling np.linalg.svd runs _svd under: the gufunc
+# signals a failed SVD as an invalid operation, which raises LinAlgError.
+_SVD_ERRORS = dict(call=_svd_failed, invalid="call", over="ignore", divide="ignore",
+                   under="ignore")
 
 
 @dataclass(frozen=True)
@@ -250,15 +265,16 @@ def _substitution_objective(u: TaggingUnitary, p0: float, p1: float):
     factors of G = sum_k w_k c_k |a_k><b_k|.
     """
     # Terms (a_k, b_k, w_k): the bit flip on the bare message, then under U.
-    a = np.stack([I4[1], u.u[:, 1], I4[0], u.u[:, 0]])
-    b = np.stack([I4[0], u.u[:, 0], I4[1], u.u[:, 1]])
+    a = np.array([I4[1], u.u[:, 1], I4[0], u.u[:, 0]])
+    b = np.array([I4[0], u.u[:, 0], I4[1], u.u[:, 1]])
     w = 0.5 * np.array([p0, p0, p1, p1])
     k_mat = (a.conj()[:, :, None] * b[:, None, :]).reshape(4, 16).T
     g_mat = w[:, None] * k_mat.T.conj()
 
     # Overlaps and G row by row, so a start's arithmetic is the same at any n.
+    # Callers run it under np.errstate(**_SVD_ERRORS).
     def polar(c):
-        left, _, right = np.linalg.svd((c[:, None] @ g_mat).reshape(-1, 4, 4))
+        left, _, right = _svd((c[:, None] @ g_mat).reshape(-1, 4, 4))
         return left @ right
 
     return w, k_mat, polar
@@ -299,7 +315,8 @@ def perfect_message_attack(u) -> Optional[np.ndarray]:
     (m00, m01), (m10, m11) = u.m0
     theta1, theta3 = np.angle(m00 * np.conj(m11)), np.angle(m01 * np.conj(m10))
     _, _, polar = _substitution_objective(u, 0.5, 0.5)
-    v = polar(np.exp(1j * np.array([[0, theta1, theta1 + theta3, theta3]])))[0]
+    with np.errstate(**_SVD_ERRORS):
+        v = polar(np.exp(1j * np.array([[0, theta1, theta1 + theta3, theta3]])))[0]
     if message_attack_pf(u, v) < 1 - u.tol.strict:
         return None
     return v
@@ -323,7 +340,10 @@ def best_message_attack(
     ``V.reshape(16) @ K`` with K[ij, k] = conj(a_k[i]) b_k[j], and G is the
     overlaps times ``w_k K[:, k]†``, both taken start by start, so a start's
     iterates do not depend on how many starts run.  The live starts step
-    through one batched SVD.
+    through one batched SVD.  numpy does the array work: the G and overlap
+    products, the SVD, |c|, the weighted norms and the extrapolation below.
+    Each start's f, alpha, safeguard, best iterate and stop tests are Python
+    floats, with numpy's order of operations, so they round as numpy's would.
 
     Plain steps V <- F(V) converge only linearly, so the search runs SQUAREM
     cycles of F (Varadhan & Roland, Scand. J. Stat. 35 (2008) 335) on the
@@ -385,76 +405,81 @@ def best_message_attack(
     while len(starts) < n_restarts:
         starts.append(haar_random_unitary(4, rng))
 
-    step = np.stack(starts[:budget])
+    step = np.array(starts[:budget])
     n = len(step)
+    w0, w1, w2, w3 = w.tolist()
+    root_w = np.sqrt(w)
+    gain, settle = _ASCENT_GAIN, _FIXED_POINT
 
-    # np.linalg.norm(root_w * x, axis=-1): its own arithmetic for a complex
-    # vector norm, without its argument handling.
-    def weighted_norm(x):
+    # np.linalg.norm(root_w * x, axis=-1) as a list: its own arithmetic for a
+    # complex vector norm, without its argument handling.
+    def weighted_norms(x):
         x = root_w * x
-        return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
+        return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1)).tolist()
+
+    # Each start's best iterate and f; `live` lists the starts still stepping,
+    # one per row of the batch.  best_v holds views of the steps, each a new array.
+    best_v, best_f, live = list(step), [-inf] * n, list(range(n))
+    top, evals, stop = -inf, 0, "budget"
+    # The SQUAREM cycle so far: the overlaps of its base V0, then of V1 and V2.
+    # Set at V1: r = c1 - c0 and its weighted norms; at V2: f2 = f(V2).
+    cycle = []
 
     # A step is flat if it moved f by at most _ASCENT_GAIN either way, so an
     # extrapolation that fell below the best does not read as converged.
     def flat():
-        return bool(np.all(np.abs(f_step - before) <= _ASCENT_GAIN))
+        return all(abs(f_s - f_b) <= gain for f_s, f_b in zip(f_step, before))
 
-    # The live starts (indices `live`) with their best iterate v and f; a
-    # settled start leaves them for best_v and best_f.
-    live, v, f = np.arange(n), step.copy(), np.full(n, -np.inf)
-    best_v, best_f = v.copy(), f.copy()
-    top, evals, root_w, stop = -np.inf, 0, np.sqrt(w), "budget"
-    # The SQUAREM cycle so far: the overlaps and f of its base V0, then V1 and V2.
-    cycle = []
-    for _ in range(budget // n):
-        if len(cycle) == 3:
-            (c0, _), (c1, _), (c2, _) = cycle
-            r, d = c1 - c0, c2 - 2 * c1 + c0
-            r_norm, d_norm = weighted_norm(r), weighted_norm(d)
-            # alpha = min(-|sqrt(w) r|/|sqrt(w) d|, -1), and -1 when d = 0.
-            alpha = -np.divide(np.maximum(r_norm, d_norm), d_norm,
-                               out=np.ones(len(live)), where=d_norm > 0)[:, None]
-            step = polar(c0 - 2 * alpha * r + alpha**2 * d)
-        elif cycle:
-            step = polar(cycle[-1][0])
-        c = (step.reshape(-1, 1, 16) @ k_mat)[:, 0]
-        f_step = np.add.reduce(np.abs(c) ** 2 * w, axis=-1)
-        evals += len(live)
-        cycle.append((c, f_step))
-        if len(cycle) == 4:
-            # Keep the extrapolated V3 as the next base unless it fell below V2.
-            c2, f2 = cycle[2]
-            keep = f_step >= f2
-            cycle = [(c, f_step) if keep.all() else
-                     (np.where(keep[:, None], c, c2), np.where(keep, f_step, f2))]
-        # Keep each start's first best iterate: at a fixed point rounding can dip f.
-        gained, before = f_step > f, f
-        np.copyto(v, step, where=gained[:, None, None])
-        f = np.where(gained, f_step, f)
-        f_top = f.max()
-        if f_top > top:
-            top = f_top
-        if len(cycle) == 2:
-            # A settled start has nothing left to compute: it leaves the batch.
-            settled = weighted_norm(c - cycle[0][0]) <= _FIXED_POINT
-            if settled.any():
-                best_v[live[settled]], best_f[live[settled]] = v[settled], f[settled]
-                keep = ~settled
-                live, v, f = live[keep], v[keep], f[keep]
-                cycle = [(c_x[keep], f_x[keep]) for c_x, f_x in cycle]
-        if top >= stop_at:
-            stop = "stop_at"
-        elif top >= 1 - _ASCENT_GAIN and flat():
-            stop = "certain"
-        elif not len(live):
-            stop = "fixed_point"
-        if stop != "budget":
-            break
+    with np.errstate(**_SVD_ERRORS):
+        for _ in range(budget // n):
+            if len(cycle) == 3:
+                c0, c1, c2 = cycle
+                d = c2 - 2 * c1 + c0
+                # alpha = min(-|sqrt(w) r|/|sqrt(w) d|, -1), and -1 when d = 0.
+                alpha = np.array([[-max(r_norm, d_norm) / d_norm if d_norm > 0 else -1.0]
+                                  for r_norm, d_norm in zip(r_norms, weighted_norms(d))])
+                step = polar(c0 - 2 * alpha * r + alpha**2 * d)
+            elif cycle:
+                step = polar(cycle[-1])
+            c = (step.reshape(-1, 1, 16) @ k_mat)[:, 0]
+            f_step = [m0 * m0 * w0 + m1 * m1 * w1 + m2 * m2 * w2 + m3 * m3 * w3
+                      for m0, m1, m2, m3 in np.abs(c).tolist()]
+            evals += len(live)
+            if len(cycle) == 3:
+                # Keep the extrapolated V3 as the next base unless it fell below V2.
+                fell = [f3 < f2_s for f3, f2_s in zip(f_step, f2)]
+                cycle = [np.where(np.array(fell)[:, None], c2, c) if any(fell) else c]
+            else:
+                cycle.append(c)
+                if len(cycle) == 3:
+                    f2 = f_step
+            # Keep each start's first best iterate: at a fixed point rounding can dip f.
+            before = [best_f[start] for start in live]
+            for i, (start, f_s, f_b) in enumerate(zip(live, f_step, before)):
+                if f_s > f_b:
+                    best_v[start], best_f[start] = step[i], f_s
+            top = max(top, *f_step)
+            if len(cycle) == 2:
+                # ||sqrt(w) r|| is both the settle test and alpha's numerator.
+                r = c - cycle[0]
+                r_norms = weighted_norms(r)
+                # A settled start has nothing left to compute: it leaves the batch.
+                keep = [i for i, r_norm in enumerate(r_norms) if not r_norm <= settle]
+                if len(keep) < len(live):
+                    live, r_norms = [live[i] for i in keep], [r_norms[i] for i in keep]
+                    cycle, r = [x[keep] for x in cycle], r[keep]
+            if top >= stop_at:
+                stop = "stop_at"
+            elif top >= 1 - gain and flat():
+                stop = "certain"
+            elif not live:
+                stop = "fixed_point"
+            if stop != "budget":
+                break
 
-    best_v[live], best_f[live] = v, f
-    top_start = int(np.argmax(best_f))
+    top_start = best_f.index(max(best_f))
     return AttackResult(
-        probability=float(best_f[top_start]),
+        probability=best_f[top_start],
         strategy=best_v[top_start],
         method="polar_ascent",
         budget=budget,

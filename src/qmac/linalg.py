@@ -128,8 +128,13 @@ def halmos_dilation(m0: np.ndarray) -> np.ndarray:
     if not s[0] <= 1:
         raise ValueError(f"M0 is not a contraction (sigma_max {s[0]!r})")
     c = np.sqrt(1 - s**2)
-    return np.block([[m0, (left * c) @ dagger(left)],
-                     [(dagger(right_h) * c) @ right_h, -dagger(m0)]])
+    n = len(m0)
+    out = np.empty((2 * n, 2 * n), dtype=complex)
+    out[:n, :n] = m0
+    out[:n, n:] = (left * c) @ dagger(left)
+    out[n:, :n] = (dagger(right_h) * c) @ right_h
+    out[n:, n:] = -dagger(m0)
+    return out
 
 
 # --- matrix JSON interchange -------------------------------------------------

@@ -51,11 +51,15 @@ class TaggingUnitary:
         self._u = u.copy()
         self._u.setflags(write=False)
         self.tol = tol
-        # Controlled encode/decode operators on the 16-dim joint space.
-        p0 = np.diag([1, 0]).astype(complex)
-        p1 = np.diag([0, 1]).astype(complex)
-        self.encode_op = tensor(p0, I2, I4) + tensor(p1, I2, u)
-        self.decode_op = tensor(I2, p0, dagger(u)) + tensor(I2, p1, I4)
+        # Controlled encode/decode operators on the 16-dim joint space:
+        # blockdiag(I8, I2 ⊗ U) and I2 ⊗ blockdiag(U†, I4).  Adding 0.0 turns
+        # any -0.0 into the +0.0 that the sum of the two controlled branches gives.
+        self.encode_op = np.eye(16, dtype=complex)
+        self.encode_op[8:, 8:] = tensor(I2, u)
+        self.encode_op += 0.0
+        decode = np.eye(8, dtype=complex)
+        decode[:4, :4] = dagger(u)
+        self.decode_op = tensor(I2, decode) + 0.0
 
     @property
     def u(self) -> np.ndarray:

@@ -570,16 +570,45 @@ class TestPolarAscent:
 
 
 def svd_batches(monkeypatch):
-    """Record the number of matrices in each np.linalg.svd call."""
+    """Record the number of matrices in each call of the ascent's SVD kernel."""
     batches = []
-    svd = np.linalg.svd
+    svd = adversary._svd
 
     def counted(a, *args, **kwargs):
         batches.append(len(a))
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(adversary, "_svd", counted)
     return batches
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12])
+def test_svd_kernel_equals_linalg_svd(n):
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        g = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+        for got, want in zip(adversary._svd(g), np.linalg.svd(g)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_failed_svd_raises_linalg_error(u_identity, monkeypatch):
+    # The kernel runs under np.linalg.svd's error handling, so a G holding NaN
+    # raises LinAlgError, in the ascent and in the certainty construction.
+    svd = adversary._svd
+
+    def poisoned(g):
+        g = g.copy()
+        g[:, 0, 0] = np.nan
+        return svd(g)
+
+    monkeypatch.setattr(adversary, "_svd", poisoned)
+    u = TaggingUnitary(haar_random_unitary(4, np.random.default_rng(0)))
+    assert perfect_message_attack(u) is None  # so the ascent's own step raises
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        best_message_attack(u, budget=2)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        perfect_message_attack(u_identity)
 
 
 def same_attack(a, b):
@@ -710,8 +739,8 @@ def oracle_unitaries():
 
 
 # Budgets over the first SQUAREM cycle (1-3 steps at one start), around 64 and
-# 128 steps at one start, then longer searches.
-REFERENCE_BUDGETS = [1, 2, 3, 63, 64, 65, 127, 128, 129, 500, 2000]
+# 128 steps at one start, then longer searches on one, six and twelve starts.
+REFERENCE_BUDGETS = [1, 2, 3, 63, 64, 65, 127, 128, 129, 500, 2000, 3600]
 
 
 @pytest.mark.parametrize("budget", REFERENCE_BUDGETS)
