@@ -17,12 +17,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .linalg import (
-    dagger,
-    haar_random_unitary,
-    is_unitary,
-    tensor,
-)
+from .linalg import dagger, haar_random_unitary, tensor, unitary_operand
 from .protocol import (
     ACCEPT_PROJECTOR,
     I2,
@@ -207,34 +202,22 @@ def _check_priors(p0: float, p1: float):
 def message_attack_pf(u, v: np.ndarray, p0: float = 0.5, p1: float = 0.5) -> float:
     """Probability that applying ``v`` in the channel flips the decoded bit.
 
-    sum_i p_i (1/2)(|<phi_j|V|phi_i>|^2 + |<phi_j|U†VU|phi_i>|^2), j != i.
+    sum_i p_i (1/2)(|<phi_j|V|phi_i>|^2 + |<phi_j|U†VU|phi_i>|^2), j != i,
+    evaluated by :func:`_substitution_objective`'s evaluator, the one the
+    ascent reads, so a reported strategy re-evaluates to its probability.
     """
     u = as_tagging_unitary(u)
     _check_priors(p0, p1)
-    v = _attack_operation(u, v)
-    w = dagger(u.u) @ v @ u.u
-    total = 0.0
-    for i, p in ((0, p0), (1, p1)):
-        j = 1 - i
-        total += p * 0.5 * (abs(v[j, i]) ** 2 + abs(w[j, i]) ** 2)
-    return float(total)
-
-
-def _attack_operation(u: TaggingUnitary, v) -> np.ndarray:
-    """``v`` as a complex array, checked unitary to within ``u.tol.unitary``."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (4, 4):
-        raise ValueError(f"attack operation must be 4x4, got {v.shape}")
-    ok, dev = is_unitary(v, u.tol.unitary)
-    if not ok:
-        raise ValueError(f"attack operation must be unitary (deviation {dev:.3e})")
-    return v
+    v = unitary_operand(v, "attack operation", 4, u.tol.unitary)
+    _, evaluate, _ = _substitution_objective(u, p0, p1)
+    return evaluate(v)[1][0]
 
 
 def message_attack_distribution(u, v: np.ndarray, message: int) -> np.ndarray:
     """Bob's outcome distribution when Eve applies ``v`` to an honest round."""
     u = as_tagging_unitary(u)
-    state = tensor(I2, I2, _attack_operation(u, v)) @ encode(u, message)
+    v = unitary_operand(v, "attack operation", 4, u.tol.unitary)
+    state = tensor(I2, I2, v) @ encode(u, message)
     return measurement_distribution(decode(u, state))
 
 
@@ -260,9 +243,11 @@ def _substitution_objective(u: TaggingUnitary, p0: float, p1: float):
     """Eve's substitution objective f(V) = sum_k w_k |<a_k|V|b_k>|^2, with
     a = (e1, Ue1, e0, Ue0), b = (e0, Ue0, e1, Ue1) and w = (p0, p0, p1, p1)/2.
 
-    Returns w, K (``V.reshape(16) @ K`` are the overlaps <a_k|V|b_k>) and the
-    polar map, which takes overlaps c, one row per start, to the polar
-    factors of G = sum_k w_k c_k |a_k><b_k|.
+    Returns w, the evaluator and the polar map.  The evaluator takes a stack
+    of V to their overlaps c_k = <a_k|V|b_k> (``V.reshape(16) @ K`` with
+    K[ij, k] = conj(a_k[i]) b_k[j]) and their f, each the left-to-right
+    Python-float sum of |c_k| |c_k| w_k.  The polar map takes overlaps c,
+    one row per start, to the polar factors of G = sum_k w_k c_k |a_k><b_k|.
     """
     # Terms (a_k, b_k, w_k): the bit flip on the bare message, then under U.
     a = np.array([I4[1], u.u[:, 1], I4[0], u.u[:, 0]])
@@ -270,14 +255,20 @@ def _substitution_objective(u: TaggingUnitary, p0: float, p1: float):
     w = 0.5 * np.array([p0, p0, p1, p1])
     k_mat = (a.conj()[:, :, None] * b[:, None, :]).reshape(4, 16).T
     g_mat = w[:, None] * k_mat.T.conj()
+    w0, w1, w2, w3 = w.tolist()
 
     # Overlaps and G row by row, so a start's arithmetic is the same at any n.
+    def evaluate(v):
+        c = (v.reshape(-1, 1, 16) @ k_mat)[:, 0]
+        return c, [m0 * m0 * w0 + m1 * m1 * w1 + m2 * m2 * w2 + m3 * m3 * w3
+                   for m0, m1, m2, m3 in np.abs(c).tolist()]
+
     # Callers run it under np.errstate(**_SVD_ERRORS).
     def polar(c):
         left, _, right = _svd((c[:, None] @ g_mat).reshape(-1, 4, 4))
         return left @ right
 
-    return w, k_mat, polar
+    return w, evaluate, polar
 
 
 def swap_mismatch(u) -> float:
@@ -336,9 +327,10 @@ def best_message_attack(
     f(V) = sum_k w_k |<a_k|V|b_k>|^2 is convex in V, so the polar map F,
     which takes V to the polar factor W Z† of G = sum_k w_k <a_k|V|b_k>
     |a_k><b_k| = W S Z† (the maximizer of f's linearisation at V), cannot
-    lower f.  Each F is one SVD; the overlaps <a_k|V|b_k> are
-    ``V.reshape(16) @ K`` with K[ij, k] = conj(a_k[i]) b_k[j], and G is the
-    overlaps times ``w_k K[:, k]†``, both taken start by start, so a start's
+    lower f.  Each F is one SVD; the overlaps <a_k|V|b_k> and f come from
+    :func:`_substitution_objective`'s evaluator, which
+    :func:`message_attack_pf` also calls, and G is the overlaps times
+    ``w_k K[:, k]†``, both taken start by start, so a start's
     iterates do not depend on how many starts run.  The live starts step
     through one batched SVD.  numpy does the array work: the G and overlap
     products, the SVD, |c|, the weighted norms and the extrapolation below.
@@ -395,7 +387,7 @@ def best_message_attack(
         raise ValueError("budget must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    w, k_mat, polar = _substitution_objective(u, p0, p1)
+    w, evaluate, polar = _substitution_objective(u, p0, p1)
 
     starts = [I4[[1, 0, 2, 3]]]  # sigma_x on the message bit
     perfect = perfect_message_attack(u)
@@ -407,7 +399,6 @@ def best_message_attack(
 
     step = np.array(starts[:budget])
     n = len(step)
-    w0, w1, w2, w3 = w.tolist()
     root_w = np.sqrt(w)
     gain, settle = _ASCENT_GAIN, _FIXED_POINT
 
@@ -441,9 +432,7 @@ def best_message_attack(
                 step = polar(c0 - 2 * alpha * r + alpha**2 * d)
             elif cycle:
                 step = polar(cycle[-1])
-            c = (step.reshape(-1, 1, 16) @ k_mat)[:, 0]
-            f_step = [m0 * m0 * w0 + m1 * m1 * w1 + m2 * m2 * w2 + m3 * m3 * w3
-                      for m0, m1, m2, m3 in np.abs(c).tolist()]
+            c, f_step = evaluate(step)
             evals += len(live)
             if len(cycle) == 3:
                 # Keep the extrapolated V3 as the next base unless it fell below V2.
@@ -565,12 +554,7 @@ def _reuse_kernel(u: TaggingUnitary, interaction: np.ndarray, forge_bit: int):
     after Eve loads |f> = |phi_forge_bit> and tags it with U controlled on
     her ancilla, which leaves (a, b, e) untouched.
     """
-    w = np.asarray(interaction, dtype=complex)
-    if w.shape != (8, 8):
-        raise ValueError("Eve's interaction must act on message ⊗ ancilla (8-dim)")
-    ok, dev = is_unitary(w, u.tol.unitary)
-    if not ok:
-        raise ValueError(f"Eve's interaction must be unitary (deviation {dev:.3e})")
+    w = unitary_operand(interaction, "Eve's interaction", 8, u.tol.unitary)
     if forge_bit not in (0, 1):
         raise ValueError("forge_bit must be 0 or 1")
     enc = np.stack([I4, u.u])

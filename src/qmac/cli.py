@@ -327,7 +327,7 @@ def main(argv=None) -> int:
     try:
         tol = DEFAULT_TOL.override(**_parse_tol_overrides(args.tol))
         return args.handler(args, tol)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # numpy's names the size
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

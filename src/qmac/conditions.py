@@ -66,7 +66,8 @@ def check_case2(u) -> ConditionCheck:
 
     The verdict uses the paper's formula as printed (:func:`ec_gorda_lhs`).
     The details also carry the exact restricted optimum's criterion,
-    ``sigma_max_sq`` = sigma_max(M0)^2 < 1 - ``tol.strict``, and
+    ``sigma_max_sq`` = sigma_max(M0)^2 < 1 - ``tol.strict``, with sigma_max
+    from the SVD behind :func:`~qmac.adversary.no_message_optimal`, and
     ``disagrees``: whether the two tests reach different answers.  The
     printed formula is never below sigma_max(M0)^2, so a disagreement is a
     rejection the exact criterion would pass.
@@ -79,7 +80,9 @@ def check_case2(u) -> ConditionCheck:
             satisfied=False, margin=None, applies=False, details={"y": y}
         )
     lhs = ec_gorda_lhs(x, y, z)
-    sigma_max_sq = float(np.linalg.norm(u.m0, 2) ** 2)
+    # The full decomposition no_message_optimal takes, not norm(M0, 2)'s
+    # values-only one, which can differ in the last bit.
+    sigma_max_sq = float(np.linalg.svd(u.m0)[1][0] ** 2)
     satisfied = lhs < 1 - u.tol.strict
     return ConditionCheck(
         satisfied=satisfied,

@@ -101,6 +101,18 @@ def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL.unitary):
     return bool(dev <= tol), float(dev)
 
 
+def unitary_operand(m, name: str, n: int, tol: float) -> np.ndarray:
+    """``m`` as a complex array, checked n×n and unitary to within ``tol``;
+    ``name`` names the operand in the ``ValueError`` either check raises."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (n, n):
+        raise ValueError(f"{name} must be {n}x{n}, got {m.shape}")
+    ok, dev = is_unitary(m, tol)
+    if not ok:
+        raise ValueError(f"{name} must be unitary (deviation {dev:.3e})")
+    return m
+
+
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random unitary via QR of a complex Ginibre matrix.
 

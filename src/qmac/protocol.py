@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .linalg import dagger, is_unitary, partial_trace, tensor
+from .linalg import dagger, partial_trace, tensor, unitary_operand
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -42,12 +42,7 @@ class TaggingUnitary:
     """
 
     def __init__(self, u: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (4, 4):
-            raise ValueError(f"tagging unitary must be 4x4, got {u.shape}")
-        ok, dev = is_unitary(u, tol.unitary)
-        if not ok:
-            raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
+        u = unitary_operand(u, "tagging unitary", 4, tol.unitary)
         self._u = u.copy()
         self._u.setflags(write=False)
         self.tol = tol

@@ -421,9 +421,29 @@ class TestBestMessageAttack:
 
     def test_strategy_attains_probability(self, u_secure):
         res = best_message_attack(u_secure, budget=300, rng=np.random.default_rng(1))
-        assert message_attack_pf(u_secure, res.strategy) == pytest.approx(
-            res.probability, abs=1e-9
-        )
+        assert message_attack_pf(u_secure, res.strategy) == res.probability
+
+
+def witness_grid():
+    """The three builtins and Haar taggings 1000-1039 at four priors and four
+    budgets: 688 searches."""
+    taggings = [TaggingUnitary(BUILTIN[name]()) for name in sorted(BUILTIN)] + [
+        TaggingUnitary(haar_random_unitary(4, np.random.default_rng(1000 + k)))
+        for k in range(40)
+    ]
+    for u in taggings:
+        for p0 in (0.5, 0.8, 1.0, 0.0):
+            for budget in (1, 65, 500, 2000):
+                yield u, p0, best_message_attack(u, p0, 1 - p0, budget,
+                                                 np.random.default_rng(7))
+
+
+def test_reported_strategy_re_evaluates_to_its_probability():
+    # message_attack_pf and the ascent share one evaluator, so the witness
+    # reproduces the reported float exactly, not merely to rounding.
+    misses = [(u.u[0, 0], p0, r.iterations) for u, p0, r in witness_grid()
+              if message_attack_pf(u, r.strategy, p0, 1 - p0) != r.probability]
+    assert misses == []
 
 
 # best_message_attack(u, budget=2000, rng=default_rng(0)).probability as
@@ -474,9 +494,7 @@ class TestPolarAscent:
                 u, p0=p0, p1=p1, budget=2000, rng=np.random.default_rng(0)
             )
             assert is_unitary(res.strategy, 1e-12)[0]
-            assert message_attack_pf(u, res.strategy, p0, p1) == pytest.approx(
-                res.probability, abs=1e-12
-            )
+            assert message_attack_pf(u, res.strategy, p0, p1) == res.probability
             assert res.method == "polar_ascent"
             assert res.iterations <= 2000
 
@@ -1282,11 +1300,44 @@ class TestKeyReuseStats:
                  "must be one 4-vector", id="sim-batch"),
     pytest.param(lambda u: best_message_attack(u, budget=0), "budget must be >= 1",
                  id="budget-0"),
-    pytest.param(lambda u: reuse_forgery_probability(u, np.eye(4)), "8-dim",
-                 id="interaction-4x4"),
+    pytest.param(lambda u: reuse_forgery_probability(u, np.eye(4)),
+                 r"Eve's interaction must be 8x8, got \(4, 4\)", id="interaction-4x4"),
     pytest.param(lambda u: simulate_key_reuse(u, 0, np.eye(8), np.random.default_rng(0)),
                  "rounds must be >= 1", id="rounds-0"),
 ])
 def test_bad_input_rejected(u_secure, call, match):
     with pytest.raises(ValueError, match=match):
         call(u_secure)
+
+
+def with_entry(n, value):
+    m = np.eye(n, dtype=complex)
+    m[0, 0] = value
+    return m
+
+
+# The operand, its size and how a caller hands it in.
+OPERANDS = {
+    "tagging unitary": (4, lambda u, m: TaggingUnitary(m)),
+    "attack operation": (4, lambda u, m: message_attack_pf(u, m)),
+    "Eve's interaction": (8, lambda u, m: reuse_forgery_probability(u, m)),
+}
+
+
+@pytest.mark.parametrize("name", list(OPERANDS))
+@pytest.mark.parametrize("bad, match", [
+    pytest.param(lambda n: np.eye(n + 1), r"must be {n}x{n}, got \({m}, {m}\)",
+                 id="shape"),
+    pytest.param(lambda n: with_entry(n, 2), r"must be unitary \(deviation 3\.000e\+00\)",
+                 id="not-unitary"),
+    pytest.param(lambda n: with_entry(n, np.nan), r"must be unitary \(deviation nan\)",
+                 id="nan"),
+    pytest.param(lambda n: with_entry(n, 1e200), r"must be unitary \(deviation inf\)",
+                 id="huge"),
+])
+def test_unitary_operand_checked_in_one_format(u_secure, name, bad, match):
+    n, call = OPERANDS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} " + match.format(n=n, m=n + 1) + "$"):
+            call(u_secure, bad(n))

@@ -87,7 +87,7 @@ class TestValidate:
         path.write_text(json.dumps(matrix_to_json(m)))
         code, out, err = run_cli(capsys, "validate", "--input", str(path))
         assert code == 2 and out == ""
-        assert "matrix is not unitary (deviation inf)" in err
+        assert "tagging unitary must be unitary (deviation inf)" in err
 
     @pytest.mark.parametrize("data", [[["a", "b"]], 5])
     def test_malformed_entries_exit_two(self, capsys, tmp_path, data):
@@ -227,6 +227,20 @@ class TestSimulate:
         body = json.loads(out)
         assert body["summary"]["empty"] is True
         assert body["records"] == []
+
+    def test_request_too_big_for_memory_exit_two(self, capsys, monkeypatch):
+        # Raised, not provoked: the test allocates nothing.
+        message = "Unable to allocate 22.4 GiB for an array with shape (3000000000,)"
+
+        def no_room(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "simulate_honest_batch", no_room)
+        code, out, err = run_cli(
+            capsys, "simulate", "--input", "secure_example", "--trials", "3000000000"
+        )
+        assert code == 2 and out == ""
+        assert f"error: {message}" in err
 
     @pytest.mark.parametrize("trials", ["0", "1", "1000"])
     def test_report_is_plain_indented_dump(self, capsys, trials):
