@@ -298,19 +298,22 @@ def perfect_message_attack(u) -> Optional[np.ndarray]:
     one step of the polar map, agrees with V on span{b_k}, all pf reads.
     Returns None when the swap mismatch exceeds its tolerance (the gate
     below) or the built V reaches pf < 1 - ``tol.strict``; under a loosened
-    swap tolerance the second can happen while condition 3 fails.
+    swap tolerance the second can happen while condition 3 fails.  pf is
+    read by the same objective's evaluator, the one
+    :func:`message_attack_pf` calls, so V, a polar factor the function built
+    itself, is not re-checked as a caller's operand.
     """
     u = as_tagging_unitary(u)
     if swap_mismatch(u) > u.tol.phase_equiv:
         return None
     (m00, m01), (m10, m11) = u.m0
     theta1, theta3 = np.angle(m00 * np.conj(m11)), np.angle(m01 * np.conj(m10))
-    _, _, polar = _substitution_objective(u, 0.5, 0.5)
+    _, evaluate, polar = _substitution_objective(u, 0.5, 0.5)
     with np.errstate(**_SVD_ERRORS):
-        v = polar(np.exp(1j * np.array([[0, theta1, theta1 + theta3, theta3]])))[0]
-    if message_attack_pf(u, v) < 1 - u.tol.strict:
+        v = polar(np.exp(1j * np.array([[0, theta1, theta1 + theta3, theta3]])))
+    if evaluate(v)[1][0] < 1 - u.tol.strict:
         return None
-    return v
+    return v[0]
 
 
 def best_message_attack(

@@ -5,6 +5,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict, replace
 
+# The least ``unitary`` tolerance: every matrix and state the package computes
+# misses exactness by up to a few ulps (the largest deviations measured:
+# 3.55e-15 for a substitution search's strategy, 2.44e-15 for a certainty
+# attack and for halmos_dilation, 2.0e-15 for a Haar draw, 2.2e-16 for the
+# norm of the no-message witness).  Below this floor the package's own
+# witnesses would fail its re-checks, so a valid input could exit 2.
+UNITARY_FLOOR = 1e-13
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -20,7 +28,8 @@ class Tolerances:
 
     Each must be finite and >= 0, and ``unitary`` below 1: a matrix with a
     zero column puts -1 on the diagonal of ``U†U - I``, so below 1 it can
-    never pass as unitary.
+    never pass as unitary.  ``unitary`` must also be at least
+    ``UNITARY_FLOOR``, the rounding the package's own results carry.
 
     A :class:`~qmac.protocol.TaggingUnitary` carries the tolerances it was
     built with; every check on it reads them from there.
@@ -36,6 +45,9 @@ class Tolerances:
                 raise ValueError(f"tolerance {name!r} must be finite and >= 0, got {value!r}")
         if self.unitary >= 1:
             raise ValueError(f"tolerance 'unitary' must be below 1, got {self.unitary!r}")
+        if self.unitary < UNITARY_FLOOR:
+            raise ValueError(f"tolerance 'unitary' must be at least {UNITARY_FLOOR!r}, "
+                             f"got {self.unitary!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -28,7 +28,7 @@ from qmac.adversary import (
     row_parameters,
     simulate_key_reuse,
 )
-from qmac.config import DEFAULT_TOL
+from qmac.config import DEFAULT_TOL, UNITARY_FLOOR
 from qmac.fixtures import BUILTIN, secure_example_unitary
 from qmac.linalg import haar_random_unitary, halmos_dilation, is_unitary, tensor
 from qmac.protocol import MESSAGE_BASIS, TaggingUnitary, key_fidelity, singlet
@@ -102,7 +102,7 @@ class TestNoMessagePf:
             no_message_pf(u_secure, eve)
         loose = TaggingUnitary(u_secure.u, DEFAULT_TOL.override(unitary=1e-5))
         assert no_message_pf(loose, eve) == pytest.approx(0.75, abs=1e-5)
-        tight = TaggingUnitary(u_secure.u, DEFAULT_TOL.override(unitary=1e-14))
+        tight = TaggingUnitary(u_secure.u, DEFAULT_TOL.override(unitary=UNITARY_FLOOR))
         with pytest.raises(ValueError, match="normalized"):
             no_message_pf(tight, E[:, 0] * (1 + 1e-12))
 
@@ -238,10 +238,6 @@ class TestMessageAttack:
         with pytest.raises(ValueError, match="attack operation must be unitary"):
             message_attack_sim(u_secure, v, 100, rng)
 
-    def test_huge_attack_rejected_without_overflow(self, u_identity):
-        with pytest.raises(ValueError, match=r"must be unitary \(deviation inf\)"):
-            message_attack_pf(u_identity, np.diag([1, 1, 1, 1e200]))
-
     @pytest.mark.parametrize("trials", [0, -1])
     def test_simulations_need_a_trial(self, u_secure, rng, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):
@@ -275,6 +271,27 @@ class TestPerfectMessageAttack:
 
     def test_secure_example_has_none(self, u_secure):
         assert perfect_message_attack(u_secure) is None
+
+    def test_one_objective_builds_and_scores_the_attack(self, monkeypatch, rng):
+        taggings = [TaggingUnitary(BUILTIN[name]()) for name in ("identity", "x_block")]
+        taggings += [TaggingUnitary(swap_related_tagging(
+            rng.random(2), rng.uniform(0, 2 * np.pi, 4), rng.uniform(0.01, 0.99), False,
+            seed)) for seed in range(3)]
+        expected = [perfect_message_attack(u) for u in taggings]
+        assert all(message_attack_pf(u, v) >= 1 - u.tol.strict
+                   for u, v in zip(taggings, expected))
+        builds = []
+        objective = adversary._substitution_objective
+        monkeypatch.setattr(adversary, "_substitution_objective",
+                            lambda *args: builds.append(args) or objective(*args))
+
+        def refuse(*args):
+            raise AssertionError("the certainty attack is scored by a second objective")
+
+        monkeypatch.setattr(adversary, "message_attack_pf", refuse)
+        for calls, (u, v) in enumerate(zip(taggings, expected), start=1):
+            assert perfect_message_attack(u).tobytes() == v.tobytes()
+            assert len(builds) == calls
 
     def test_constructed_attack_on_swap_related_unitaries(self, rng):
         # Any unitary whose first block columns are phase-swap related
@@ -975,10 +992,6 @@ class TestKeyReuseSimulation:
         with pytest.raises(ValueError):
             simulate_key_reuse(u_secure, 1, np.eye(8) * 2, rng, trials=1)
 
-    def test_huge_interaction_rejected_without_overflow(self, u_secure):
-        with pytest.raises(ValueError, match=r"must be unitary \(deviation inf\)"):
-            reuse_forgery_probability(u_secure, np.eye(8) * 1e200)
-
     @pytest.mark.parametrize("trials", [0, -5])
     def test_needs_a_trial(self, u_secure, rng, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):
@@ -1285,8 +1298,6 @@ class TestKeyReuseStats:
                  id="state-abs_e0-nan"),
     pytest.param(lambda u: eve_state_from_restricted(u, 0.5, np.inf), "theta be finite",
                  id="state-theta-inf"),
-    pytest.param(lambda u: message_attack_pf(u, np.eye(3)), r"must be 4x4, got \(3, 3\)",
-                 id="attack-3x3"),
     pytest.param(lambda u: message_attack_distribution(u, np.eye(3), 0),
                  r"must be 4x4, got \(3, 3\)", id="attack-distribution-3x3"),
     pytest.param(lambda u: no_message_pf(u, [[3], [0], [0], [0]]),
@@ -1300,8 +1311,6 @@ class TestKeyReuseStats:
                  "must be one 4-vector", id="sim-batch"),
     pytest.param(lambda u: best_message_attack(u, budget=0), "budget must be >= 1",
                  id="budget-0"),
-    pytest.param(lambda u: reuse_forgery_probability(u, np.eye(4)),
-                 r"Eve's interaction must be 8x8, got \(4, 4\)", id="interaction-4x4"),
     pytest.param(lambda u: simulate_key_reuse(u, 0, np.eye(8), np.random.default_rng(0)),
                  "rounds must be >= 1", id="rounds-0"),
 ])
@@ -1316,28 +1325,32 @@ def with_entry(n, value):
     return m
 
 
-# The operand, its size and how a caller hands it in.
+# The operand, its size, a smaller size a caller may hand in by mistake (for
+# the interaction, a 4x4 attack operation) and how a caller hands it in.
 OPERANDS = {
-    "tagging unitary": (4, lambda u, m: TaggingUnitary(m)),
-    "attack operation": (4, lambda u, m: message_attack_pf(u, m)),
-    "Eve's interaction": (8, lambda u, m: reuse_forgery_probability(u, m)),
+    "tagging unitary": (4, 3, lambda u, m: TaggingUnitary(m)),
+    "attack operation": (4, 3, lambda u, m: message_attack_pf(u, m)),
+    "Eve's interaction": (8, 4, lambda u, m: reuse_forgery_probability(u, m)),
 }
 
 
 @pytest.mark.parametrize("name", list(OPERANDS))
 @pytest.mark.parametrize("bad, match", [
-    pytest.param(lambda n: np.eye(n + 1), r"must be {n}x{n}, got \({m}, {m}\)",
+    pytest.param(lambda n, k: np.eye(n + 1), r"must be {n}x{n}, got \({m}, {m}\)",
                  id="shape"),
-    pytest.param(lambda n: with_entry(n, 2), r"must be unitary \(deviation 3\.000e\+00\)",
-                 id="not-unitary"),
-    pytest.param(lambda n: with_entry(n, np.nan), r"must be unitary \(deviation nan\)",
+    pytest.param(lambda n, k: np.eye(k), r"must be {n}x{n}, got \({m}, {m}\)",
+                 id="smaller-shape"),
+    pytest.param(lambda n, k: with_entry(n, 2),
+                 r"must be unitary \(deviation 3\.000e\+00\)", id="not-unitary"),
+    pytest.param(lambda n, k: with_entry(n, np.nan), r"must be unitary \(deviation nan\)",
                  id="nan"),
-    pytest.param(lambda n: with_entry(n, 1e200), r"must be unitary \(deviation inf\)",
+    pytest.param(lambda n, k: with_entry(n, 1e200), r"must be unitary \(deviation inf\)",
                  id="huge"),
 ])
 def test_unitary_operand_checked_in_one_format(u_secure, name, bad, match):
-    n, call = OPERANDS[name]
+    n, smaller, call = OPERANDS[name]
+    m = bad(n, smaller)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"^{name} " + match.format(n=n, m=n + 1) + "$"):
-            call(u_secure, bad(n))
+        with pytest.raises(ValueError, match=f"^{name} " + match.format(n=n, m=len(m)) + "$"):
+            call(u_secure, m)

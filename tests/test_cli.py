@@ -184,6 +184,9 @@ class TestValidate:
                      "--tol expects NAME=VALUE, got 'strict'", id="tol-without-equals"),
         pytest.param(["--input", "nan.json"], "matrix JSON contains non-finite entries",
                      id="nan-entry"),
+        pytest.param(["--input", "identity", "--tol", "unitary=1e-16"],
+                     "tolerance 'unitary' must be at least 1e-13, got 1e-16",
+                     id="unitary-below-floor"),
     ])
     def test_bad_input_exit_two(self, capsys, tmp_path, monkeypatch, argv, message):
         matrix = matrix_to_json(secure_example_unitary())

@@ -1,6 +1,6 @@
 import pytest
 
-from qmac.config import DEFAULT_TOL, Tolerances
+from qmac.config import DEFAULT_TOL, UNITARY_FLOOR, Tolerances
 
 
 @pytest.mark.parametrize("make, name", [
@@ -14,7 +14,14 @@ def test_bad_value_rejected(make, name):
 
 
 def test_zero_is_allowed():
-    assert Tolerances(unitary=0, strict=0, phase_equiv=0).strict == 0
+    assert Tolerances(unitary=UNITARY_FLOOR, strict=0, phase_equiv=0).strict == 0
+
+
+@pytest.mark.parametrize("value", [0, 1e-16, UNITARY_FLOOR * 0.99])
+def test_unitary_tolerance_below_rounding_rejected(value):
+    # Below the floor the package's own witnesses would fail its re-checks.
+    with pytest.raises(ValueError, match=f"'unitary' must be at least {UNITARY_FLOOR!r}, got"):
+        Tolerances(unitary=value)
 
 
 @pytest.mark.parametrize("value", [1, 1.0, 1.5])
