@@ -238,6 +238,10 @@ class TestMessageAttack:
         with pytest.raises(ValueError, match="attack operation must be unitary"):
             message_attack_sim(u_secure, v, 100, rng)
 
+    def test_huge_attack_rejected_without_overflow(self, u_identity):
+        with pytest.raises(ValueError, match=r"must be unitary \(deviation inf\)"):
+            message_attack_pf(u_identity, np.diag([1, 1, 1, 1e200]))
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_simulations_need_a_trial(self, u_secure, rng, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):
@@ -991,6 +995,10 @@ class TestKeyReuseSimulation:
     def test_non_unitary_interaction_rejected(self, u_secure, rng):
         with pytest.raises(ValueError):
             simulate_key_reuse(u_secure, 1, np.eye(8) * 2, rng, trials=1)
+
+    def test_huge_interaction_rejected_without_overflow(self, u_secure):
+        with pytest.raises(ValueError, match=r"must be unitary \(deviation inf\)"):
+            reuse_forgery_probability(u_secure, np.eye(8) * 1e200)
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_needs_a_trial(self, u_secure, rng, trials):
