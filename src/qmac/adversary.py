@@ -15,9 +15,8 @@ from math import inf, sqrt
 from typing import Optional
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from .linalg import dagger, haar_random_unitary, tensor, unitary_operand
+from .linalg import _SVD_ERRORS, _svd, dagger, haar_random_unitary, tensor, unitary_operand
 from .protocol import (
     ACCEPT_PROJECTOR,
     I2,
@@ -35,20 +34,6 @@ _ASCENT_GAIN = 1e-13  # a substitution-ascent step gaining no more has converged
 _FIXED_POINT = 1e-9  # a polar step moving a start's weighted overlaps no more has settled it
 _PRIOR_SUM_SLACK = 1e-12  # priors typed in decimal can miss 1 by rounding
 _ACCEPT_FLOOR = 1e-15  # acceptance this small is rounding: do not condition on it
-
-# The gufunc np.linalg.svd calls on a stack of complex matrices: (u, s, vh) for
-# each, bit for bit, without the wrapper's argument handling.
-_svd = _umath_linalg.svd_f
-
-
-def _svd_failed(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge")
-
-
-# The floating-point error handling np.linalg.svd runs _svd under: the gufunc
-# signals a failed SVD as an invalid operation, which raises LinAlgError.
-_SVD_ERRORS = dict(call=_svd_failed, invalid="call", over="ignore", divide="ignore",
-                   under="ignore")
 
 
 @dataclass(frozen=True)
@@ -98,13 +83,9 @@ def _injected_state(u: TaggingUnitary, eve) -> np.ndarray:
 
 
 def row_parameters(u) -> tuple:
-    """(x, y, z) from the first-block rows of the tagging unitary."""
-    u = as_tagging_unitary(u)
-    r0, r1 = u.m0
-    x = float(np.linalg.norm(r0) ** 2 - np.linalg.norm(r1) ** 2)
-    y = float(2 * abs(r1 @ r0.conj()))
-    z = float(np.linalg.norm(r1) ** 2)
-    return x, y, z
+    """(x, y, z) from the first-block rows of the tagging unitary
+    (:attr:`~qmac.protocol.TaggingUnitary.row_parameters`)."""
+    return as_tagging_unitary(u).row_parameters
 
 
 def no_message_pf_restricted(u, abs_e0: float, theta: float) -> float:
@@ -156,7 +137,7 @@ def no_message_optimal(u) -> AttackResult:
     singular pair M0 v = s0 a.
     """
     u = as_tagging_unitary(u)
-    left, s, right = np.linalg.svd(u.m0)
+    left, s, right = u.m0_svd
     eve = u.u[:, :2] @ right[0].conj()
     eve[:2] += left[:, 0]
     return AttackResult(
@@ -277,11 +258,10 @@ def swap_mismatch(u) -> float:
     The worst of ||m00| - |m11|| and ||m01| - |m10||: 0 exactly when each
     entry of one column matches the other column's swapped entry up to a
     phase, which is when a certainty substitution attack exists (see
-    :func:`perfect_message_attack`).
+    :func:`perfect_message_attack`).  Read from
+    :attr:`~qmac.protocol.TaggingUnitary.swap_mismatch`.
     """
-    u = as_tagging_unitary(u)
-    c0, c1 = u.m0.T
-    return float(max(abs(abs(c0[0]) - abs(c1[1])), abs(abs(c0[1]) - abs(c1[0]))))
+    return as_tagging_unitary(u).swap_mismatch
 
 
 def perfect_message_attack(u) -> Optional[np.ndarray]:
@@ -304,7 +284,7 @@ def perfect_message_attack(u) -> Optional[np.ndarray]:
     itself, is not re-checked as a caller's operand.
     """
     u = as_tagging_unitary(u)
-    if swap_mismatch(u) > u.tol.phase_equiv:
+    if u.swap_mismatch > u.tol.phase_equiv:
         return None
     (m00, m01), (m10, m11) = u.m0
     theta1, theta3 = np.angle(m00 * np.conj(m11)), np.angle(m01 * np.conj(m10))
@@ -321,7 +301,7 @@ def best_message_attack(
     p0: float = 0.5,
     p1: float = 0.5,
     budget: int = 10_000,
-    rng: Optional[np.random.Generator] = None,
+    rng=None,
     stop_at: float = np.inf,
 ) -> AttackResult:
     """Maximize :func:`message_attack_pf` over unitaries by multi-start
@@ -381,14 +361,17 @@ def best_message_attack(
     ``stop`` names the rule that ended the search: ``fixed_point``,
     ``certain``, ``stop_at`` or ``budget``.
 
-    Deterministic for a given rng seed.  The perfect-attack construction,
-    when available, is a start, so no known certainty attack is missed.
+    The starts are sigma_x on the message bit, the perfect-attack
+    construction when available (so no known certainty attack is missed),
+    and Haar draws up to min(12, budget // 300) starts.  ``rng`` is what
+    ``np.random.default_rng`` takes (a Generator, a seed, ...), except that
+    None means seed 0; a Generator is built from it only when a Haar start is
+    drawn.  Deterministic for a given seed.
     """
     u = as_tagging_unitary(u)
     _check_priors(p0, p1)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    rng = rng if rng is not None else np.random.default_rng(0)
 
     w, evaluate, polar = _substitution_objective(u, p0, p1)
 
@@ -397,12 +380,15 @@ def best_message_attack(
     if perfect is not None:
         starts.append(perfect)
     n_restarts = max(len(starts), min(12, budget // 300))
-    while len(starts) < n_restarts:
-        starts.append(haar_random_unitary(4, rng))
+    if len(starts) < n_restarts:
+        rng = np.random.default_rng(0 if rng is None else rng)
+        while len(starts) < n_restarts:
+            starts.append(haar_random_unitary(4, rng))
 
     step = np.array(starts[:budget])
     n = len(step)
-    root_w = np.sqrt(w)
+    # Complex, so that each weighted norm multiplies without casting sqrt(w).
+    root_w = np.sqrt(w).astype(complex)
     gain, settle = _ASCENT_GAIN, _FIXED_POINT
 
     # np.linalg.norm(root_w * x, axis=-1) as a list: its own arithmetic for a
@@ -613,6 +599,13 @@ def simulate_key_reuse(
         raise ValueError("rounds must be >= 1")
     _check_trials(trials)
     maps, forge = _reuse_kernel(u, interaction, forge_bit)
+    # int(rng.integers(2)) draws by Lemire's method on the bit generator's
+    # buffered 32-bit word x, which for two outcomes is (2x) >> 32, the top
+    # bit of x.  Reading x through the bit generator's ctypes interface, under
+    # the lock the Generator's own draws take, gives the same bit from the
+    # same word without the call's argument handling.
+    bits, lock = rng.bit_generator.ctypes, rng.bit_generator.lock
+    next_uint32, state = bits.next_uint32, bits.state
 
     def node(psi, completed):
         """A completed history's key fidelity and forgery-outcome CDF; any
@@ -632,7 +625,8 @@ def simulate_key_reuse(
     for _ in range(trials):
         history = ()
         for r in range(rounds):
-            bit = int(rng.integers(2))
+            with lock:
+                bit = next_uint32(state) >> 31
             phi, cdfs = nodes[history]
             outcome = bisect_right(cdfs[bit], rng.random())
             round_attempts[r] += 1

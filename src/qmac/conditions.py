@@ -16,8 +16,6 @@ from .adversary import (
     key_distinguishability,
     no_message_optimal,
     perfect_message_attack,
-    row_parameters,
-    swap_mismatch,
 )
 from .protocol import as_tagging_unitary
 
@@ -47,11 +45,9 @@ class ConditionCheck:
 def check_case1(u) -> ConditionCheck:
     """Non-overlapping rows: both M0 row norms must stay strictly below 1."""
     u = as_tagging_unitary(u)
-    x, y, z = row_parameters(u)
+    _, y, _ = u.row_parameters
     applies = y <= u.tol.strict
-    r0, r1 = u.m0
-    n0sq = float(np.linalg.norm(r0) ** 2)
-    n1sq = float(np.linalg.norm(r1) ** 2)
+    n0sq, n1sq = u.row_norms_sq
     margin = min(1 - n0sq, 1 - n1sq)
     return ConditionCheck(
         satisfied=applies and margin > u.tol.strict,
@@ -73,7 +69,7 @@ def check_case2(u) -> ConditionCheck:
     rejection the exact criterion would pass.
     """
     u = as_tagging_unitary(u)
-    x, y, z = row_parameters(u)
+    x, y, z = u.row_parameters
     applies = y > u.tol.strict
     if not applies:
         return ConditionCheck(
@@ -82,7 +78,7 @@ def check_case2(u) -> ConditionCheck:
     lhs = ec_gorda_lhs(x, y, z)
     # The full decomposition no_message_optimal takes, not norm(M0, 2)'s
     # values-only one, which can differ in the last bit.
-    sigma_max_sq = float(np.linalg.svd(u.m0)[1][0] ** 2)
+    sigma_max_sq = float(u.m0_svd[1][0] ** 2)
     satisfied = lhs < 1 - u.tol.strict
     return ConditionCheck(
         satisfied=satisfied,
@@ -115,7 +111,7 @@ def check_condition3(u) -> ConditionCheck:
     detail says whether it was built.
     """
     u = as_tagging_unitary(u)
-    mismatch = swap_mismatch(u)
+    mismatch = u.swap_mismatch
     return ConditionCheck(
         satisfied=mismatch > u.tol.phase_equiv,
         margin=mismatch,
@@ -175,8 +171,7 @@ def validate(
     advisory = {}
     if include_attacks:
         opt = no_message_optimal(tu)
-        rng = np.random.default_rng(seed)
-        search = best_message_attack(tu, budget=attack_budget, rng=rng)
+        search = best_message_attack(tu, budget=attack_budget, rng=seed)
         advisory = {
             "no_message_pf_optimal": opt.probability,
             "message_attack_pf_best": search.probability,

@@ -34,7 +34,7 @@ class SecurityScore:
 def security_score(
     u,
     budget: int = 2000,
-    rng: Optional[np.random.Generator] = None,
+    rng=None,
     ceiling: float = INSECURE,
 ) -> SecurityScore:
     """Validate a candidate and score it by its attack probabilities.
@@ -45,11 +45,11 @@ def security_score(
     (``pf_message_best`` is None), otherwise its search stops once it reaches
     ``ceiling``.  A pruned score is at least ``ceiling`` and only a lower
     bound on the full one, and so is its ``pf_message_best``; a score below
-    ``ceiling`` is exactly the unpruned score.  Deterministic for a fixed
-    rng seed and budget.
+    ``ceiling`` is exactly the unpruned score.  ``rng`` goes to
+    :func:`~qmac.adversary.best_message_attack`: a Generator, a seed, or
+    None for seed 0.  Deterministic for a fixed seed and budget.
     """
     u = as_tagging_unitary(u)
-    rng = rng if rng is not None else np.random.default_rng(0)
     pf_nm = no_message_optimal(u).probability
     if not validate(u, include_attacks=False).overall_secure:
         return SecurityScore(pf_nm, None, False, INSECURE)
@@ -102,9 +102,7 @@ def optimize(
             tu = TaggingUnitary(halmos_dilation(m0), tol)
         except ValueError:  # sigma_max(M0) > 1, so no dilation exists
             return SecurityScore(1.0, None, False, INSECURE)
-        return security_score(
-            tu, budget=budget, rng=np.random.default_rng(seed), ceiling=ceiling
-        )
+        return security_score(tu, budget=budget, rng=seed, ceiling=ceiling)
 
     trace = []
     best: Optional[tuple] = None  # (M0, SecurityScore)

@@ -10,8 +10,24 @@ import math
 from functools import reduce
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .config import DEFAULT_TOL
+
+# The package's one SVD routine: the gufunc np.linalg.svd calls on a stack of
+# complex matrices, giving (u, s, vh) for each, bit for bit, without the
+# wrapper's argument handling.  Callers run it under np.errstate(**_SVD_ERRORS).
+_svd = _umath_linalg.svd_f
+
+
+def _svd_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+# The floating-point error handling np.linalg.svd runs _svd under: the gufunc
+# signals a failed SVD as an invalid operation, which raises LinAlgError.
+_SVD_ERRORS = dict(call=_svd_failed, invalid="call", over="ignore", divide="ignore",
+                   under="ignore")
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -136,7 +152,8 @@ def halmos_dilation(m0: np.ndarray) -> np.ndarray:
     ``ValueError`` when σ_max(M0) > 1, where no such unitary exists.
     """
     m0 = np.asarray(m0, dtype=complex)
-    left, s, right_h = np.linalg.svd(m0)
+    with np.errstate(**_SVD_ERRORS):
+        left, s, right_h = _svd(m0)
     if not s[0] <= 1:
         raise ValueError(f"M0 is not a contraction (sigma_max {s[0]!r})")
     c = np.sqrt(1 - s**2)

@@ -8,10 +8,12 @@ outcomes e2/e3.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .linalg import dagger, partial_trace, tensor, unitary_operand
+from .linalg import _SVD_ERRORS, _svd, dagger, partial_trace, tensor, unitary_operand
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -38,7 +40,10 @@ class TaggingUnitary:
     """The public 4×4 tagging operation and its top-left block M0.
 
     ``tol`` is the :class:`~qmac.config.Tolerances` in force for every
-    check on it.
+    check on it.  Every attack sees the tagging through M0, so M0's analysis
+    (:attr:`m0_svd`, :attr:`row_norms_sq`, :attr:`row_parameters`,
+    :attr:`swap_mismatch`) is computed on first read and kept: U is
+    read-only, and none of it depends on ``tol``.
     """
 
     def __init__(self, u: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -65,6 +70,38 @@ class TaggingUnitary:
         """M0 = U[:2, :2], <phi_i|U|phi_j> for i, j in {0, 1}: the block
         every attack sees the tagging through (read-only view)."""
         return self._u[:2, :2]
+
+    @cached_property
+    def m0_svd(self) -> tuple:
+        """(L, s, R†) with M0 = L diag(s) R†, s descending: np.linalg.svd(M0),
+        bit for bit (read-only arrays)."""
+        with np.errstate(**_SVD_ERRORS):
+            svd = _svd(self.m0)
+        for part in svd:
+            part.setflags(write=False)
+        return svd
+
+    @cached_property
+    def row_norms_sq(self) -> tuple:
+        """(||r0||², ||r1||²) of M0's rows r0, r1, each as the float
+        np.linalg.norm(r) ** 2, by np.linalg.norm's own arithmetic."""
+        return tuple(float(np.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) ** 2)
+                     for r in self.m0)
+
+    @cached_property
+    def row_parameters(self) -> tuple:
+        """(x, y, z) = (||r0||² - ||r1||², 2 |<r0, r1>|, ||r1||²) from M0's
+        rows r0, r1."""
+        n0sq, n1sq = self.row_norms_sq
+        r0, r1 = self.m0
+        return n0sq - n1sq, float(2 * abs(r1 @ r0.conj())), n1sq
+
+    @cached_property
+    def swap_mismatch(self) -> float:
+        """Distance of the M0 columns from phase equivalence under the swap:
+        the worst of ||m00| - |m11|| and ||m01| - |m10||."""
+        c0, c1 = self.m0.T
+        return float(max(abs(abs(c0[0]) - abs(c1[1])), abs(abs(c0[1]) - abs(c1[0]))))
 
 
 def as_tagging_unitary(u) -> TaggingUnitary:

@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmac import adversary, cli
+from qmac import adversary, cli, designer, linalg
 from qmac.adversary import (
     AttackResult,
     best_message_attack,
@@ -28,6 +29,7 @@ from qmac.adversary import (
     row_parameters,
     simulate_key_reuse,
 )
+from qmac.conditions import validate
 from qmac.config import DEFAULT_TOL, UNITARY_FLOOR
 from qmac.fixtures import BUILTIN, secure_example_unitary
 from qmac.linalg import haar_random_unitary, halmos_dilation, is_unitary, tensor
@@ -623,12 +625,53 @@ def svd_batches(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 6, 12])
 def test_svd_kernel_equals_linalg_svd(n):
+    # Stacks of the ascent's 4x4 G and of 2x2 blocks like M0.
     rng = np.random.default_rng(n)
-    for _ in range(50):
-        g = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
-        for got, want in zip(adversary._svd(g), np.linalg.svd(g)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+    for dim in (4, 2):
+        for _ in range(50):
+            g = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+            for got, want in zip(linalg._svd(g), np.linalg.svd(g)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+def m0_svds(monkeypatch):
+    """Record each 2x2 matrix the package's SVD routine is called on, in
+    every qmac module that holds the routine."""
+    seen = []
+    svd = linalg._svd
+
+    def counted(a, *args, **kwargs):
+        if a.shape[-2:] == (2, 2):
+            seen.extend(np.reshape(a, (-1, 2, 2)).copy())
+        return svd(a, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qmac") and getattr(module, "_svd", None) is svd:
+            monkeypatch.setattr(module, "_svd", counted)
+    return seen
+
+
+def test_one_svd_of_m0_per_tagging(u_secure, monkeypatch):
+    # Condition 2, the no-message optimum and the score read one cached SVD.
+    seen = m0_svds(monkeypatch)
+    u = TaggingUnitary(u_secure.u)
+    score = designer.security_score(u, budget=500)
+    assert score.secure and score.pf_message_best is not None
+    assert len(seen) == 1 and np.array_equal(seen[0], u.m0)
+
+    seen.clear()
+    u = TaggingUnitary(haar_random_unitary(4, np.random.default_rng(3)))
+    validate(u, include_attacks=False)
+    no_message_optimal(u)
+    validate(u, attack_budget=700)
+    assert len(seen) == 1
+
+    # A designer candidate: its dilation's SVD and its tagging's.
+    seen.clear()
+    m0 = secure_example_unitary()[:2, :2]
+    designer.security_score(TaggingUnitary(halmos_dilation(m0)), budget=500)
+    assert len(seen) == 2
 
 
 def test_failed_svd_raises_linalg_error(u_identity, monkeypatch):
@@ -653,6 +696,27 @@ def test_failed_svd_raises_linalg_error(u_identity, monkeypatch):
 def same_attack(a, b):
     return (a.probability == b.probability and np.array_equal(a.strategy, b.strategy)
             and a.iterations == b.iterations and a.converged == b.converged)
+
+
+@pytest.mark.parametrize("budget", [500, 2_000])
+def test_rng_seed_equals_its_generator(u_secure, budget, monkeypatch):
+    # rng takes what np.random.default_rng takes, None meaning 0.  Below
+    # budget 600 no Haar start is drawn, so no Generator is built at all.
+    # A Generator advances as it draws, so each call gets a fresh one.
+    def run(rng):
+        rng_attack, rng_score = rng(), rng()
+        with monkeypatch.context() as m:
+            if budget < 600:
+                m.setattr(np.random, "default_rng", None)
+            attack = best_message_attack(u_secure, budget=budget, rng=rng_attack)
+            score = designer.security_score(u_secure, budget=budget, rng=rng_score)
+        assert score.pf_message_best is not None
+        return (attack.probability.hex(), attack.strategy.tobytes(), attack.iterations,
+                attack.converged, attack.stop, score.pf_no_message.hex(),
+                score.pf_message_best.hex(), score.score.hex(), score.secure)
+
+    assert run(lambda: 7) == run(lambda: np.random.default_rng(7))
+    assert run(lambda: None) == run(lambda: np.random.default_rng(0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -1218,6 +1282,24 @@ def test_key_reuse_sampler_equals_uncached_reference(forge_bit):
             ref, _ = reference_key_reuse(u, rounds, w, np.random.default_rng(seed),
                                          100, forge_bit)
             assert sampler_summary(stats) == ref
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM,
+                                           np.random.MT19937, np.random.Philox,
+                                           np.random.SFC64])
+def test_key_reuse_bits_on_every_bit_generator(bit_generator):
+    # Each honest bit is read off the bit generator's buffered 32-bit word;
+    # it must be int(rng.integers(2))'s bit, interleaved with the uniforms
+    # of the outcome draws, whatever the bit generator.
+    rng = np.random.default_rng(41)
+    for rounds in (1, 3):
+        u, w = haar_random_unitary(4, rng), haar_random_unitary(8, rng)
+        seed = int(rng.integers(2**31))
+        stats = simulate_key_reuse(u, rounds, w, np.random.Generator(bit_generator(seed)),
+                                   trials=100)
+        ref, _ = reference_key_reuse(u, rounds, w, np.random.Generator(bit_generator(seed)),
+                                     100, 0)
+        assert sampler_summary(stats) == ref
 
 
 @pytest.mark.parametrize("forge_bit", [0, 1])

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from qmac import cli
-from qmac.adversary import key_distinguishability, no_message_optimal, perfect_message_attack
+from qmac.adversary import (
+    key_distinguishability,
+    no_message_optimal,
+    perfect_message_attack,
+    row_parameters,
+)
 from qmac.config import DEFAULT_TOL
 from qmac.conditions import (
     check_case1,
@@ -12,7 +17,6 @@ from qmac.conditions import (
     check_condition3,
     check_condition4,
     ec_gorda_lhs,
-    row_parameters,
     validate,
 )
 from qmac.fixtures import BUILTIN

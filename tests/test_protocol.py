@@ -52,6 +52,50 @@ class TestTaggingUnitary:
             TaggingUnitary(np.eye(3))
 
 
+M0_ANALYSIS = ("m0_svd", "row_norms_sq", "row_parameters", "swap_mismatch")
+
+
+def m0_analysis_oracle(m0):
+    """The expressions M0's analysis was computed by before it was cached:
+    np.linalg.norm for the rows, the swap test on the columns, and
+    np.linalg.svd, whose s[0] ** 2 was condition 2's sigma_max_sq."""
+    r0, r1 = m0
+    n0sq, n1sq = float(np.linalg.norm(r0) ** 2), float(np.linalg.norm(r1) ** 2)
+    x = float(np.linalg.norm(r0) ** 2 - np.linalg.norm(r1) ** 2)
+    y = float(2 * abs(r1 @ r0.conj()))
+    z = float(np.linalg.norm(r1) ** 2)
+    c0, c1 = m0.T
+    mismatch = float(max(abs(abs(c0[0]) - abs(c1[1])), abs(abs(c0[1]) - abs(c1[0]))))
+    return {"m0_svd": np.linalg.svd(m0), "row_norms_sq": (n0sq, n1sq),
+            "row_parameters": (x, y, z), "swap_mismatch": mismatch}
+
+
+def test_m0_analysis_equals_uncached_expressions():
+    rng = np.random.default_rng(20)
+    mats = [make() for make in BUILTIN.values()] + [haar_random_unitary(4, rng)
+                                                     for _ in range(200)]
+    for mat in mats:
+        u = TaggingUnitary(mat)
+        want = m0_analysis_oracle(u.m0)
+        for got, ref in zip(u.m0_svd, want.pop("m0_svd")):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        for name, ref in want.items():
+            got = getattr(u, name)
+            assert np.array(got).tobytes() == np.array(ref).tobytes(), name
+            assert type(got) is type(ref)
+
+
+def test_m0_analysis_is_lazy_and_kept(u_secure):
+    # __init__ analyses nothing; each part is computed on its first read only.
+    u = TaggingUnitary(u_secure.u)
+    assert not set(M0_ANALYSIS) & set(vars(u))
+    first = [getattr(u, name) for name in M0_ANALYSIS]
+    assert set(M0_ANALYSIS) <= set(vars(u))
+    assert all(getattr(u, name) is x for name, x in zip(M0_ANALYSIS, first))
+    with pytest.raises(ValueError):
+        u.m0_svd[1][0] = 0
+
+
 @pytest.mark.parametrize("source", [*BUILTIN, *range(20)])
 def test_joint_operators_equal_kron_construction(source):
     mat = BUILTIN[source]() if source in BUILTIN else haar_random_unitary(
