@@ -82,20 +82,15 @@ def _injected_state(u: TaggingUnitary, eve) -> np.ndarray:
     return states
 
 
-def row_parameters(u) -> tuple:
-    """(x, y, z) from the first-block rows of the tagging unitary
-    (:attr:`~qmac.protocol.TaggingUnitary.row_parameters`)."""
-    return as_tagging_unitary(u).row_parameters
-
-
 def no_message_pf_restricted(u, abs_e0: float, theta: float) -> float:
     """The two-parameter restricted form (e2 = e3 = 0).
 
     Decision variables are |e0| and the relative phase angle; the first
-    closed-form term equals 1/2 under the restriction.
+    closed-form term equals 1/2 under the restriction; (x, y, z) is
+    :attr:`~qmac.protocol.TaggingUnitary.row_parameters`.
     """
     _check_restricted(abs_e0, theta)
-    x, y, z = row_parameters(u)
+    x, y, z = as_tagging_unitary(u).row_parameters
     second = 0.5 * (
         x * abs_e0**2
         + y * abs_e0 * np.sqrt(max(0.0, 1 - abs_e0**2)) * np.cos(theta)
@@ -252,18 +247,6 @@ def _substitution_objective(u: TaggingUnitary, p0: float, p1: float):
     return w, evaluate, polar
 
 
-def swap_mismatch(u) -> float:
-    """Distance of the M0 columns from phase equivalence under the swap.
-
-    The worst of ||m00| - |m11|| and ||m01| - |m10||: 0 exactly when each
-    entry of one column matches the other column's swapped entry up to a
-    phase, which is when a certainty substitution attack exists (see
-    :func:`perfect_message_attack`).  Read from
-    :attr:`~qmac.protocol.TaggingUnitary.swap_mismatch`.
-    """
-    return as_tagging_unitary(u).swap_mismatch
-
-
 def perfect_message_attack(u) -> Optional[np.ndarray]:
     """Construct a certainty substitution attack if one exists.
 
@@ -273,9 +256,10 @@ def perfect_message_attack(u) -> Optional[np.ndarray]:
     theta_j)} <a_j|a_k>, and M0 builds both: <b_0|b_1> = m00 against m11,
     <b_0|b_3> = m01 against m10.  With theta_0 = 0 this forces theta = (0,
     arg m00 conj(m11), theta_1 + theta_3, arg m01 conj(m10)) and needs
-    :func:`swap_mismatch` = 0.  At equal priors G = sum_k w_k e^{i theta_k}
-    |a_k><b_k| = V B with B = sum_k w_k |b_k><b_k| >= 0, so G's polar factor,
-    one step of the polar map, agrees with V on span{b_k}, all pf reads.
+    :attr:`~qmac.protocol.TaggingUnitary.swap_mismatch` = 0.  At equal
+    priors G = sum_k w_k e^{i theta_k} |a_k><b_k| = V B with B = sum_k w_k
+    |b_k><b_k| >= 0, so G's polar factor, one step of the polar map, agrees
+    with V on span{b_k}, all pf reads.
     Returns None when the swap mismatch exceeds its tolerance (the gate
     below) or the built V reaches pf < 1 - ``tol.strict``; under a loosened
     swap tolerance the second can happen while condition 3 fails.  pf is
@@ -365,13 +349,15 @@ def best_message_attack(
     construction when available (so no known certainty attack is missed),
     and Haar draws up to min(12, budget // 300) starts.  ``rng`` is what
     ``np.random.default_rng`` takes (a Generator, a seed, ...), except that
-    None means seed 0; a Generator is built from it only when a Haar start is
-    drawn.  Deterministic for a given seed.
+    None means seed 0; it is checked by building the Generator before the
+    search, whether or not a Haar start is drawn.  Deterministic for a given
+    seed.
     """
     u = as_tagging_unitary(u)
     _check_priors(p0, p1)
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    rng = np.random.default_rng(0 if rng is None else rng)
 
     w, evaluate, polar = _substitution_objective(u, p0, p1)
 
@@ -380,10 +366,8 @@ def best_message_attack(
     if perfect is not None:
         starts.append(perfect)
     n_restarts = max(len(starts), min(12, budget // 300))
-    if len(starts) < n_restarts:
-        rng = np.random.default_rng(0 if rng is None else rng)
-        while len(starts) < n_restarts:
-            starts.append(haar_random_unitary(4, rng))
+    while len(starts) < n_restarts:
+        starts.append(haar_random_unitary(4, rng))
 
     step = np.array(starts[:budget])
     n = len(step)
@@ -480,12 +464,12 @@ def key_distinguishability(u) -> KeyDistinguishabilityReport:
     """Can Eve perfectly identify which channel branch occurred?
 
     She can iff <phi_i|U|phi_j> = 0 for all i, j in {0, 1}, i.e. the M0
-    block vanishes.
+    block vanishes: the largest of
+    :attr:`~qmac.protocol.TaggingUnitary.m0_moduli` is at most ``tol.strict``.
     """
     u = as_tagging_unitary(u)
-    gram = u.m0.copy()
     return KeyDistinguishabilityReport(
-        distinguishable=bool(np.abs(gram).max() <= u.tol.strict), gram=gram
+        distinguishable=max(u.m0_moduli) <= u.tol.strict, gram=u.m0.copy()
     )
 
 
@@ -505,7 +489,8 @@ def key_reuse_feasibility(u) -> KeyReuseFeasibilityReport:
     unitary would have to map non-orthogonal inputs to orthogonal outputs.
     """
     u = as_tagging_unitary(u)
-    diag = (abs(complex(u.u[0, 0])), abs(complex(u.u[1, 1])))
+    a00, _, _, a11 = u.m0_moduli
+    diag = (a00, a11)
     witness = next((i for i in (0, 1) if diag[i] > u.tol.strict), None)
     return KeyReuseFeasibilityReport(
         ruled_out=witness is not None, witness=witness, diagonal_overlaps=diag

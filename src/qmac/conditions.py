@@ -97,7 +97,7 @@ def check_condition3(u) -> ConditionCheck:
 
     Satisfied when the M0 columns are NOT phase-equivalent under the swap,
     decided on ``tol.phase_equiv`` by the same
-    :func:`~qmac.adversary.swap_mismatch` test that gates
+    :attr:`~qmac.protocol.TaggingUnitary.swap_mismatch` test that gates
     :func:`~qmac.adversary.perfect_message_attack`.  A certainty attack maps
     each ray b_k of Eve's substitution objective to e^{i theta_k} a_k; a
     unitary doing so exists exactly when the Gram matrices of the a_k and
@@ -123,16 +123,16 @@ def check_condition4(u) -> ConditionCheck:
     """The key cannot be pinned down by measurement: the M0 block is nonzero.
 
     Decided by :func:`~qmac.adversary.key_distinguishability`'s test, so the
-    two never disagree; ``margin`` is the largest |M0 entry| it compares
-    with ``tol.strict``.  Implied by condition 3 when ``phase_equiv >=
+    two never disagree; ``margin`` is the largest of
+    :attr:`~qmac.protocol.TaggingUnitary.m0_moduli`, which it compares with
+    ``tol.strict``.  Implied by condition 3 when ``phase_equiv >=
     strict``, since the swap mismatch never exceeds the largest |M0 entry|;
     kept as an explicit cross-check.
     """
     u = as_tagging_unitary(u)
-    dist = key_distinguishability(u)
     return ConditionCheck(
-        satisfied=not dist.distinguishable,
-        margin=float(np.abs(dist.gram).max()),
+        satisfied=not key_distinguishability(u).distinguishable,
+        margin=max(u.m0_moduli),
     )
 
 

@@ -47,9 +47,12 @@ def security_score(
     bound on the full one, and so is its ``pf_message_best``; a score below
     ``ceiling`` is exactly the unpruned score.  ``rng`` goes to
     :func:`~qmac.adversary.best_message_attack`: a Generator, a seed, or
-    None for seed 0.  Deterministic for a fixed seed and budget.
+    None for seed 0.  ``budget`` is checked first, so a candidate that is
+    never searched rejects it too.  Deterministic for a fixed seed and budget.
     """
     u = as_tagging_unitary(u)
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     pf_nm = no_message_optimal(u).probability
     if not validate(u, include_attacks=False).overall_secure:
         return SecurityScore(pf_nm, None, False, INSECURE)

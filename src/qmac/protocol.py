@@ -41,9 +41,9 @@ class TaggingUnitary:
 
     ``tol`` is the :class:`~qmac.config.Tolerances` in force for every
     check on it.  Every attack sees the tagging through M0, so M0's analysis
-    (:attr:`m0_svd`, :attr:`row_norms_sq`, :attr:`row_parameters`,
-    :attr:`swap_mismatch`) is computed on first read and kept: U is
-    read-only, and none of it depends on ``tol``.
+    (:attr:`m0_svd`, :attr:`m0_moduli`, :attr:`row_norms_sq`,
+    :attr:`row_parameters`, :attr:`swap_mismatch`) is computed on first read
+    and kept: U is read-only, and none of it depends on ``tol``.
     """
 
     def __init__(self, u: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -82,11 +82,15 @@ class TaggingUnitary:
         return svd
 
     @cached_property
+    def m0_moduli(self) -> tuple:
+        """(|m00|, |m01|, |m10|, |m11|), each Python's abs of the entry: the
+        moduli that the swap test, key distinguishability and key reuse read."""
+        return tuple(abs(m) for m in self.m0.ravel().tolist())
+
+    @cached_property
     def row_norms_sq(self) -> tuple:
-        """(||r0||², ||r1||²) of M0's rows r0, r1, each as the float
-        np.linalg.norm(r) ** 2, by np.linalg.norm's own arithmetic."""
-        return tuple(float(np.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) ** 2)
-                     for r in self.m0)
+        """(||r0||², ||r1||²) of M0's rows r0, r1, each np.linalg.norm(r) ** 2."""
+        return tuple(float(np.linalg.norm(r) ** 2) for r in self.m0)
 
     @cached_property
     def row_parameters(self) -> tuple:
@@ -99,9 +103,11 @@ class TaggingUnitary:
     @cached_property
     def swap_mismatch(self) -> float:
         """Distance of the M0 columns from phase equivalence under the swap:
-        the worst of ||m00| - |m11|| and ||m01| - |m10||."""
-        c0, c1 = self.m0.T
-        return float(max(abs(abs(c0[0]) - abs(c1[1])), abs(abs(c0[1]) - abs(c1[0]))))
+        the worst of ||m00| - |m11|| and ||m01| - |m10||.  It is 0 exactly
+        when a certainty substitution attack exists (see
+        :func:`~qmac.adversary.perfect_message_attack`)."""
+        a00, a01, a10, a11 = self.m0_moduli
+        return max(abs(a00 - a11), abs(a01 - a10))
 
 
 def as_tagging_unitary(u) -> TaggingUnitary:

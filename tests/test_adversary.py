@@ -26,7 +26,6 @@ from qmac.adversary import (
     no_message_pf_restricted,
     perfect_message_attack,
     reuse_forgery_probability,
-    row_parameters,
     simulate_key_reuse,
 )
 from qmac.conditions import validate
@@ -145,7 +144,7 @@ class TestRestrictedForm:
         grid_th = np.linspace(0, 2 * np.pi, 37)
         for _ in range(50):
             u = TaggingUnitary(haar_random_unitary(4, rng))
-            x, y, _ = row_parameters(u)
+            x, y, _ = u.row_parameters
             optimum = (1 + np.linalg.norm(u.m0, 2) ** 2) / 2
             e0 = np.sqrt((1 + x / np.hypot(x, y)) / 2)
             assert no_message_pf_restricted(u, e0, 0.0) == pytest.approx(optimum, abs=1e-12)
@@ -699,17 +698,13 @@ def same_attack(a, b):
 
 
 @pytest.mark.parametrize("budget", [500, 2_000])
-def test_rng_seed_equals_its_generator(u_secure, budget, monkeypatch):
-    # rng takes what np.random.default_rng takes, None meaning 0.  Below
-    # budget 600 no Haar start is drawn, so no Generator is built at all.
+def test_rng_seed_equals_its_generator(u_secure, budget):
+    # rng takes what np.random.default_rng takes, None meaning 0.
     # A Generator advances as it draws, so each call gets a fresh one.
     def run(rng):
         rng_attack, rng_score = rng(), rng()
-        with monkeypatch.context() as m:
-            if budget < 600:
-                m.setattr(np.random, "default_rng", None)
-            attack = best_message_attack(u_secure, budget=budget, rng=rng_attack)
-            score = designer.security_score(u_secure, budget=budget, rng=rng_score)
+        attack = best_message_attack(u_secure, budget=budget, rng=rng_attack)
+        score = designer.security_score(u_secure, budget=budget, rng=rng_score)
         assert score.pf_message_best is not None
         return (attack.probability.hex(), attack.strategy.tobytes(), attack.iterations,
                 attack.converged, attack.stop, score.pf_no_message.hex(),
@@ -717,6 +712,28 @@ def test_rng_seed_equals_its_generator(u_secure, budget, monkeypatch):
 
     assert run(lambda: 7) == run(lambda: np.random.default_rng(7))
     assert run(lambda: None) == run(lambda: np.random.default_rng(0))
+
+
+# Calls that once returned without checking budget or rng: a search below
+# budget 600 draws no Haar start, and an insecure or pruned candidate is
+# never searched, so its score never reaches the search's budget check.
+UNCHECKED_BEFORE_RETURN = {
+    "attack-negative-seed": (ValueError, lambda u: best_message_attack(u, budget=500, rng=-1)),
+    "attack-str-seed": (TypeError, lambda u: best_message_attack(u, budget=500, rng="abc")),
+    "attack-float-seed": (TypeError, lambda u: best_message_attack(u, budget=500, rng=1.5)),
+    "validate-negative-seed": (ValueError, lambda u: validate(u, attack_budget=500, seed=-1)),
+    "insecure-score-zero-budget": (
+        ValueError, lambda u: designer.security_score(BUILTIN["x_block"](), budget=0)),
+    "pruned-score-zero-budget": (
+        ValueError, lambda u: designer.security_score(u, budget=0, ceiling=0.5)),
+}
+
+
+@pytest.mark.parametrize("case", UNCHECKED_BEFORE_RETURN)
+def test_budget_and_rng_checked_before_any_early_return(u_secure, case):
+    error, call = UNCHECKED_BEFORE_RETURN[case]
+    with pytest.raises(error):
+        call(u_secure)
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,9 +6,9 @@ import pytest
 from qmac import cli
 from qmac.adversary import (
     key_distinguishability,
+    key_reuse_feasibility,
     no_message_optimal,
     perfect_message_attack,
-    row_parameters,
 )
 from qmac.config import DEFAULT_TOL
 from qmac.conditions import (
@@ -92,7 +92,7 @@ class TestCases:
         u = TaggingUnitary(np.array(rows))
         c = check_case2(u)
         assert c.applies
-        x, y, z = row_parameters(u)
+        x, y, z = u.row_parameters
         assert c.details["lhs"] == pytest.approx(ec_gorda_reference(x, y, z), abs=1e-9)
 
     def test_case2_flags_disagreement_with_exact_criterion(self):
@@ -104,7 +104,7 @@ class TestCases:
         for _ in range(2000):
             u = TaggingUnitary(haar_random_unitary(4, rng))
             c = check_case2(u)
-            x, y, z = row_parameters(u)
+            x, y, z = u.row_parameters
             s2 = c.details["sigma_max_sq"]
             assert s2 == np.linalg.svd(u.m0)[1][0] ** 2  # no_message_optimal's SVD
             root = np.sqrt(1 + (x / y) ** 2)
@@ -120,7 +120,7 @@ class TestCases:
         u = TaggingUnitary(halmos_dilation(np.array([[0.5, 0], [1e-170, 0.3]])),
                            DEFAULT_TOL.override(strict=0))
         c = check_case2(u)
-        x, y, z = row_parameters(u)
+        x, y, z = u.row_parameters
         h = np.hypot(x, y)
         assert c.applies
         assert np.isfinite(c.details["lhs"])
@@ -197,8 +197,33 @@ class TestCondition4:
             u = TaggingUnitary(m)
             c4 = check_condition4(u)
             assert c4.satisfied is not key_distinguishability(u).distinguishable
-            assert c4.margin == np.abs(m[:2, :2]).max()
+            assert c4.margin == max(abs(x) for x in m[:2, :2].ravel().tolist())
         assert not check_condition4(TaggingUnitary(near_zero)).satisfied
+
+
+def test_conditions_and_key_reuse_read_one_set_of_moduli():
+    # Condition 4's margin, key distinguishability, the key-reuse overlaps
+    # and condition 3's swap mismatch all read M0's cached moduli.  Numpy's
+    # vectorised np.abs differs from the scalar abs by up to 2 ulps on
+    # about a third of these draws, so a second routine anywhere shows.
+    rng = np.random.default_rng(7)
+    mats = [make() for make in BUILTIN.values()] + [haar_random_unitary(4, rng)
+                                                     for _ in range(600)]
+    for mat in mats:
+        u = TaggingUnitary(mat)
+        a00, a01, a10, a11 = moduli = u.m0_moduli
+        top = max(moduli)
+        c4 = check_condition4(u)
+        assert c4.margin == top and type(c4.margin) is float
+        assert c4.satisfied is (top > u.tol.strict)
+        # The largest modulus decides distinguishability at its own threshold.
+        at_top = TaggingUnitary(mat, DEFAULT_TOL.override(strict=top))
+        assert key_distinguishability(at_top).distinguishable is True
+        if top > 0:
+            below = DEFAULT_TOL.override(strict=float(np.nextafter(top, 0)))
+            assert key_distinguishability(TaggingUnitary(mat, below)).distinguishable is False
+        assert key_reuse_feasibility(u).diagonal_overlaps == (a00, a11)
+        assert check_condition3(u).margin == max(abs(a00 - a11), abs(a01 - a10))
 
 
 class TestValidate:

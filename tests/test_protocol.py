@@ -52,22 +52,25 @@ class TestTaggingUnitary:
             TaggingUnitary(np.eye(3))
 
 
-M0_ANALYSIS = ("m0_svd", "row_norms_sq", "row_parameters", "swap_mismatch")
+M0_ANALYSIS = ("m0_svd", "m0_moduli", "row_norms_sq", "row_parameters", "swap_mismatch")
 
 
 def m0_analysis_oracle(m0):
     """The expressions M0's analysis was computed by before it was cached:
-    np.linalg.norm for the rows, the swap test on the columns, and
-    np.linalg.svd, whose s[0] ** 2 was condition 2's sigma_max_sq."""
+    np.linalg.norm for the rows, the scalar abs of each entry, the swap test
+    on the columns, and np.linalg.svd, whose s[0] ** 2 was condition 2's
+    sigma_max_sq."""
     r0, r1 = m0
     n0sq, n1sq = float(np.linalg.norm(r0) ** 2), float(np.linalg.norm(r1) ** 2)
     x = float(np.linalg.norm(r0) ** 2 - np.linalg.norm(r1) ** 2)
     y = float(2 * abs(r1 @ r0.conj()))
     z = float(np.linalg.norm(r1) ** 2)
+    moduli = tuple(float(abs(m0[i, j])) for i in (0, 1) for j in (0, 1))
     c0, c1 = m0.T
     mismatch = float(max(abs(abs(c0[0]) - abs(c1[1])), abs(abs(c0[1]) - abs(c1[0]))))
-    return {"m0_svd": np.linalg.svd(m0), "row_norms_sq": (n0sq, n1sq),
-            "row_parameters": (x, y, z), "swap_mismatch": mismatch}
+    return {"m0_svd": np.linalg.svd(m0), "m0_moduli": moduli,
+            "row_norms_sq": (n0sq, n1sq), "row_parameters": (x, y, z),
+            "swap_mismatch": mismatch}
 
 
 def test_m0_analysis_equals_uncached_expressions():
