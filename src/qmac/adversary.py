@@ -121,6 +121,11 @@ def forgery_operator(u) -> np.ndarray:
     return u.u @ ACCEPT_PROJECTOR @ dagger(u.u) + ACCEPT_PROJECTOR
 
 
+def no_message_probability(sigma_max) -> float:
+    """The no-message optimum (1 + sigma_max(M0))/2, from M0's top singular value."""
+    return float((1 + sigma_max) / 2)
+
+
 def no_message_optimal(u) -> AttackResult:
     """Exact optimum over all injected states: (1 + s0)/2, s0 = sigma_max(M0).
 
@@ -136,7 +141,7 @@ def no_message_optimal(u) -> AttackResult:
     eve = u.u[:, :2] @ right[0].conj()
     eve[:2] += left[:, 0]
     return AttackResult(
-        probability=float((1 + s[0]) / 2),
+        probability=no_message_probability(s[0]),
         strategy=eve / np.linalg.norm(eve),
         method="closed_form",
     )
@@ -280,6 +285,20 @@ def perfect_message_attack(u) -> Optional[np.ndarray]:
     return v[0]
 
 
+# What np.random.default_rng takes as it is; anything else it seeds a SeedSequence with.
+_RNG_TYPES = (np.random.Generator, np.random.BitGenerator, np.random.bit_generator.ISeedSequence)
+
+
+def check_rng(rng) -> None:
+    """Raise the ValueError or TypeError ``np.random.default_rng(rng)`` would,
+    without building a Generator: a seed is checked by the SeedSequence that
+    default_rng would seed from it.  None passes, and so does a non-negative
+    int, which every SeedSequence takes."""
+    if rng is None or (type(rng) is int and rng >= 0) or isinstance(rng, _RNG_TYPES):
+        return
+    np.random.SeedSequence(rng)
+
+
 def best_message_attack(
     u,
     p0: float = 0.5,
@@ -349,15 +368,15 @@ def best_message_attack(
     construction when available (so no known certainty attack is missed),
     and Haar draws up to min(12, budget // 300) starts.  ``rng`` is what
     ``np.random.default_rng`` takes (a Generator, a seed, ...), except that
-    None means seed 0; it is checked by building the Generator before the
-    search, whether or not a Haar start is drawn.  Deterministic for a given
-    seed.
+    None means seed 0; it is checked (:func:`check_rng`) before the search,
+    and the Generator is built only when a Haar start is drawn.
+    Deterministic for a given seed.
     """
     u = as_tagging_unitary(u)
     _check_priors(p0, p1)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    rng = np.random.default_rng(0 if rng is None else rng)
+    check_rng(rng)
 
     w, evaluate, polar = _substitution_objective(u, p0, p1)
 
@@ -366,8 +385,10 @@ def best_message_attack(
     if perfect is not None:
         starts.append(perfect)
     n_restarts = max(len(starts), min(12, budget // 300))
-    while len(starts) < n_restarts:
-        starts.append(haar_random_unitary(4, rng))
+    if len(starts) < n_restarts:
+        rng = np.random.default_rng(0 if rng is None else rng)
+        while len(starts) < n_restarts:
+            starts.append(haar_random_unitary(4, rng))
 
     step = np.array(starts[:budget])
     n = len(step)

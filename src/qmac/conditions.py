@@ -13,6 +13,7 @@ import numpy as np
 
 from .adversary import (
     best_message_attack,
+    check_rng,
     key_distinguishability,
     no_message_optimal,
     perfect_message_attack,
@@ -157,9 +158,14 @@ def validate(
     ``overall_secure`` requires the applicable row case (1 or 2) and
     condition 3; condition 4 is reported but does not decide it.  Advisory
     fields carry the optimal no-message forgery probability and a searched
-    substitution attack snapshot.
+    substitution attack snapshot.  ``attack_budget`` and ``seed`` are checked
+    as :func:`~qmac.adversary.best_message_attack` checks its budget and rng,
+    whether or not ``include_attacks`` runs the search.
     """
     tu = as_tagging_unitary(u)
+    if attack_budget < 1:
+        raise ValueError("budget must be >= 1")
+    check_rng(seed)
 
     c1 = check_case1(tu)
     c2 = check_case2(tu)

@@ -12,10 +12,10 @@ from typing import Optional
 
 import numpy as np
 
-from .adversary import best_message_attack, no_message_optimal
+from .adversary import best_message_attack, check_rng, no_message_optimal, no_message_probability
 from .conditions import validate
 from .config import DEFAULT_TOL, Tolerances
-from .linalg import haar_random_unitary, halmos_dilation
+from .linalg import _SVD_ERRORS, _svd, haar_random_unitary
 from .protocol import TaggingUnitary, as_tagging_unitary
 
 INSECURE = float("inf")
@@ -47,12 +47,16 @@ def security_score(
     bound on the full one, and so is its ``pf_message_best``; a score below
     ``ceiling`` is exactly the unpruned score.  ``rng`` goes to
     :func:`~qmac.adversary.best_message_attack`: a Generator, a seed, or
-    None for seed 0.  ``budget`` is checked first, so a candidate that is
-    never searched rejects it too.  Deterministic for a fixed seed and budget.
+    None for seed 0.  ``budget`` and ``rng`` are checked first, so a
+    candidate that is never searched rejects them too.  Deterministic for a
+    fixed seed and budget.  :func:`optimize` rejects a candidate whose
+    ``pf_no_message`` reaches ``ceiling`` on M0's SVD, before it builds the
+    tagging this function takes.
     """
     u = as_tagging_unitary(u)
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    check_rng(rng)
     pf_nm = no_message_optimal(u).probability
     if not validate(u, include_attacks=False).overall_secure:
         return SecurityScore(pf_nm, None, False, INSECURE)
@@ -88,7 +92,11 @@ def optimize(
     the attack-search budget per score evaluation; a refine candidate's
     score is pruned at the incumbent's (see :func:`security_score`), so its
     search stops once the candidate cannot be accepted, and the result is
-    the same as with every search run in full.  ``warm_start`` and every
+    the same as with every search run in full.  Each candidate takes one
+    SVD of its M0: a candidate whose no-message optimum (1 + σ_max(M0))/2
+    already reaches the incumbent's score is rejected on it, with no
+    dilation, tagging, condition check or search, and any other candidate's
+    dilation and tagging are built from it.  ``warm_start`` and every
     candidate are checked under ``tol``.  Reproducible per seed; ties
     between restarts break toward the lowest restart index.
     """
@@ -101,25 +109,34 @@ def optimize(
     moves = np.eye(8).view(complex).reshape(8, 2, 2)  # Re and Im of each entry
 
     def evaluate(m0, seed, ceiling=INSECURE):
+        # (tagging, score) of M0's dilation if it is secure, else None.  A
+        # no-message optimum at ceiling rejects M0 on its SVD alone: insecure
+        # or pruned, its score could not fall below ceiling.
+        with np.errstate(**_SVD_ERRORS):
+            svd = _svd(m0)
+        if no_message_probability(svd[1][0]) >= ceiling:
+            return None
         try:
-            tu = TaggingUnitary(halmos_dilation(m0), tol)
+            tu = TaggingUnitary.dilation(m0, svd, tol)
         except ValueError:  # sigma_max(M0) > 1, so no dilation exists
-            return SecurityScore(1.0, None, False, INSECURE)
-        return security_score(tu, budget=budget, rng=seed, ceiling=ceiling)
+            return None
+        sc = security_score(tu, budget=budget, rng=seed, ceiling=ceiling)
+        return (tu, sc) if sc.secure else None
 
     trace = []
-    best: Optional[tuple] = None  # (M0, SecurityScore)
+    best: Optional[tuple] = None  # (tagging, SecurityScore)
     for restart in range(restarts):
         for draw in range(_DRAWS):
             if draw == 0 and restart == 0 and warm is not None:
                 m0 = warm.m0
             else:
                 m0 = haar_random_unitary(4, rng)[:2, :2]
-            sc = evaluate(m0, seed=restart)
-            if sc.secure:
+            found = evaluate(m0, seed=restart)
+            if found is not None:
                 break
-        if not sc.secure:
+        else:
             continue
+        tu, sc = found
         trace.append((restart, 0, sc.score))
         step = 0.2
         it = 0
@@ -134,8 +151,8 @@ def optimize(
                 cutoff = sc.score - 1e-12
                 cand = evaluate(q, seed=restart, ceiling=cutoff)
                 it += 1
-                if cand.secure and cand.score < cutoff:
-                    m0, sc = q, cand
+                if cand is not None and cand[1].score < cutoff:
+                    m0, (tu, sc) = q, cand
                     trace.append((restart, it, sc.score))
                     improved = True
                     break
@@ -144,9 +161,9 @@ def optimize(
             if not improved:
                 step *= 0.5
         if best is None or sc.score < best[1].score - 1e-15:
-            best = (m0, sc)
+            best = (tu, sc)
 
     if best is None:
         raise RuntimeError("no secure candidate found; increase restarts")
-    m0, sc = best
-    return DesignResult(unitary=halmos_dilation(m0), score=sc, trace=trace)
+    tu, sc = best
+    return DesignResult(unitary=tu.u.copy(), score=sc, trace=trace)

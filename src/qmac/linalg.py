@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
+from typing import Optional
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -144,16 +145,19 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def halmos_dilation(m0: np.ndarray) -> np.ndarray:
+def halmos_dilation(m0: np.ndarray, svd: Optional[tuple] = None) -> np.ndarray:
     """The unitary [[M0, (I - M0 M0†)^½], [(I - M0† M0)^½, -M0†]] of a 2x2 M0.
 
     Halmos, Summa Brasil. Math. 2 (1950) 125.  With M0 = L diag(s) R†, the
-    square roots are L diag(√(1 - s²)) L† and R diag(√(1 - s²)) R†.  Raises
-    ``ValueError`` when σ_max(M0) > 1, where no such unitary exists.
+    square roots are L diag(√(1 - s²)) L† and R diag(√(1 - s²)) R†.  ``svd``
+    is M0's (L, s, R†) as ``_svd(m0)`` gives it, taken here when None.
+    Raises ``ValueError`` when σ_max(M0) > 1, where no such unitary exists.
     """
     m0 = np.asarray(m0, dtype=complex)
-    with np.errstate(**_SVD_ERRORS):
-        left, s, right_h = _svd(m0)
+    if svd is None:
+        with np.errstate(**_SVD_ERRORS):
+            svd = _svd(m0)
+    left, s, right_h = svd
     if not s[0] <= 1:
         raise ValueError(f"M0 is not a contraction (sigma_max {s[0]!r})")
     c = np.sqrt(1 - s**2)

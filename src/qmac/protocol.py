@@ -13,7 +13,15 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .linalg import _SVD_ERRORS, _svd, dagger, partial_trace, tensor, unitary_operand
+from .linalg import (
+    _SVD_ERRORS,
+    _svd,
+    dagger,
+    halmos_dilation,
+    partial_trace,
+    tensor,
+    unitary_operand,
+)
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -36,6 +44,12 @@ def singlet() -> np.ndarray:
 _SINGLET = singlet()
 
 
+def _read_only(arrays: tuple) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 class TaggingUnitary:
     """The public 4×4 tagging operation and its top-left block M0.
 
@@ -43,7 +57,8 @@ class TaggingUnitary:
     check on it.  Every attack sees the tagging through M0, so M0's analysis
     (:attr:`m0_svd`, :attr:`m0_moduli`, :attr:`row_norms_sq`,
     :attr:`row_parameters`, :attr:`swap_mismatch`) is computed on first read
-    and kept: U is read-only, and none of it depends on ``tol``.
+    and kept: U is read-only, and none of it depends on ``tol``.  A tagging
+    built by :meth:`dilation` is given its :attr:`m0_svd`.
     """
 
     def __init__(self, u: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -61,6 +76,17 @@ class TaggingUnitary:
         decode[:4, :4] = dagger(u)
         self.decode_op = tensor(I2, decode) + 0.0
 
+    @classmethod
+    def dilation(cls, m0: np.ndarray, m0_svd: tuple, tol: Tolerances = DEFAULT_TOL):
+        """The tagging of M0's Halmos dilation
+        (:func:`~qmac.linalg.halmos_dilation`), built from ``m0_svd``, which
+        must be ``_svd(m0)``.  The dilation's M0 is ``m0`` entry for entry,
+        so ``m0_svd`` is the SVD a first read of :attr:`m0_svd` would take,
+        and it is kept as that, read-only."""
+        tu = cls(halmos_dilation(m0, m0_svd), tol)
+        tu.__dict__["m0_svd"] = _read_only(m0_svd)  # cached_property's slot
+        return tu
+
     @property
     def u(self) -> np.ndarray:
         return self._u
@@ -76,10 +102,7 @@ class TaggingUnitary:
         """(L, s, R†) with M0 = L diag(s) R†, s descending: np.linalg.svd(M0),
         bit for bit (read-only arrays)."""
         with np.errstate(**_SVD_ERRORS):
-            svd = _svd(self.m0)
-        for part in svd:
-            part.setflags(write=False)
-        return svd
+            return _read_only(_svd(self.m0))
 
     @cached_property
     def m0_moduli(self) -> tuple:

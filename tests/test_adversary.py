@@ -1,5 +1,4 @@
 import json
-import sys
 import tracemalloc
 import warnings
 
@@ -634,26 +633,9 @@ def test_svd_kernel_equals_linalg_svd(n):
                 assert got.tobytes() == want.tobytes()
 
 
-def m0_svds(monkeypatch):
-    """Record each 2x2 matrix the package's SVD routine is called on, in
-    every qmac module that holds the routine."""
-    seen = []
-    svd = linalg._svd
-
-    def counted(a, *args, **kwargs):
-        if a.shape[-2:] == (2, 2):
-            seen.extend(np.reshape(a, (-1, 2, 2)).copy())
-        return svd(a, *args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("qmac") and getattr(module, "_svd", None) is svd:
-            monkeypatch.setattr(module, "_svd", counted)
-    return seen
-
-
-def test_one_svd_of_m0_per_tagging(u_secure, monkeypatch):
+def test_one_svd_of_m0_per_tagging(u_secure, m0_svds):
     # Condition 2, the no-message optimum and the score read one cached SVD.
-    seen = m0_svds(monkeypatch)
+    seen = m0_svds
     u = TaggingUnitary(u_secure.u)
     score = designer.security_score(u, budget=500)
     assert score.secure and score.pf_message_best is not None
@@ -666,11 +648,16 @@ def test_one_svd_of_m0_per_tagging(u_secure, monkeypatch):
     validate(u, attack_budget=700)
     assert len(seen) == 1
 
-    # A designer candidate: its dilation's SVD and its tagging's.
+    # A dilation tagging built by hand: the dilation's SVD and its tagging's.
     seen.clear()
     m0 = secure_example_unitary()[:2, :2]
     designer.security_score(TaggingUnitary(halmos_dilation(m0)), budget=500)
     assert len(seen) == 2
+
+    # A designer candidate: its dilation and tagging take the SVD it was judged on.
+    seen.clear()
+    designer.security_score(TaggingUnitary.dilation(m0, linalg._svd(m0)), budget=500)
+    assert len(seen) == 1
 
 
 def test_failed_svd_raises_linalg_error(u_identity, monkeypatch):
@@ -715,8 +702,9 @@ def test_rng_seed_equals_its_generator(u_secure, budget):
 
 
 # Calls that once returned without checking budget or rng: a search below
-# budget 600 draws no Haar start, and an insecure or pruned candidate is
-# never searched, so its score never reaches the search's budget check.
+# budget 600 draws no Haar start, an insecure or pruned candidate is never
+# searched, so its score never reaches the search's checks, and validate
+# without attacks runs no search.
 UNCHECKED_BEFORE_RETURN = {
     "attack-negative-seed": (ValueError, lambda u: best_message_attack(u, budget=500, rng=-1)),
     "attack-str-seed": (TypeError, lambda u: best_message_attack(u, budget=500, rng="abc")),
@@ -726,6 +714,14 @@ UNCHECKED_BEFORE_RETURN = {
         ValueError, lambda u: designer.security_score(BUILTIN["x_block"](), budget=0)),
     "pruned-score-zero-budget": (
         ValueError, lambda u: designer.security_score(u, budget=0, ceiling=0.5)),
+    "insecure-score-negative-seed": (
+        ValueError, lambda u: designer.security_score(BUILTIN["x_block"](), rng=-1)),
+    "pruned-score-negative-seed": (
+        ValueError, lambda u: designer.security_score(u, rng=-1, ceiling=0.5)),
+    "validate-no-attacks-negative-seed": (
+        ValueError, lambda u: validate(u, seed=-1, include_attacks=False)),
+    "validate-no-attacks-zero-budget": (
+        ValueError, lambda u: validate(u, attack_budget=0, include_attacks=False)),
 }
 
 

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmac import designer
+from qmac import designer, linalg, protocol
 from qmac.adversary import best_message_attack, no_message_optimal
 from qmac.conditions import validate
 from qmac.config import DEFAULT_TOL
-from qmac.designer import INSECURE, optimize, security_score
+from qmac.designer import _DRAWS, _REFINE_STEPS, INSECURE, SecurityScore, optimize, security_score
 from qmac.fixtures import secure_example_unitary, x_block_unitary
 from qmac.linalg import haar_random_unitary, halmos_dilation, is_unitary
+from qmac.protocol import TaggingUnitary
 
 
 class TestSecurityScore:
@@ -109,16 +110,24 @@ class TestOptimize:
     def test_loose_unitary_tolerance_keeps_designs_unitary(self, monkeypatch):
         # A move that leaves M0 outside the unit ball has no dilation, so a
         # loose unitary tolerance cannot let a non-unitary design through.
-        sigma_max = []
+        tried, dilated = [], []
 
-        def spy(m0):
-            sigma_max.append(np.linalg.norm(m0, 2))
-            return halmos_dilation(m0)
+        def svd(m0):
+            out = linalg._svd(m0)
+            tried.append(out[1][0])
+            return out
 
-        monkeypatch.setattr(designer, "halmos_dilation", spy)
+        def dilation(m0, m0_svd=None):
+            out = halmos_dilation(m0, m0_svd)
+            dilated.append(m0_svd[1][0])
+            return out
+
+        monkeypatch.setattr(designer, "_svd", svd)
+        monkeypatch.setattr(protocol, "halmos_dilation", dilation)
         result = optimize(restarts=1, budget=100, rng=np.random.default_rng(12),
                           tol=DEFAULT_TOL.override(unitary=0.5))
-        assert max(sigma_max) > 1  # such a move was tried
+        assert max(tried) > 1  # such a move was tried
+        assert max(dilated) <= 1  # and none was dilated
         ok, dev = is_unitary(result.unitary, 1e-12)
         assert ok, dev
         assert validate(result.unitary, include_attacks=False).overall_secure
@@ -272,3 +281,109 @@ def test_frozen_designs(restarts, budget, seed):
     assert [t[:2] for t in result.trace] == [t[:2] for t in trace]
     np.testing.assert_allclose([t[2] for t in result.trace], [t[2] for t in trace], **exact)
     np.testing.assert_allclose(result.unitary, unitary, **exact)
+
+
+def reference_optimize(restarts, budget, rng, warm_start=None, tol=DEFAULT_TOL, log=None):
+    """optimize with every candidate scored as security_score(TaggingUnitary(
+    halmos_dilation(M0), tol), ...), its dilation and tagging built and
+    checked whatever its no-message optimum.  ``log`` gets (M0 bytes,
+    ceiling, score) per candidate, the score None for an M0 with no dilation."""
+    warm = TaggingUnitary(warm_start, tol) if warm_start is not None else None
+    moves = np.eye(8).view(complex).reshape(8, 2, 2)
+
+    def evaluate(m0, seed, ceiling=INSECURE):
+        try:
+            tu = TaggingUnitary(halmos_dilation(m0), tol)
+        except ValueError:
+            sc = None
+        else:
+            sc = security_score(tu, budget=budget, rng=seed, ceiling=ceiling)
+        if log is not None:
+            log.append((m0.tobytes(), ceiling, sc))
+        return sc or SecurityScore(1.0, None, False, INSECURE)
+
+    trace, best = [], None
+    for restart in range(restarts):
+        for draw in range(_DRAWS):
+            if draw == 0 and restart == 0 and warm is not None:
+                m0 = warm.m0
+            else:
+                m0 = haar_random_unitary(4, rng)[:2, :2]
+            sc = evaluate(m0, seed=restart)
+            if sc.secure:
+                break
+        if not sc.secure:
+            continue
+        trace.append((restart, 0, sc.score))
+        step, it = 0.2, 0
+        order = rng.permutation(len(moves))
+        while it < _REFINE_STEPS and step > 1e-4:
+            k = int(order[it % len(moves)])
+            improved = False
+            for sign in (1.0, -1.0):
+                q = m0 + sign * step * moves[k]
+                cutoff = sc.score - 1e-12
+                cand = evaluate(q, seed=restart, ceiling=cutoff)
+                it += 1
+                if cand.secure and cand.score < cutoff:
+                    m0, sc = q, cand
+                    trace.append((restart, it, sc.score))
+                    improved = True
+                    break
+                if it >= _REFINE_STEPS:
+                    break
+            if not improved:
+                step *= 0.5
+        if best is None or sc.score < best[1].score - 1e-15:
+            best = (m0, sc)
+    m0, sc = best
+    return halmos_dilation(m0), sc, trace
+
+
+def exact(unitary, score, trace):
+    hexed = [x if x is None or isinstance(x, bool) else x.hex() for x in vars(score).values()]
+    return unitary.tobytes(), hexed, [(r, i, v.hex()) for r, i, v in trace]
+
+
+@pytest.mark.parametrize("restarts, budget, seed, kw", [
+    (1, 500, 0, {}), (1, 500, 1, {}), (1, 500, 5, {}), (1, 100, 3, {}),
+    (2, 100, 4, {}), (2, 500, 6, {}), (1, 700, 2, {}), (2, 700, 7, {}),
+    (1, 500, 8, {"warm_start": secure_example_unitary()}),
+    (2, 100, 12, {"tol": DEFAULT_TOL.override(unitary=0.5)}),
+], ids=lambda x: "-".join(x) if isinstance(x, dict) else None)
+def test_optimize_equals_reference_designer(restarts, budget, seed, kw):
+    # Rejecting a candidate on M0's SVD changes no design, score or trace.
+    got = optimize(restarts=restarts, budget=budget, rng=np.random.default_rng(seed), **kw)
+    want = reference_optimize(restarts, budget, np.random.default_rng(seed), **kw)
+    assert exact(got.unitary, got.score, got.trace) == exact(*want)
+
+
+def test_one_svd_per_candidate_and_no_tagging_when_rejected(m0_svds, monkeypatch):
+    log = []
+    reference_optimize(1, 500, np.random.default_rng(1), log=log)
+    # A candidate with no dilation, or whose no-message optimum reaches the
+    # incumbent's score, is rejected on M0's SVD alone.
+    tagged = [(m0, sc) for m0, ceiling, sc in log if sc and sc.pf_no_message < ceiling]
+    assert any(sc and sc.pf_no_message >= ceiling for _, ceiling, sc in log)
+
+    built, checked, attacked = [], [], []
+    init = TaggingUnitary.__init__
+
+    def counted_init(self, u, *args, **kwargs):
+        built.append(np.asarray(u)[:2, :2].tobytes())
+        init(self, u, *args, **kwargs)
+
+    def spy(calls, fn):
+        def call(u, *args, **kwargs):
+            calls.append(u.m0.tobytes())
+            return fn(u, *args, **kwargs)
+        return call
+
+    m0_svds.clear()  # the SVDs the reference took
+    monkeypatch.setattr(TaggingUnitary, "__init__", counted_init)
+    monkeypatch.setattr(designer, "validate", spy(checked, validate))
+    monkeypatch.setattr(designer, "best_message_attack", spy(attacked, best_message_attack))
+    optimize(restarts=1, budget=500, rng=np.random.default_rng(1))
+    assert [m0.tobytes() for m0 in m0_svds] == [m0 for m0, _, _ in log]
+    assert built == checked == [m0 for m0, _ in tagged]
+    assert attacked == [m0 for m0, sc in tagged if sc.pf_message_best is not None]

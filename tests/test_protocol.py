@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmac.fixtures import BUILTIN
-from qmac.linalg import dagger, haar_random_unitary, partial_trace, tensor
+from qmac.linalg import _svd, dagger, haar_random_unitary, halmos_dilation, partial_trace, tensor
 from qmac.protocol import (
     MESSAGE_BASIS,
     TaggingUnitary,
@@ -97,6 +97,20 @@ def test_m0_analysis_is_lazy_and_kept(u_secure):
     assert all(getattr(u, name) is x for name, x in zip(M0_ANALYSIS, first))
     with pytest.raises(ValueError):
         u.m0_svd[1][0] = 0
+
+
+def test_dilation_keeps_the_svd_it_was_built_from():
+    # The SVD a designer candidate was judged on is the one its tagging
+    # would take: M0's entries are the dilation's, bit for bit.
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        m0 = haar_random_unitary(4, rng)[:2, :2]
+        svd = _svd(m0)
+        u = TaggingUnitary.dilation(m0, svd)
+        assert u.u.tobytes() == halmos_dilation(m0).tobytes()
+        assert u.m0_svd is svd and not any(part.flags.writeable for part in svd)
+        for got, ref in zip(u.m0_svd, np.linalg.svd(u.m0)):
+            assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("source", [*BUILTIN, *range(20)])
