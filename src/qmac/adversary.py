@@ -23,6 +23,7 @@ from .protocol import (
     I4,
     TaggingUnitary,
     as_tagging_unitary,
+    check_bit,
     decode,
     encode,
     key_fidelity,
@@ -366,7 +367,9 @@ def best_message_attack(
 
     The starts are sigma_x on the message bit, the perfect-attack
     construction when available (so no known certainty attack is missed),
-    and Haar draws up to min(12, budget // 300) starts.  ``rng`` is what
+    and Haar draws up to min(12, budget // 300) starts, drawn as one stack
+    by a single :func:`~qmac.linalg.haar_random_unitary` call (the same
+    matrices and stream as one call per start).  ``rng`` is what
     ``np.random.default_rng`` takes (a Generator, a seed, ...), except that
     None means seed 0; it is checked (:func:`check_rng`) before the search,
     and the Generator is built only when a Haar start is drawn.
@@ -387,8 +390,7 @@ def best_message_attack(
     n_restarts = max(len(starts), min(12, budget // 300))
     if len(starts) < n_restarts:
         rng = np.random.default_rng(0 if rng is None else rng)
-        while len(starts) < n_restarts:
-            starts.append(haar_random_unitary(4, rng))
+        starts.extend(haar_random_unitary(4, rng, n_restarts - len(starts)))
 
     step = np.array(starts[:budget])
     n = len(step)
@@ -550,8 +552,7 @@ def _reuse_kernel(u: TaggingUnitary, interaction: np.ndarray, forge_bit: int):
     her ancilla, which leaves (a, b, e) untouched.
     """
     w = unitary_operand(interaction, "Eve's interaction", 8, u.tol.unitary)
-    if forge_bit not in (0, 1):
-        raise ValueError("forge_bit must be 0 or 1")
+    forge_bit = check_bit(forge_bit, "forge_bit")
     enc = np.stack([I4, u.u])
     dec = np.stack([dagger(u.u), I4])
     maps = np.einsum("bkp,pfme,ami->ikabfe", dec, w.reshape(4, 2, 4, 2), enc[:, :, :2])

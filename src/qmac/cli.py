@@ -114,29 +114,34 @@ def _json_default(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit(report: dict, out_path, records: str = ""):
+def _emit(report: dict, out_path, records: bytes = b""):
     """Write ``json.dumps(report, sort_keys=True, indent=2)`` and a newline,
     rendering result objects and matrices by :func:`_json_default`.  A NaN
     or infinite float raises ``ValueError`` before anything is written.
 
+    The report is built as UTF-8 bytes.  ``--out`` is written in binary, so
+    the file holds exactly those bytes, with LF line ends on every
+    platform; stdout stays a text stream and gets the decoded report.
+
     ``records``, when not empty, is the rendered body of the report's
-    top-level ``records`` list (items indented four spaces, joined by
-    ``",\n"``); it is spliced in where the report holds ``"records": []``.
-    simulate renders each of its few distinct records once and joins them
-    per trial, since the indenting encoder is pure Python.
+    top-level ``records`` list as UTF-8 bytes (items indented four spaces,
+    joined by ``b",\n"``); it is spliced in where the report holds
+    ``"records": []``.  simulate renders each of its few distinct records
+    once and joins them per trial, since the indenting encoder is pure
+    Python, and as bytes, so no report-sized ``str`` is built for a file.
     """
     text = json.dumps(
         report, sort_keys=True, indent=2, default=_json_default, allow_nan=False
     )
-    parts = [text, "\n"]
+    parts = [text.encode(), b"\n"]
     if records:
         head, tail = text.split('\n  "records": []', 1)
-        parts = [head, '\n  "records": [\n', records, "\n  ]", tail, "\n"]
+        parts = [head.encode(), b'\n  "records": [\n', records, b"\n  ]", tail.encode(), b"\n"]
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(out_path, "wb") as fh:
             fh.writelines(parts)
     else:
-        sys.stdout.writelines(parts)
+        sys.stdout.write(b"".join(parts).decode())
 
 
 def cmd_validate(args, tol) -> int:
@@ -149,20 +154,24 @@ def cmd_validate(args, tol) -> int:
 
 
 def cmd_simulate(args, tol) -> int:
+    """Honest rounds for each message, one record per trial.  A record
+    depends only on its (message, outcome), so each of the eight is rendered
+    once, as UTF-8 bytes, and :func:`_emit` splices their per-trial join
+    into the report."""
     u = _load_unitary(args.input, tol)
     rng = np.random.default_rng(args.seed)
-    rendered = []  # record text of (message, outcome) at 4 * message + outcome
+    rendered = []  # record bytes of (message, outcome) at 4 * message + outcome
     order = []
     correct = accepted = 0
     fidelities = []
     for message in (0, 1):
         outcomes, fid = simulate_honest_batch(u, message, args.trials, rng)
         rendered += (
-            "    " + json.dumps(
+            b"    " + json.dumps(
                 {"message": message, "outcome": o, "accepted": o < 2,
                  "decoded": o if o < 2 else None, "key_fidelity": fid},
                 sort_keys=True, indent=2, allow_nan=False,
-            ).replace("\n", "\n    ")
+            ).replace("\n", "\n    ").encode()
             for o in range(4)
         )
         order += (outcomes + 4 * message).tolist()
@@ -180,7 +189,7 @@ def cmd_simulate(args, tol) -> int:
     body = _report_header(args, tol, u.u)
     body["records"] = []
     body["summary"] = summary
-    _emit(body, args.out, ",\n".join(map(rendered.__getitem__, order)))
+    _emit(body, args.out, b",\n".join(map(rendered.__getitem__, order)))
     return EXIT_OK
 
 

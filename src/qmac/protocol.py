@@ -137,11 +137,18 @@ def as_tagging_unitary(u) -> TaggingUnitary:
     return u if isinstance(u, TaggingUnitary) else TaggingUnitary(u)
 
 
+def check_bit(bit, name: str) -> int:
+    """``bit`` as the int 0 or 1.  A Python or numpy integer equal to 0 or 1
+    passes; anything else, a bool or a float among them, raises
+    ``ValueError("<name> must be 0 or 1")``."""
+    if isinstance(bit, (int, np.integer)) and not isinstance(bit, bool) and bit in (0, 1):
+        return int(bit)
+    raise ValueError(f"{name} must be 0 or 1")
+
+
 def _message_state(message: int) -> np.ndarray:
     """|phi_message> for a message bit 0 or 1."""
-    if message not in (0, 1):
-        raise ValueError("message must be 0 or 1")
-    return MESSAGE_BASIS[:, message]
+    return MESSAGE_BASIS[:, check_bit(message, "message")]
 
 
 def encode(u, message: int) -> np.ndarray:

@@ -886,6 +886,25 @@ def test_stop_rules_match_per_step_reference_at_unequal_priors(budget, p0):
             assert same_attack(res, ref) and res.stop == ref.stop
 
 
+@pytest.mark.parametrize("budget", [1, 500, 599, 600, 899, 900, 2000, 3600])
+def test_haar_starts_drawn_in_one_call(budget, monkeypatch):
+    # A search that draws takes all of its Haar starts from one call; below
+    # budget 600, min(12, budget // 300) <= 1 and no start is drawn.
+    calls = []
+
+    def spy(dim, rng, count=None):
+        calls.append((dim, count))
+        return haar_random_unitary(dim, rng, count)
+
+    monkeypatch.setattr(adversary, "haar_random_unitary", spy)
+    for u in oracle_unitaries():
+        calls.clear()
+        best_message_attack(u, budget=budget)
+        draws = min(12, budget // 300) - 1 - (perfect_message_attack(u) is not None)
+        assert calls == ([(4, draws)] if draws > 0 else [])
+        assert budget >= 600 or not calls
+
+
 def grid_unitaries():
     builtins = ("identity", "x_block", "secure_example")
     haar = [haar_random_unitary(4, np.random.default_rng(1000 + k)) for k in range(60)]

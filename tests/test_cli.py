@@ -457,6 +457,26 @@ def test_flag_not_read_by_subcommand_exit_two(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["validate", "--input", "secure_example", "--budget", "700"], id="validate"),
+    pytest.param(["attack", "--input", "x_block", "--trials", "300", "--budget", "700"],
+                 id="attack"),
+    pytest.param(["simulate", "--input", "secure_example", "--trials", "0"], id="simulate-0"),
+    pytest.param(["simulate", "--input", "secure_example", "--trials", "200", "--seed", "5"],
+                 id="simulate-200"),
+    pytest.param(["demo", "--budget", "300"], id="demo"),
+    pytest.param(["optimize", "--seed", "7", "--restarts", "1", "--budget", "100"],
+                 id="optimize"),
+])
+def test_out_file_holds_the_stdout_report(capsys, tmp_path, argv):
+    # --out is written as UTF-8 bytes in binary mode, stdout as text: one report.
+    code, out, _ = run_cli(capsys, *argv)
+    path = tmp_path / "report.json"
+    code_out, printed, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code_out == code and printed == ""
+    assert path.read_bytes() == out.encode()
+
+
 def test_shared_parser_carries_no_state(capsys):
     cli._parser.cache_clear()
     code, out, _ = run_cli(

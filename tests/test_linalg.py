@@ -146,6 +146,30 @@ class TestHaar:
         b = haar_random_unitary(4, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
+    @staticmethod
+    def textbook_draw(dim, rng):
+        # One Ginibre matrix from two (dim, dim) normal draws, its QR and the phase fix.
+        z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        z /= np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        d = np.diag(r)
+        return q * (d / np.abs(d))
+
+    @pytest.mark.parametrize("count", [1, 5, 11])
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_stack_equals_single_draws(self, dim, count):
+        # One standard_normal((count, 2, dim, dim)) draw is the stream of count
+        # single draws, and the stacked QR gives each matrix bit for bit.
+        for seed in (0, 1, 7, 2**40 + 3):
+            rngs = [np.random.default_rng(seed) for _ in range(3)]
+            want = np.array([self.textbook_draw(dim, rngs[0]) for _ in range(count)])
+            single = np.array([haar_random_unitary(dim, rngs[1]) for _ in range(count)])
+            got = haar_random_unitary(dim, rngs[2], count)
+            assert got.shape == (count, dim, dim) and got.tobytes() == want.tobytes()
+            assert single.tobytes() == want.tobytes()
+            assert rngs[2].bit_generator.state == rngs[1].bit_generator.state \
+                == rngs[0].bit_generator.state
+
     def test_entry_moment(self):
         # E|U_ij|^2 = 1/dim for Haar; 3-sigma band for the sample mean.
         rng = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmac.adversary import reuse_forgery_probability, simulate_key_reuse
 from qmac.fixtures import BUILTIN
 from qmac.linalg import _svd, dagger, haar_random_unitary, halmos_dilation, partial_trace, tensor
 from qmac.protocol import (
@@ -244,3 +245,29 @@ class TestHonestRun:
 def test_bad_input_rejected(u_secure, call, match):
     with pytest.raises(ValueError, match=match):
         call(u_secure)
+
+
+# Each call with the bit under test; the message or forge bit is the last argument.
+BIT_CALLS = [
+    pytest.param(lambda u, bit: encode(u, bit), "message", id="encode"),
+    pytest.param(lambda u, bit: channel_density(u, bit), "message", id="channel_density"),
+    pytest.param(lambda u, bit: simulate_honest_batch(u, bit, 5, np.random.default_rng(0))[0],
+                 "message", id="simulate_honest_batch"),
+    pytest.param(lambda u, bit: reuse_forgery_probability(u, np.eye(8), forge_bit=bit),
+                 "forge_bit", id="reuse_forgery_probability"),
+    pytest.param(lambda u, bit: simulate_key_reuse(u, 1, np.eye(8), np.random.default_rng(0),
+                                                   trials=5, forge_bit=bit).forgery_successes,
+                 "forge_bit", id="simulate_key_reuse"),
+]
+
+
+@pytest.mark.parametrize("call, name", BIT_CALLS)
+@pytest.mark.parametrize("bit", [True, np.True_, 1.0, 2, -1, "1"], ids=repr)
+def test_bit_must_be_an_integer_0_or_1(u_secure, call, name, bit):
+    with pytest.raises(ValueError, match=f"^{name} must be 0 or 1$"):
+        call(u_secure, bit)
+
+
+@pytest.mark.parametrize("call, name", BIT_CALLS)
+def test_numpy_integer_bit_matches_int(u_secure, call, name):
+    assert np.array_equal(call(u_secure, np.int64(1)), call(u_secure, 1))
