@@ -16,7 +16,15 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import _SVD_ERRORS, _svd, dagger, haar_random_unitary, tensor, unitary_operand
+from .linalg import (
+    _SVD_ERRORS,
+    _svd,
+    check_count,
+    dagger,
+    haar_random_unitary,
+    tensor,
+    unitary_operand,
+)
 from .protocol import (
     ACCEPT_PROJECTOR,
     I2,
@@ -162,15 +170,10 @@ def injected_acceptance_distribution(u, eve: np.ndarray) -> np.ndarray:
 
 def no_message_attack_sim(u, eve, trials: int, rng: np.random.Generator) -> float:
     """Monte Carlo acceptance frequency for an injected state."""
-    _check_trials(trials)
+    trials = check_count(trials, "trials", 1)
     probs = injected_acceptance_distribution(u, eve)
     outcomes = rng.choice(4, size=trials, p=probs / probs.sum())
     return float((outcomes < 2).mean())
-
-
-def _check_trials(trials: int):
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
 
 
 # --- message (substitution) attack ------------------------------------------
@@ -208,7 +211,7 @@ def message_attack_sim(
 ) -> float:
     """Monte Carlo frequency of successful substitution (flip accepted)."""
     _check_priors(p0, p1)
-    _check_trials(trials)
+    trials = check_count(trials, "trials", 1)
     dists = [message_attack_distribution(u, v, i) for i in (0, 1)]
     messages = rng.choice(2, size=trials, p=[p0, p1])
     hits = 0
@@ -372,13 +375,12 @@ def best_message_attack(
     matrices and stream as one call per start).  ``rng`` is what
     ``np.random.default_rng`` takes (a Generator, a seed, ...), except that
     None means seed 0; it is checked (:func:`check_rng`) before the search,
-    and the Generator is built only when a Haar start is drawn.
-    Deterministic for a given seed.
+    and the Generator is built only when a Haar start is drawn.  ``budget``
+    must be an integer of at least 1.  Deterministic for a given seed.
     """
     u = as_tagging_unitary(u)
     _check_priors(p0, p1)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    budget = check_count(budget, "budget", 1)
     check_rng(rng)
 
     w, evaluate, polar = _substitution_objective(u, p0, p1)
@@ -599,12 +601,11 @@ def simulate_key_reuse(
     trial first reaches it; a trial only looks nodes up and draws.  Each
     draw inverts a CDF with one ``rng.random()``, as ``Generator.choice``
     does, so the random stream and the counts are those of sampling every
-    trial afresh.
+    trial afresh.  ``rounds`` and ``trials`` must be integers of at least 1.
     """
     u = as_tagging_unitary(u)
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    _check_trials(trials)
+    rounds = check_count(rounds, "rounds", 1)
+    trials = check_count(trials, "trials", 1)
     maps, forge = _reuse_kernel(u, interaction, forge_bit)
     # int(rng.integers(2)) draws by Lemire's method on the bit generator's
     # buffered 32-bit word x, which for two outcomes is (2x) >> 32, the top

@@ -18,6 +18,7 @@ from .adversary import (
     no_message_optimal,
     perfect_message_attack,
 )
+from .linalg import check_count
 from .protocol import as_tagging_unitary
 
 
@@ -163,8 +164,7 @@ def validate(
     whether or not ``include_attacks`` runs the search.
     """
     tu = as_tagging_unitary(u)
-    if attack_budget < 1:
-        raise ValueError("budget must be >= 1")
+    attack_budget = check_count(attack_budget, "attack_budget", 1)
     check_rng(seed)
 
     c1 = check_case1(tu)

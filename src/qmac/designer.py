@@ -15,7 +15,7 @@ import numpy as np
 from .adversary import best_message_attack, check_rng, no_message_optimal, no_message_probability
 from .conditions import validate
 from .config import DEFAULT_TOL, Tolerances
-from .linalg import _SVD_ERRORS, _svd, haar_random_unitary
+from .linalg import _SVD_ERRORS, _svd, check_count, haar_random_unitary
 from .protocol import TaggingUnitary, as_tagging_unitary
 
 INSECURE = float("inf")
@@ -54,8 +54,7 @@ def security_score(
     tagging this function takes.
     """
     u = as_tagging_unitary(u)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    budget = check_count(budget, "budget", 1)
     check_rng(rng)
     pf_nm = no_message_optimal(u).probability
     if not validate(u, include_attacks=False).overall_secure:
@@ -100,10 +99,8 @@ def optimize(
     candidate are checked under ``tol``.  Reproducible per seed; ties
     between restarts break toward the lowest restart index.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    restarts = check_count(restarts, "restarts", 1)
+    budget = check_count(budget, "budget", 1)
     warm = TaggingUnitary(warm_start, tol) if warm_start is not None else None
     rng = rng if rng is not None else np.random.default_rng(0)
     moves = np.eye(8).view(complex).reshape(8, 2, 2)  # Re and Im of each entry

@@ -118,6 +118,23 @@ def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL.unitary):
     return bool(dev <= tol), float(dev)
 
 
+def is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer.  bool subclasses int, but
+    True is neither a count, a bit nor a JSON integer."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_count(value, name: str, floor: int) -> int:
+    """``value`` as a Python int, checked to be an integer (:func:`is_integer`)
+    at least ``floor``; ``name`` names the argument in the ``ValueError``
+    either check raises."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        raise ValueError(f"{name} must be >= {floor}, got {value}")
+    return int(value)
+
+
 def unitary_operand(m, name: str, n: int, tol: float) -> np.ndarray:
     """``m`` as a complex array, checked n×n and unitary to within ``tol``;
     ``name`` names the operand in the ``ValueError`` either check raises."""
@@ -140,10 +157,11 @@ def haar_random_unitary(dim: int, rng: np.random.Generator,
     ``standard_normal((count, 2, dim, dim))`` draw and one stacked QR: the
     real then the imaginary block of each matrix in turn, so the stack and
     the Generator's state after it equal ``count`` single draws bit for bit.
+    ``dim`` and ``count`` must be integers of at least 1.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    x = rng.standard_normal((2, dim, dim) if count is None else (count, 2, dim, dim))
+    dim = check_count(dim, "dim", 1)
+    shape = (2, dim, dim) if count is None else (check_count(count, "count", 1), 2, dim, dim)
+    x = rng.standard_normal(shape)
     z = x[..., 0, :, :] + 1j * x[..., 1, :, :]
     z /= np.sqrt(2)
     q, r = np.linalg.qr(z)
@@ -188,11 +206,6 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def _is_json_number(x, kinds=(int, float)) -> bool:
-    # bool subclasses int, but a JSON true or false is not a number.
-    return isinstance(x, kinds) and not isinstance(x, bool)
-
-
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`; exact round-trip.
 
@@ -204,10 +217,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         pairs = [(re, im) for re, im in data]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    if not (_is_json_number(rows, int) and _is_json_number(cols, int)):
+    if not (is_integer(rows) and is_integer(cols)):
         raise ValueError(f"malformed matrix JSON: rows {rows!r} and cols {cols!r} "
                          "must be integers")
-    if not all(_is_json_number(x) for pair in pairs for x in pair):
+    if not all(isinstance(x, float) or is_integer(x) for pair in pairs for x in pair):
         raise ValueError("malformed matrix JSON: entries must be [re, im] number pairs")
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")

@@ -16,8 +16,10 @@ from .config import DEFAULT_TOL, Tolerances
 from .linalg import (
     _SVD_ERRORS,
     _svd,
+    check_count,
     dagger,
     halmos_dilation,
+    is_integer,
     partial_trace,
     tensor,
     unitary_operand,
@@ -141,7 +143,7 @@ def check_bit(bit, name: str) -> int:
     """``bit`` as the int 0 or 1.  A Python or numpy integer equal to 0 or 1
     passes; anything else, a bool or a float among them, raises
     ``ValueError("<name> must be 0 or 1")``."""
-    if isinstance(bit, (int, np.integer)) and not isinstance(bit, bool) and bit in (0, 1):
+    if is_integer(bit) and bit in (0, 1):
         return int(bit)
     raise ValueError(f"{name} must be 0 or 1")
 
@@ -203,10 +205,10 @@ def simulate_honest_batch(u, message: int, trials: int, rng: np.random.Generator
 
     The decoded state is the same every round, so one encode/decode gives
     the outcome distribution and the key fidelity, and each trial is a
-    single Born sample from that distribution.
+    single Born sample from that distribution.  ``trials`` must be an
+    integer of at least 0.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    trials = check_count(trials, "trials", 0)
     u = as_tagging_unitary(u)
     decoded = decode(u, encode(u, message))
     probs = measurement_distribution(decoded)

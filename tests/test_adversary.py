@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -31,7 +32,13 @@ from qmac.conditions import validate
 from qmac.config import DEFAULT_TOL, UNITARY_FLOOR
 from qmac.fixtures import BUILTIN, secure_example_unitary
 from qmac.linalg import haar_random_unitary, halmos_dilation, is_unitary, tensor
-from qmac.protocol import MESSAGE_BASIS, TaggingUnitary, key_fidelity, singlet
+from qmac.protocol import (
+    MESSAGE_BASIS,
+    TaggingUnitary,
+    key_fidelity,
+    simulate_honest_batch,
+    singlet,
+)
 
 E = np.eye(4, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -433,6 +440,17 @@ class TestBestMessageAttack:
         # Regression band frozen from a much larger independent search
         # (1e6 random unitaries + long local refinement -> 0.85998).
         assert 0.85 < res.probability <= 0.8601
+
+    def test_numpy_integer_budget(self, u_secure):
+        # The search and its result are those of the Python int, budget included,
+        # so the result serialises.
+        a = best_message_attack(u_secure, budget=np.int64(700))
+        b = best_message_attack(u_secure, budget=700)
+        assert a.probability == b.probability
+        assert a.strategy.tobytes() == b.strategy.tobytes()
+        assert (a.iterations, a.converged, a.stop) == (b.iterations, b.converged, b.stop)
+        assert type(a.budget) is int
+        assert json.dumps(a, default=cli._json_default) == json.dumps(b, default=cli._json_default)
 
     def test_deterministic_per_seed(self, u_secure):
         a = best_message_attack(u_secure, budget=300, rng=np.random.default_rng(3))
@@ -1407,6 +1425,45 @@ class TestKeyReuseStats:
         assert all(type(x) is float for x in numbers)
 
 
+# Every count argument: its name, its floor and a call that passes it n.
+COUNTS = {
+    "honest-trials": ("trials", 0, lambda u, n: simulate_honest_batch(
+        u, 0, n, np.random.default_rng(0))),
+    "no-message-sim-trials": ("trials", 1, lambda u, n: no_message_attack_sim(
+        u, E[:, 0], n, np.random.default_rng(0))),
+    "message-sim-trials": ("trials", 1, lambda u, n: message_attack_sim(
+        u, E, n, np.random.default_rng(0))),
+    "reuse-rounds": ("rounds", 1, lambda u, n: simulate_key_reuse(
+        u, n, np.eye(8), np.random.default_rng(0))),
+    "reuse-trials": ("trials", 1, lambda u, n: simulate_key_reuse(
+        u, 1, np.eye(8), np.random.default_rng(0), trials=n)),
+    "attack-budget": ("budget", 1, lambda u, n: best_message_attack(u, budget=n)),
+    "score-budget": ("budget", 1, lambda u, n: designer.security_score(u, budget=n)),
+    "validate-budget": ("attack_budget", 1, lambda u, n: validate(u, attack_budget=n)),
+    "validate-no-attacks-budget": ("attack_budget", 1, lambda u, n: validate(
+        u, attack_budget=n, include_attacks=False)),
+    "optimize-restarts": ("restarts", 1, lambda u, n: designer.optimize(restarts=n)),
+    "optimize-budget": ("budget", 1, lambda u, n: designer.optimize(restarts=1, budget=n)),
+    "haar-dim": ("dim", 1, lambda u, n: haar_random_unitary(n, np.random.default_rng(0))),
+    "haar-count": ("count", 1, lambda u, n: haar_random_unitary(
+        4, np.random.default_rng(0), n)),
+}
+
+# Each count rejects a float, a bool, a string and its floor - 1, in a
+# ValueError that names it.
+BAD_COUNTS = [
+    pytest.param(lambda u, call=call, n=bad: call(u, n), "^" + re.escape(message),
+                 id=f"{case}-{kind}")
+    for case, (name, floor, call) in COUNTS.items()
+    for kind, bad, message in [
+        ("float", 2.5, f"{name} must be an integer, got 2.5"),
+        ("bool", True, f"{name} must be an integer, got True"),
+        ("str", "5", f"{name} must be an integer, got '5'"),
+        ("below-floor", floor - 1, f"{name} must be >= {floor}, got {floor - 1}"),
+    ]
+]
+
+
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda u: no_message_pf_restricted(u, -0.1, 0.0), "abs_e0 must lie in",
                  id="abs_e0-below-0"),
@@ -1435,7 +1492,7 @@ class TestKeyReuseStats:
                  id="budget-0"),
     pytest.param(lambda u: simulate_key_reuse(u, 0, np.eye(8), np.random.default_rng(0)),
                  "rounds must be >= 1", id="rounds-0"),
-])
+] + BAD_COUNTS)
 def test_bad_input_rejected(u_secure, call, match):
     with pytest.raises(ValueError, match=match):
         call(u_secure)
