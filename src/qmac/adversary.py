@@ -20,6 +20,7 @@ from .linalg import (
     _SVD_ERRORS,
     _svd,
     check_count,
+    check_generator,
     dagger,
     haar_random_unitary,
     tensor,
@@ -169,7 +170,9 @@ def injected_acceptance_distribution(u, eve: np.ndarray) -> np.ndarray:
 
 
 def no_message_attack_sim(u, eve, trials: int, rng: np.random.Generator) -> float:
-    """Monte Carlo acceptance frequency for an injected state."""
+    """Monte Carlo acceptance frequency for an injected state.  ``rng`` must
+    be a numpy ``Generator``."""
+    check_generator(rng)
     trials = check_count(trials, "trials", 1)
     probs = injected_acceptance_distribution(u, eve)
     outcomes = rng.choice(4, size=trials, p=probs / probs.sum())
@@ -209,7 +212,9 @@ def message_attack_distribution(u, v: np.ndarray, message: int) -> np.ndarray:
 def message_attack_sim(
     u, v, trials: int, rng: np.random.Generator, p0: float = 0.5, p1: float = 0.5
 ) -> float:
-    """Monte Carlo frequency of successful substitution (flip accepted)."""
+    """Monte Carlo frequency of successful substitution (flip accepted).
+    ``rng`` must be a numpy ``Generator``."""
+    check_generator(rng)
     _check_priors(p0, p1)
     trials = check_count(trials, "trials", 1)
     dists = [message_attack_distribution(u, v, i) for i in (0, 1)]
@@ -597,65 +602,76 @@ def simulate_key_reuse(
     maps of :func:`_reuse_kernel` and renormalises the key ⊗ ancilla state.
 
     That state depends only on the trial's history of (bit, outcome) pairs,
-    so each history is one node, built from its normalised state when a
-    trial first reaches it; a trial only looks nodes up and draws.  Each
-    draw inverts a CDF with one ``rng.random()``, as ``Generator.choice``
-    does, so the random stream and the counts are those of sampling every
-    trial afresh.  ``rounds`` and ``trials`` must be integers of at least 1.
+    so the histories form a tree: each node is built from its normalised
+    state when a trial first reaches it, in its parent's child slot
+    ``2 * bit + outcome``, and a trial only walks the tree and draws.  Each
+    draw inverts a CDF with one uniform, as ``Generator.choice`` does, so
+    the random stream and the counts are those of sampling every trial
+    afresh.  The draws read the bit generator directly: each uniform is its
+    ``next_double``, the value ``rng.random()`` returns, and each honest
+    bit is the one ``rng.integers(2)`` gives.  They run under the bit
+    generator's lock, which is held for the whole call, so another thread
+    sharing ``rng`` waits until the call returns.  ``rounds`` and
+    ``trials`` must be integers of at least 1, and ``rng`` a numpy
+    ``Generator``.
     """
+    check_generator(rng)
     u = as_tagging_unitary(u)
     rounds = check_count(rounds, "rounds", 1)
     trials = check_count(trials, "trials", 1)
     maps, forge = _reuse_kernel(u, interaction, forge_bit)
     # int(rng.integers(2)) draws by Lemire's method on the bit generator's
     # buffered 32-bit word x, which for two outcomes is (2x) >> 32, the top
-    # bit of x.  Reading x through the bit generator's ctypes interface, under
-    # the lock the Generator's own draws take, gives the same bit from the
-    # same word without the call's argument handling.
-    bits, lock = rng.bit_generator.ctypes, rng.bit_generator.lock
-    next_uint32, state = bits.next_uint32, bits.state
+    # bit of x; rng.random() returns next_double.  Reading both through the
+    # bit generator's ctypes interface, under the lock the Generator's own
+    # draws take, gives the same values from the same stream without the
+    # calls' argument handling.
+    bits = rng.bit_generator.ctypes
+    next_uint32, next_double, state = bits.next_uint32, bits.next_double, bits.state
 
     def node(psi, completed):
         """A completed history's key fidelity and forgery-outcome CDF; any
-        other's phi[i, k] (the state after bit i and outcome k, unnormalised)
-        and the outcome CDF of each bit."""
+        other's (phi, cdfs, children): phi[i, k] the state after bit i and
+        outcome k (unnormalised), the outcome CDF of each bit, and the
+        child slots 2 * i + k, each None until a trial reaches it."""
         if completed:
             probs = np.einsum("kbe,abe->k", forge, np.abs(psi) ** 2).tolist()
             return key_fidelity(psi.reshape(8)), _outcome_cdf(probs)
         phi = (maps @ psi[..., None])[..., 0]
         probs = (np.abs(phi) ** 2).sum(axis=(2, 3, 4)).tolist()
-        return phi, [_outcome_cdf(p) for p in probs]
+        return phi, [_outcome_cdf(p) for p in probs], [None] * 4
 
-    nodes = {(): node(_START, False)}  # keyed by the history of (bit, outcome) pairs
-    accept_counts, round_attempts = [0] * rounds, [0] * rounds
+    root = node(_START, False)
+    accept_counts = [0] * rounds
     successes = 0
     fidelities = []
-    for _ in range(trials):
-        history = ()
-        for r in range(rounds):
-            with lock:
+    with rng.bit_generator.lock:
+        for _ in range(trials):
+            at = root
+            for r in range(rounds):
                 bit = next_uint32(state) >> 31
-            phi, cdfs = nodes[history]
-            outcome = bisect_right(cdfs[bit], rng.random())
-            round_attempts[r] += 1
-            if outcome > 1:
-                break
-            accept_counts[r] += 1
-            history += (bit, outcome)
-            if history not in nodes:
-                # Divided by np.linalg.norm's own arithmetic, without its wrapper.
-                kept = phi[bit, outcome]
-                x = kept.ravel()
-                psi = kept / sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
-                nodes[history] = node(psi, r + 1 == rounds)
-        else:
-            fidelity, cdf = nodes[history]
-            fidelities.append(fidelity)
-            successes += bisect_right(cdf, rng.random()) < 2
+                phi, cdfs, children = at
+                outcome = bisect_right(cdfs[bit], next_double(state))
+                if outcome > 1:
+                    break
+                accept_counts[r] += 1
+                slot = 2 * bit + outcome
+                at = children[slot]
+                if at is None:
+                    # Divided by np.linalg.norm's own arithmetic, without its wrapper.
+                    kept = phi[bit, outcome]
+                    x = kept.ravel()
+                    psi = kept / sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+                    at = children[slot] = node(psi, r + 1 == rounds)
+            else:
+                fidelity, cdf = at
+                fidelities.append(fidelity)
+                successes += bisect_right(cdf, next_double(state)) < 2
 
+    # Every trial reaches round 1, and round r + 1 exactly when round r accepted.
     per_round = [
         accepted / reached if reached else float("nan")
-        for accepted, reached in zip(accept_counts, round_attempts)
+        for accepted, reached in zip(accept_counts, [trials, *accept_counts[:-1]])
     ]
     return KeyReuseStats(
         per_round_acceptance=per_round,

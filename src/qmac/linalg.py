@@ -135,6 +135,14 @@ def check_count(value, name: str, floor: int) -> int:
     return int(value)
 
 
+def check_generator(rng) -> None:
+    """Raise ``TypeError`` unless ``rng`` is a numpy ``Generator``: the
+    samplers draw through its methods and its bit generator, which a seed,
+    a bare ``BitGenerator`` or a legacy ``RandomState`` does not have."""
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator, got {type(rng).__name__}")
+
+
 def unitary_operand(m, name: str, n: int, tol: float) -> np.ndarray:
     """``m`` as a complex array, checked n×n and unitary to within ``tol``;
     ``name`` names the operand in the ``ValueError`` either check raises."""

@@ -17,6 +17,7 @@ from .linalg import (
     _SVD_ERRORS,
     _svd,
     check_count,
+    check_generator,
     dagger,
     halmos_dilation,
     is_integer,
@@ -206,8 +207,9 @@ def simulate_honest_batch(u, message: int, trials: int, rng: np.random.Generator
     The decoded state is the same every round, so one encode/decode gives
     the outcome distribution and the key fidelity, and each trial is a
     single Born sample from that distribution.  ``trials`` must be an
-    integer of at least 0.
+    integer of at least 0, and ``rng`` a numpy ``Generator``.
     """
+    check_generator(rng)
     trials = check_count(trials, "trials", 0)
     u = as_tagging_unitary(u)
     decoded = decode(u, encode(u, message))

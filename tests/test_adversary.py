@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -1385,6 +1386,105 @@ def test_key_reuse_builds_each_reached_node_once(monkeypatch, case, forge_bit):
         "key_fidelity": completed,
         "_outcome_cdf": 2 * (len(visited) - completed) + completed,
     }
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64]
+
+
+def plain_state(state):
+    """A bit generator's state with its arrays as lists, so that states compare by ==."""
+    if isinstance(state, dict):
+        return {key: plain_state(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@pytest.mark.parametrize("rounds", [1, 3])
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_key_reuse_leaves_the_reference_stream_position(bit_generator, rounds):
+    # The raw draws take the words the Generator's own calls would: after the
+    # call its full state, the buffered 32-bit word of the honest bits
+    # included, is the uncached reference's.
+    rng = np.random.default_rng(43)
+    buffered = set()
+    for trials in range(36, 46):
+        u, w = haar_random_unitary(4, rng), haar_random_unitary(8, rng)
+        seed = int(rng.integers(2**31))
+        sampled, reference = (np.random.Generator(bit_generator(seed)) for _ in "ab")
+        simulate_key_reuse(u, rounds, w, sampled, trials=trials)
+        reference_key_reuse(u, rounds, w, reference, trials, 0)
+        state = plain_state(sampled.bit_generator.state)
+        assert state == plain_state(reference.bit_generator.state)
+        buffered.add(state.get("has_uint32"))
+    # Both buffer states were reached, where the bit generator has a buffer.
+    assert buffered == ({None} if bit_generator is np.random.MT19937 else {0, 1})
+
+
+def lock_is_free(lock) -> bool:
+    """Whether a thread other than this one can take ``lock`` at once."""
+    taken = []
+
+    def take():
+        taken.append(lock.acquire(blocking=False))
+        if taken[0]:
+            lock.release()
+
+    thread = threading.Thread(target=take)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    return taken[0]
+
+
+def test_key_reuse_releases_the_generator_lock(monkeypatch, u_secure):
+    rng = np.random.default_rng(0)
+    lock = rng.bit_generator.lock
+    with lock:
+        assert not lock_is_free(lock)
+    w = haar_random_unitary(8, rng)
+    simulate_key_reuse(u_secure, 2, w, rng, trials=20)
+    assert lock_is_free(lock)
+
+    # An error inside the draw loop propagates, and the lock, held there, is freed.
+    held = []
+
+    def fails(state):
+        held.append(not lock_is_free(lock))
+        raise RuntimeError("no key fidelity")
+
+    monkeypatch.setattr(adversary, "key_fidelity", fails)
+    with pytest.raises(RuntimeError, match="no key fidelity"):
+        simulate_key_reuse(u_secure, 2, w, rng, trials=20)
+    assert held == [True]
+    assert lock_is_free(lock)
+
+
+# Every sampler, called with ``rng`` and otherwise valid arguments.
+SAMPLERS = {
+    "simulate_key_reuse": lambda u, rng: simulate_key_reuse(u, 1, np.eye(8), rng, trials=5),
+    "no_message_attack_sim": lambda u, rng: no_message_attack_sim(u, E[:, 0], 5, rng),
+    "message_attack_sim": lambda u, rng: message_attack_sim(u, E, 5, rng),
+    "simulate_honest_batch": lambda u, rng: simulate_honest_batch(u, 0, 5, rng),
+}
+NOT_GENERATORS = {
+    "NoneType": lambda: None,
+    "int": lambda: 7,
+    "RandomState": lambda: np.random.RandomState(0),
+    "PCG64": lambda: np.random.PCG64(3),
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+@pytest.mark.parametrize("kind", sorted(NOT_GENERATORS))
+def test_samplers_need_a_generator(u_secure, sampler, kind):
+    rng = NOT_GENERATORS[kind]()
+    before = plain_state(rng.get_state(legacy=False)) if kind == "RandomState" else None
+    with pytest.raises(TypeError, match=rf"^rng must be a numpy Generator, got {kind}$"):
+        SAMPLERS[sampler](u_secure, rng)
+    if before is not None:  # rejected before any draw
+        assert plain_state(rng.get_state(legacy=False)) == before
+    # A Generator runs the same call.
+    SAMPLERS[sampler](u_secure, np.random.default_rng(0))
 
 
 probability_entries = st.one_of(
