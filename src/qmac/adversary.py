@@ -20,7 +20,7 @@ from .linalg import (
     _SVD_ERRORS,
     _svd,
     check_count,
-    check_generator,
+    check_rng,
     dagger,
     haar_random_unitary,
     tensor,
@@ -169,10 +169,10 @@ def injected_acceptance_distribution(u, eve: np.ndarray) -> np.ndarray:
     return measurement_distribution(decode(u, state))
 
 
-def no_message_attack_sim(u, eve, trials: int, rng: np.random.Generator) -> float:
-    """Monte Carlo acceptance frequency for an injected state.  ``rng`` must
-    be a numpy ``Generator``."""
-    check_generator(rng)
+def no_message_attack_sim(u, eve, trials: int, rng) -> float:
+    """Monte Carlo acceptance frequency for an injected state.  ``rng`` is
+    checked by :func:`~qmac.linalg.check_rng`."""
+    rng = np.random.default_rng(check_rng(rng))
     trials = check_count(trials, "trials", 1)
     probs = injected_acceptance_distribution(u, eve)
     outcomes = rng.choice(4, size=trials, p=probs / probs.sum())
@@ -209,12 +209,10 @@ def message_attack_distribution(u, v: np.ndarray, message: int) -> np.ndarray:
     return measurement_distribution(decode(u, state))
 
 
-def message_attack_sim(
-    u, v, trials: int, rng: np.random.Generator, p0: float = 0.5, p1: float = 0.5
-) -> float:
+def message_attack_sim(u, v, trials: int, rng, p0: float = 0.5, p1: float = 0.5) -> float:
     """Monte Carlo frequency of successful substitution (flip accepted).
-    ``rng`` must be a numpy ``Generator``."""
-    check_generator(rng)
+    ``rng`` is checked by :func:`~qmac.linalg.check_rng`."""
+    rng = np.random.default_rng(check_rng(rng))
     _check_priors(p0, p1)
     trials = check_count(trials, "trials", 1)
     dists = [message_attack_distribution(u, v, i) for i in (0, 1)]
@@ -294,20 +292,6 @@ def perfect_message_attack(u) -> Optional[np.ndarray]:
     return v[0]
 
 
-# What np.random.default_rng takes as it is; anything else it seeds a SeedSequence with.
-_RNG_TYPES = (np.random.Generator, np.random.BitGenerator, np.random.bit_generator.ISeedSequence)
-
-
-def check_rng(rng) -> None:
-    """Raise the ValueError or TypeError ``np.random.default_rng(rng)`` would,
-    without building a Generator: a seed is checked by the SeedSequence that
-    default_rng would seed from it.  None passes, and so does a non-negative
-    int, which every SeedSequence takes."""
-    if rng is None or (type(rng) is int and rng >= 0) or isinstance(rng, _RNG_TYPES):
-        return
-    np.random.SeedSequence(rng)
-
-
 def best_message_attack(
     u,
     p0: float = 0.5,
@@ -377,16 +361,15 @@ def best_message_attack(
     construction when available (so no known certainty attack is missed),
     and Haar draws up to min(12, budget // 300) starts, drawn as one stack
     by a single :func:`~qmac.linalg.haar_random_unitary` call (the same
-    matrices and stream as one call per start).  ``rng`` is what
-    ``np.random.default_rng`` takes (a Generator, a seed, ...), except that
-    None means seed 0; it is checked (:func:`check_rng`) before the search,
-    and the Generator is built only when a Haar start is drawn.  ``budget``
-    must be an integer of at least 1.  Deterministic for a given seed.
+    matrices and stream as one call per start).  ``rng`` is checked by
+    :func:`~qmac.linalg.check_rng` before the search, and a seed's Generator
+    is built only when a Haar start is drawn.  ``budget`` must be an
+    integer of at least 1.  Deterministic for a given seed.
     """
+    rng = check_rng(rng)
     u = as_tagging_unitary(u)
     _check_priors(p0, p1)
     budget = check_count(budget, "budget", 1)
-    check_rng(rng)
 
     w, evaluate, polar = _substitution_objective(u, p0, p1)
 
@@ -396,7 +379,6 @@ def best_message_attack(
         starts.append(perfect)
     n_restarts = max(len(starts), min(12, budget // 300))
     if len(starts) < n_restarts:
-        rng = np.random.default_rng(0 if rng is None else rng)
         starts.extend(haar_random_unitary(4, rng, n_restarts - len(starts)))
 
     step = np.array(starts[:budget])
@@ -588,7 +570,7 @@ def simulate_key_reuse(
     u,
     rounds: int,
     interaction: np.ndarray,
-    rng: np.random.Generator,
+    rng,
     trials: int = 1000,
     forge_bit: int = 0,
 ) -> KeyReuseStats:
@@ -612,10 +594,10 @@ def simulate_key_reuse(
     bit is the one ``rng.integers(2)`` gives.  They run under the bit
     generator's lock, which is held for the whole call, so another thread
     sharing ``rng`` waits until the call returns.  ``rounds`` and
-    ``trials`` must be integers of at least 1, and ``rng`` a numpy
-    ``Generator``.
+    ``trials`` must be integers of at least 1, and ``rng`` is checked by
+    :func:`~qmac.linalg.check_rng`.
     """
-    check_generator(rng)
+    rng = np.random.default_rng(check_rng(rng))
     u = as_tagging_unitary(u)
     rounds = check_count(rounds, "rounds", 1)
     trials = check_count(trials, "trials", 1)

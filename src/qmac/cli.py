@@ -225,11 +225,10 @@ def cmd_attack(args, tol) -> int:
 
 
 def cmd_optimize(args, tol) -> int:
-    rng = np.random.default_rng(args.seed)
     warm = _load_unitary(args.warm_start, tol).u if args.warm_start else None
     try:
         result = optimize(
-            restarts=args.restarts, budget=args.budget, rng=rng, warm_start=warm, tol=tol
+            restarts=args.restarts, budget=args.budget, rng=args.seed, warm_start=warm, tol=tol
         )
     except RuntimeError as exc:  # no candidate passes the checks under ``tol``
         raise ValueError(str(exc)) from exc

@@ -13,12 +13,11 @@ import numpy as np
 
 from .adversary import (
     best_message_attack,
-    check_rng,
     key_distinguishability,
     no_message_optimal,
     perfect_message_attack,
 )
-from .linalg import check_count
+from .linalg import check_count, check_rng
 from .protocol import as_tagging_unitary
 
 
@@ -151,7 +150,7 @@ class ConditionReport:
 def validate(
     u,
     attack_budget: int = 2000,
-    seed: int = 0,
+    seed=0,
     include_attacks: bool = True,
 ) -> ConditionReport:
     """Aggregate all security checks for a candidate tagging unitary.
@@ -159,13 +158,13 @@ def validate(
     ``overall_secure`` requires the applicable row case (1 or 2) and
     condition 3; condition 4 is reported but does not decide it.  Advisory
     fields carry the optimal no-message forgery probability and a searched
-    substitution attack snapshot.  ``attack_budget`` and ``seed`` are checked
-    as :func:`~qmac.adversary.best_message_attack` checks its budget and rng,
-    whether or not ``include_attacks`` runs the search.
+    substitution attack snapshot, with the seed :func:`~qmac.linalg.check_rng`
+    returns.  ``attack_budget`` and ``seed`` are checked whether or not
+    ``include_attacks`` runs the search.
     """
+    seed = check_rng(seed, "seed")
     tu = as_tagging_unitary(u)
     attack_budget = check_count(attack_budget, "attack_budget", 1)
-    check_rng(seed)
 
     c1 = check_case1(tu)
     c2 = check_case2(tu)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from numbers import Real
 from dataclasses import dataclass, asdict, replace
 
 # The least ``unitary`` tolerance: every matrix and state the package computes
@@ -26,9 +27,10 @@ class Tolerances:
         conditions (a quantity is "strictly less than c" iff < c - strict).
     phase_equiv : threshold of the M0 column swap test (condition 3).
 
-    Each must be finite and >= 0, and ``unitary`` below 1: a matrix with a
-    zero column puts -1 on the diagonal of ``U†U - I``, so below 1 it can
-    never pass as unitary.  ``unitary`` must also be at least
+    Each must be a real number, not a bool, finite and >= 0, and is stored
+    as a Python float.  ``unitary`` must be below 1: a matrix with a zero
+    column puts -1 on the diagonal of ``U†U - I``, so below 1 it can never
+    pass as unitary.  ``unitary`` must also be at least
     ``UNITARY_FLOOR``, the rounding the package's own results carry.
 
     A :class:`~qmac.protocol.TaggingUnitary` carries the tolerances it was
@@ -41,8 +43,10 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            if not (math.isfinite(value) and value >= 0):
+            if not (isinstance(value, Real) and not isinstance(value, bool)
+                    and math.isfinite(value) and value >= 0):
                 raise ValueError(f"tolerance {name!r} must be finite and >= 0, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.unitary >= 1:
             raise ValueError(f"tolerance 'unitary' must be below 1, got {self.unitary!r}")
         if self.unitary < UNITARY_FLOOR:

@@ -12,10 +12,10 @@ from typing import Optional
 
 import numpy as np
 
-from .adversary import best_message_attack, check_rng, no_message_optimal, no_message_probability
+from .adversary import best_message_attack, no_message_optimal, no_message_probability
 from .conditions import validate
 from .config import DEFAULT_TOL, Tolerances
-from .linalg import _SVD_ERRORS, _svd, check_count, haar_random_unitary
+from .linalg import _SVD_ERRORS, _svd, check_count, check_rng, haar_random_unitary
 from .protocol import TaggingUnitary, as_tagging_unitary
 
 INSECURE = float("inf")
@@ -46,16 +46,16 @@ def security_score(
     ``ceiling``.  A pruned score is at least ``ceiling`` and only a lower
     bound on the full one, and so is its ``pf_message_best``; a score below
     ``ceiling`` is exactly the unpruned score.  ``rng`` goes to
-    :func:`~qmac.adversary.best_message_attack`: a Generator, a seed, or
-    None for seed 0.  ``budget`` and ``rng`` are checked first, so a
-    candidate that is never searched rejects them too.  Deterministic for a
+    :func:`~qmac.adversary.best_message_attack`.  ``budget`` and ``rng``
+    (by :func:`~qmac.linalg.check_rng`) are checked first, so a candidate
+    that is never searched rejects them too.  Deterministic for a
     fixed seed and budget.  :func:`optimize` rejects a candidate whose
     ``pf_no_message`` reaches ``ceiling`` on M0's SVD, before it builds the
     tagging this function takes.
     """
+    rng = check_rng(rng)
     u = as_tagging_unitary(u)
     budget = check_count(budget, "budget", 1)
-    check_rng(rng)
     pf_nm = no_message_optimal(u).probability
     if not validate(u, include_attacks=False).overall_secure:
         return SecurityScore(pf_nm, None, False, INSECURE)
@@ -75,7 +75,7 @@ class DesignResult:
 def optimize(
     restarts: int = 8,
     budget: int = 500,
-    rng: Optional[np.random.Generator] = None,
+    rng=None,
     warm_start: Optional[np.ndarray] = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> DesignResult:
@@ -96,13 +96,15 @@ def optimize(
     already reaches the incumbent's score is rejected on it, with no
     dilation, tagging, condition check or search, and any other candidate's
     dilation and tagging are built from it.  ``warm_start`` and every
-    candidate are checked under ``tol``.  Reproducible per seed; ties
-    between restarts break toward the lowest restart index.
+    candidate are checked under ``tol``, and ``rng`` by
+    :func:`~qmac.linalg.check_rng`.  Restart r's searches take the seed r.
+    Reproducible per seed; ties between restarts break toward the lowest
+    restart index.
     """
+    rng = np.random.default_rng(check_rng(rng))
     restarts = check_count(restarts, "restarts", 1)
     budget = check_count(budget, "budget", 1)
     warm = TaggingUnitary(warm_start, tol) if warm_start is not None else None
-    rng = rng if rng is not None else np.random.default_rng(0)
     moves = np.eye(8).view(complex).reshape(8, 2, 2)  # Re and Im of each entry
 
     def evaluate(m0, seed, ceiling=INSECURE):

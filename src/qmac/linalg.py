@@ -135,12 +135,22 @@ def check_count(value, name: str, floor: int) -> int:
     return int(value)
 
 
-def check_generator(rng) -> None:
-    """Raise ``TypeError`` unless ``rng`` is a numpy ``Generator``: the
-    samplers draw through its methods and its bit generator, which a seed,
-    a bare ``BitGenerator`` or a legacy ``RandomState`` does not have."""
-    if not isinstance(rng, np.random.Generator):
-        raise TypeError(f"rng must be a numpy Generator, got {type(rng).__name__}")
+def check_rng(rng, name: str = "rng"):
+    """The package's one ``rng`` rule: a numpy ``Generator`` comes back as
+    it is, and a seed, an integer (:func:`is_integer`) of at least 0, as a
+    Python int, None as 0; ``np.random.default_rng`` takes either.  Anything
+    else (a bool, a float, a ``RandomState``, a ``BitGenerator``, a
+    ``SeedSequence``) raises ``TypeError``, and a negative seed ``ValueError``."""
+    if isinstance(rng, np.random.Generator):
+        return rng
+    if rng is None:
+        return 0
+    if not is_integer(rng):
+        raise TypeError(f"{name} must be a numpy Generator or a non-negative integer seed, "
+                        f"got {type(rng).__name__}")
+    if rng < 0:
+        raise ValueError(f"{name} must be >= 0, got {rng}")
+    return int(rng)
 
 
 def unitary_operand(m, name: str, n: int, tol: float) -> np.ndarray:
@@ -155,8 +165,7 @@ def unitary_operand(m, name: str, n: int, tol: float) -> np.ndarray:
     return m
 
 
-def haar_random_unitary(dim: int, rng: np.random.Generator,
-                        count: Optional[int] = None) -> np.ndarray:
+def haar_random_unitary(dim: int, rng, count: Optional[int] = None) -> np.ndarray:
     """Haar-distributed random unitary via QR of a complex Ginibre matrix.
 
     The diagonal of R is phase-normalized so the distribution is exactly
@@ -165,11 +174,13 @@ def haar_random_unitary(dim: int, rng: np.random.Generator,
     ``standard_normal((count, 2, dim, dim))`` draw and one stacked QR: the
     real then the imaginary block of each matrix in turn, so the stack and
     the Generator's state after it equal ``count`` single draws bit for bit.
-    ``dim`` and ``count`` must be integers of at least 1.
+    ``dim`` and ``count`` must be integers of at least 1, and ``rng`` is
+    checked by :func:`check_rng`.
     """
+    rng = check_rng(rng)
     dim = check_count(dim, "dim", 1)
     shape = (2, dim, dim) if count is None else (check_count(count, "count", 1), 2, dim, dim)
-    x = rng.standard_normal(shape)
+    x = np.random.default_rng(rng).standard_normal(shape)
     z = x[..., 0, :, :] + 1j * x[..., 1, :, :]
     z /= np.sqrt(2)
     q, r = np.linalg.qr(z)

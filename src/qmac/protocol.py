@@ -17,7 +17,7 @@ from .linalg import (
     _SVD_ERRORS,
     _svd,
     check_count,
-    check_generator,
+    check_rng,
     dagger,
     halmos_dilation,
     is_integer,
@@ -201,15 +201,16 @@ def key_fidelity(state: np.ndarray) -> float:
     return float(np.real(_SINGLET.conj() @ rho_key @ _SINGLET))
 
 
-def simulate_honest_batch(u, message: int, trials: int, rng: np.random.Generator):
+def simulate_honest_batch(u, message: int, trials: int, rng):
     """Sample ``trials`` honest-round outcomes of Bob's measurement.
 
     The decoded state is the same every round, so one encode/decode gives
     the outcome distribution and the key fidelity, and each trial is a
     single Born sample from that distribution.  ``trials`` must be an
-    integer of at least 0, and ``rng`` a numpy ``Generator``.
+    integer of at least 0, and ``rng`` is checked by
+    :func:`~qmac.linalg.check_rng`.
     """
-    check_generator(rng)
+    rng = np.random.default_rng(check_rng(rng))
     trials = check_count(trials, "trials", 0)
     u = as_tagging_unitary(u)
     decoded = decode(u, encode(u, message))

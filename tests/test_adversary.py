@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import threading
@@ -705,7 +706,7 @@ def same_attack(a, b):
 
 @pytest.mark.parametrize("budget", [500, 2_000])
 def test_rng_seed_equals_its_generator(u_secure, budget):
-    # rng takes what np.random.default_rng takes, None meaning 0.
+    # rng takes a Generator or a seed (linalg.check_rng), None meaning 0.
     # A Generator advances as it draws, so each call gets a fresh one.
     def run(rng):
         rng_attack, rng_score = rng(), rng()
@@ -1392,11 +1393,21 @@ BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.ra
                   np.random.SFC64]
 
 
-def plain_state(state):
-    """A bit generator's state with its arrays as lists, so that states compare by ==."""
-    if isinstance(state, dict):
-        return {key: plain_state(value) for key, value in state.items()}
-    return state.tolist() if isinstance(state, np.ndarray) else state
+def plain(x):
+    """``x``, a result or a bit generator's state, as plain data that
+    compares by ==, bit for bit: arrays as their bytes, floats as hex,
+    dataclasses as their fields."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return [plain(y) for y in x]
+    if isinstance(x, dict):
+        return {key: plain(value) for key, value in x.items()}
+    if dataclasses.is_dataclass(x):
+        return plain(vars(x))
+    return x
 
 
 @pytest.mark.parametrize("rounds", [1, 3])
@@ -1413,8 +1424,8 @@ def test_key_reuse_leaves_the_reference_stream_position(bit_generator, rounds):
         sampled, reference = (np.random.Generator(bit_generator(seed)) for _ in "ab")
         simulate_key_reuse(u, rounds, w, sampled, trials=trials)
         reference_key_reuse(u, rounds, w, reference, trials, 0)
-        state = plain_state(sampled.bit_generator.state)
-        assert state == plain_state(reference.bit_generator.state)
+        state = plain(sampled.bit_generator.state)
+        assert state == plain(reference.bit_generator.state)
         buffered.add(state.get("has_uint32"))
     # Both buffer states were reached, where the bit generator has a buffer.
     assert buffered == ({None} if bit_generator is np.random.MT19937 else {0, 1})
@@ -1459,32 +1470,96 @@ def test_key_reuse_releases_the_generator_lock(monkeypatch, u_secure):
     assert lock_is_free(lock)
 
 
-# Every sampler, called with ``rng`` and otherwise valid arguments.
-SAMPLERS = {
-    "simulate_key_reuse": lambda u, rng: simulate_key_reuse(u, 1, np.eye(8), rng, trials=5),
+# Every function that draws, called with ``rng`` and otherwise valid
+# arguments, each drawing at least once.  A budget of 900 gives each search
+# a Haar start; validate's result is what its seed decides.
+DRAWS = {
+    "haar_random_unitary": lambda u, rng: haar_random_unitary(4, rng, 2),
+    "simulate_honest_batch": lambda u, rng: simulate_honest_batch(u, 0, 5, rng),
     "no_message_attack_sim": lambda u, rng: no_message_attack_sim(u, E[:, 0], 5, rng),
     "message_attack_sim": lambda u, rng: message_attack_sim(u, E, 5, rng),
-    "simulate_honest_batch": lambda u, rng: simulate_honest_batch(u, 0, 5, rng),
+    "simulate_key_reuse": lambda u, rng: simulate_key_reuse(u, 1, np.eye(8), rng, trials=5),
+    "best_message_attack": lambda u, rng: best_message_attack(u, budget=900, rng=rng),
+    "security_score": lambda u, rng: designer.security_score(u, budget=900, rng=rng),
+    "validate": lambda u, rng: validate(u, attack_budget=900, seed=rng).advisory[
+        "message_attack_pf_best"],
+    "optimize": lambda u, rng: designer.optimize(restarts=1, budget=50, rng=rng),
 }
-NOT_GENERATORS = {
-    "NoneType": lambda: None,
-    "int": lambda: 7,
+# Each accepted rng and the seed of the Generator it stands for.
+SEEDS = {
+    "Generator": (lambda: np.random.default_rng(7), 7),
+    "int": (lambda: 7, 7),
+    "numpy-int": (lambda: np.int64(7), 7),
+    "None": (lambda: None, 0),
+}
+NOT_RNGS = {
+    "bool": lambda: True,
+    "float": lambda: 2.5,
+    "str": lambda: "7",
+    "negative": lambda: -1,
     "RandomState": lambda: np.random.RandomState(0),
     "PCG64": lambda: np.random.PCG64(3),
+    "SeedSequence": lambda: np.random.SeedSequence(3),
+    "sequence": lambda: [7],
 }
 
 
-@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def check_rng_accepted(u, function, kind):
+    # The result, and a passed Generator's state after it, are those of an
+    # explicit Generator from the seed.
+    make, seed = SEEDS[kind]
+    rng, reference = make(), np.random.default_rng(seed)
+    fresh = plain(reference.bit_generator.state)
+    want = plain(DRAWS[function](u, reference))
+    assert plain(reference.bit_generator.state) != fresh  # the call draws
+    assert plain(DRAWS[function](u, rng)) == want
+    if kind == "Generator":
+        assert plain(rng.bit_generator.state) == plain(reference.bit_generator.state)
+
+
+def check_rng_rejected(u, function, kind):
+    # The named error, raised before any draw.
+    rng = NOT_RNGS[kind]()
+    name = "seed" if function == "validate" else "rng"
+    if kind == "negative":
+        error, message = ValueError, rf"^{name} must be >= 0, got -1$"
+    else:
+        error, message = TypeError, (rf"^{name} must be a numpy Generator or a non-negative "
+                                     rf"integer seed, got {type(rng).__name__}$")
+    before = plain(rng.get_state(legacy=False)) if kind == "RandomState" else None
+    with pytest.raises(error, match=message):
+        DRAWS[function](u, rng)
+    if before is not None:
+        assert plain(rng.get_state(legacy=False)) == before
+
+
+@pytest.mark.parametrize("function", sorted(DRAWS))
+@pytest.mark.parametrize("kind", sorted(SEEDS))
+def test_rng_accepted(u_secure, function, kind):
+    check_rng_accepted(u_secure, function, kind)
+
+
+@pytest.mark.parametrize("function", sorted(DRAWS))
+@pytest.mark.parametrize("kind", sorted(NOT_RNGS))
+def test_rng_rejected(u_secure, function, kind):
+    check_rng_rejected(u_secure, function, kind)
+
+
+# The four samplers against None, an int seed, a RandomState and a bare
+# BitGenerator: the first two are accepted and the others rejected, as in
+# the two tables above.
+SAMPLERS = ("message_attack_sim", "no_message_attack_sim", "simulate_honest_batch",
+            "simulate_key_reuse")
+NOT_GENERATORS = {"NoneType": "None", "int": "int", "RandomState": "RandomState",
+                  "PCG64": "PCG64"}
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
 @pytest.mark.parametrize("kind", sorted(NOT_GENERATORS))
 def test_samplers_need_a_generator(u_secure, sampler, kind):
-    rng = NOT_GENERATORS[kind]()
-    before = plain_state(rng.get_state(legacy=False)) if kind == "RandomState" else None
-    with pytest.raises(TypeError, match=rf"^rng must be a numpy Generator, got {kind}$"):
-        SAMPLERS[sampler](u_secure, rng)
-    if before is not None:  # rejected before any draw
-        assert plain_state(rng.get_state(legacy=False)) == before
-    # A Generator runs the same call.
-    SAMPLERS[sampler](u_secure, np.random.default_rng(0))
+    kind = NOT_GENERATORS[kind]
+    check = check_rng_accepted if kind in SEEDS else check_rng_rejected
+    check(u_secure, sampler, kind)
 
 
 probability_entries = st.one_of(

@@ -242,6 +242,16 @@ class TestValidate:
         assert rep.advisory["no_message_pf_optimal"] < 1 - 1e-6
         assert rep.advisory["message_attack_pf_best"] < 1 - 1e-4
 
+    def test_numpy_integer_seed(self, u_secure):
+        # The search and the advisory are those of the Python int, seed
+        # included, so the advisory serialises; None records seed 0.
+        a = validate(u_secure, attack_budget=700, seed=np.int64(3)).advisory
+        b = validate(u_secure, attack_budget=700, seed=3).advisory
+        assert a["message_attack_pf_best"] == b["message_attack_pf_best"]
+        assert type(a["seed"]) is int
+        assert json.dumps(a, default=cli._json_default) == json.dumps(b, default=cli._json_default)
+        assert validate(u_secure, attack_budget=700, seed=None).advisory["seed"] == 0
+
     def test_secure_implies_attacks_below_one(self, rng):
         checked = 0
         for _ in range(200):

@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 from qmac.config import DEFAULT_TOL, UNITARY_FLOOR, Tolerances
@@ -7,10 +10,24 @@ from qmac.config import DEFAULT_TOL, UNITARY_FLOOR, Tolerances
     (lambda: DEFAULT_TOL.override(strict=float("nan")), "strict"),
     (lambda: Tolerances(phase_equiv=-1), "phase_equiv"),
     (lambda: Tolerances(unitary=float("inf")), "unitary"),
+    pytest.param(lambda: Tolerances(strict=True), "strict", id="strict-bool"),
+    pytest.param(lambda: Tolerances(phase_equiv=np.True_), "phase_equiv",
+                 id="phase_equiv-numpy-bool"),
+    pytest.param(lambda: Tolerances(strict="0.1"), "strict", id="strict-str"),
+    pytest.param(lambda: Tolerances(unitary=None), "unitary", id="unitary-none"),
+    pytest.param(lambda: Tolerances(strict=1e-9j), "strict", id="strict-complex"),
 ])
 def test_bad_value_rejected(make, name):
     with pytest.raises(ValueError, match=f"tolerance '{name}' must be finite and >= 0"):
         make()
+
+
+def test_numpy_value_stored_as_float():
+    tol = Tolerances(unitary=np.float64(1e-10), strict=np.int64(0),
+                     phase_equiv=np.float32(1e-9))
+    assert all(type(value) is float for value in tol.as_dict().values())
+    assert tol == Tolerances(unitary=1e-10, strict=0.0, phase_equiv=float(np.float32(1e-9)))
+    assert json.loads(json.dumps(tol.as_dict()))["strict"] == 0
 
 
 def test_zero_is_allowed():
