@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import check_real
 from .linalg import (
     _SVD_ERRORS,
     _svd,
@@ -97,9 +98,11 @@ def no_message_pf_restricted(u, abs_e0: float, theta: float) -> float:
 
     Decision variables are |e0| and the relative phase angle; the first
     closed-form term equals 1/2 under the restriction; (x, y, z) is
-    :attr:`~qmac.protocol.TaggingUnitary.row_parameters`.
+    :attr:`~qmac.protocol.TaggingUnitary.row_parameters`.  ``abs_e0`` and
+    ``theta`` are checked by :func:`~qmac.config.check_real`.
     """
-    _check_restricted(abs_e0, theta)
+    abs_e0 = check_real(abs_e0, "abs_e0", 0, 1)
+    theta = check_real(theta, "theta", -inf, inf, "()")
     x, y, z = as_tagging_unitary(u).row_parameters
     second = 0.5 * (
         x * abs_e0**2
@@ -109,14 +112,11 @@ def no_message_pf_restricted(u, abs_e0: float, theta: float) -> float:
     return float(0.5 + second)
 
 
-def _check_restricted(abs_e0: float, theta: float):
-    if not (0 <= abs_e0 <= 1 and np.isfinite(theta)):  # phrased so that NaN fails it
-        raise ValueError(f"abs_e0 must lie in [0, 1] and theta be finite ({abs_e0}, {theta})")
-
-
 def eve_state_from_restricted(u, abs_e0: float, theta: float) -> np.ndarray:
-    """Explicit injected state realizing the restricted parameters."""
-    _check_restricted(abs_e0, theta)
+    """Explicit injected state realizing the restricted parameters, checked
+    as :func:`no_message_pf_restricted` checks them."""
+    abs_e0 = check_real(abs_e0, "abs_e0", 0, 1)
+    theta = check_real(theta, "theta", -inf, inf, "()")
     u = as_tagging_unitary(u)
     r0, r1 = u.m0
     g = r0 @ r1.conj()  # cross-row coupling, phase matters
@@ -181,10 +181,14 @@ def no_message_attack_sim(u, eve, trials: int, rng) -> float:
 
 # --- message (substitution) attack ------------------------------------------
 
-def _check_priors(p0: float, p1: float):
-    # Phrased so that a NaN prior fails it.
-    if not (p0 >= 0 and p1 >= 0 and abs(p0 + p1 - 1) <= _PRIOR_SUM_SLACK):
+def _check_priors(p0, p1) -> tuple:
+    """(p0, p1) as Python floats, each checked by
+    :func:`~qmac.config.check_real`, and summing to 1 to within
+    ``_PRIOR_SUM_SLACK``."""
+    p0, p1 = check_real(p0, "p0", 0, 1), check_real(p1, "p1", 0, 1)
+    if not abs(p0 + p1 - 1) <= _PRIOR_SUM_SLACK:
         raise ValueError(f"priors must be nonnegative and sum to 1, got {p0}, {p1}")
+    return p0, p1
 
 
 def message_attack_pf(u, v: np.ndarray, p0: float = 0.5, p1: float = 0.5) -> float:
@@ -193,9 +197,10 @@ def message_attack_pf(u, v: np.ndarray, p0: float = 0.5, p1: float = 0.5) -> flo
     sum_i p_i (1/2)(|<phi_j|V|phi_i>|^2 + |<phi_j|U†VU|phi_i>|^2), j != i,
     evaluated by :func:`_substitution_objective`'s evaluator, the one the
     ascent reads, so a reported strategy re-evaluates to its probability.
+    The priors are checked by :func:`_check_priors`.
     """
     u = as_tagging_unitary(u)
-    _check_priors(p0, p1)
+    p0, p1 = _check_priors(p0, p1)
     v = unitary_operand(v, "attack operation", 4, u.tol.unitary)
     _, evaluate, _ = _substitution_objective(u, p0, p1)
     return evaluate(v)[1][0]
@@ -211,9 +216,10 @@ def message_attack_distribution(u, v: np.ndarray, message: int) -> np.ndarray:
 
 def message_attack_sim(u, v, trials: int, rng, p0: float = 0.5, p1: float = 0.5) -> float:
     """Monte Carlo frequency of successful substitution (flip accepted).
-    ``rng`` is checked by :func:`~qmac.linalg.check_rng`."""
+    ``rng`` is checked by :func:`~qmac.linalg.check_rng` and the priors by
+    :func:`_check_priors`."""
     rng = np.random.default_rng(check_rng(rng))
-    _check_priors(p0, p1)
+    p0, p1 = _check_priors(p0, p1)
     trials = check_count(trials, "trials", 1)
     dists = [message_attack_distribution(u, v, i) for i in (0, 1)]
     messages = rng.choice(2, size=trials, p=[p0, p1])
@@ -364,12 +370,15 @@ def best_message_attack(
     matrices and stream as one call per start).  ``rng`` is checked by
     :func:`~qmac.linalg.check_rng` before the search, and a seed's Generator
     is built only when a Haar start is drawn.  ``budget`` must be an
-    integer of at least 1.  Deterministic for a given seed.
+    integer of at least 1, the priors pass :func:`_check_priors`, and
+    ``stop_at`` is checked by :func:`~qmac.config.check_real`.
+    Deterministic for a given seed.
     """
     rng = check_rng(rng)
     u = as_tagging_unitary(u)
-    _check_priors(p0, p1)
+    p0, p1 = _check_priors(p0, p1)
     budget = check_count(budget, "budget", 1)
+    stop_at = check_real(stop_at, "stop_at")
 
     w, evaluate, polar = _substitution_objective(u, p0, p1)
 

@@ -7,6 +7,7 @@ unitaries surface in the report instead of being silently classified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Optional
 
 import numpy as np
@@ -17,6 +18,7 @@ from .adversary import (
     no_message_optimal,
     perfect_message_attack,
 )
+from .config import check_real
 from .linalg import check_count, check_rng
 from .protocol import as_tagging_unitary
 
@@ -28,9 +30,12 @@ def ec_gorda_lhs(x: float, y: float, z: float) -> float:
 
     evaluated through h = hypot(x, y) = y [1 + (x/y)^2]^(1/2), so that
     (x/y)[1 + (x/y)^2]^(-1/2) = x/h and a tiny y cannot overflow (x/y)^2.
+    x, y and z are checked by :func:`~qmac.config.check_real`; y must be
+    above 0, since y = 0 routes to case 1.
     """
-    if y <= 0:
-        raise ValueError("y must be positive; y = 0 routes to case 1")
+    x = check_real(x, "x", -inf, inf, "()")
+    y = check_real(y, "y", 0, inf, "()")
+    z = check_real(z, "z", -inf, inf, "()")
     h = np.hypot(x, y)
     return float(0.5 * x * (1 + x / h) + 0.5 * h + z)
 
@@ -159,8 +164,9 @@ def validate(
     condition 3; condition 4 is reported but does not decide it.  Advisory
     fields carry the optimal no-message forgery probability and a searched
     substitution attack snapshot, with the seed :func:`~qmac.linalg.check_rng`
-    returns.  ``attack_budget`` and ``seed`` are checked whether or not
-    ``include_attacks`` runs the search.
+    returns: an integer seed as a Python int, and None for a Generator, whose
+    stream belongs to the caller.  ``attack_budget`` and ``seed`` are
+    checked whether or not ``include_attacks`` runs the search.
     """
     seed = check_rng(seed, "seed")
     tu = as_tagging_unitary(u)
@@ -181,7 +187,7 @@ def validate(
             "no_message_pf_optimal": opt.probability,
             "message_attack_pf_best": search.probability,
             "attack_budget": attack_budget,
-            "seed": seed,
+            "seed": None if isinstance(seed, np.random.Generator) else seed,
         }
     return ConditionReport(
         case1=c1, case2=c2, condition3=c3, condition4=c4,

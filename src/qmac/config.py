@@ -15,6 +15,29 @@ from dataclasses import dataclass, asdict, replace
 UNITARY_FLOOR = 1e-13
 
 
+def check_real(value, name: str, low: float = -math.inf, high: float = math.inf,
+               ends: str = "[]") -> float:
+    """The package's one number rule: ``value`` as a Python float, checked to
+    be a ``numbers.Real`` other than a bool, convertible to a float and in
+    the interval from ``low`` to ``high``, each end closed or open as
+    ``ends`` ("[]", "[)", "(]" or "()") marks it.  Anything else, NaN
+    included, raises ``ValueError("<name> must be a real number in [0, 1],
+    got <value>")`` for ``ends``, ``low`` and ``high`` as given.  Here rather
+    than next to :func:`~qmac.linalg.check_count` because ``linalg`` imports
+    this module, whose :class:`Tolerances` calls it."""
+    # Python floats first: isinstance(value, Real) takes a microsecond for them.
+    if type(value) is float or isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.nan
+        if ((low <= x if ends[0] == "[" else low < x)
+                and (x <= high if ends[1] == "]" else x < high)):
+            return x
+    raise ValueError(f"{name} must be a real number in {ends[0]}{low:g}, {high:g}{ends[1]}, "
+                     f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """All comparison thresholds in one place.
@@ -27,8 +50,8 @@ class Tolerances:
         conditions (a quantity is "strictly less than c" iff < c - strict).
     phase_equiv : threshold of the M0 column swap test (condition 3).
 
-    Each must be a real number, not a bool, finite and >= 0, and is stored
-    as a Python float.  ``unitary`` must be below 1: a matrix with a zero
+    Each is checked by :func:`check_real`, and stored as the Python float
+    it returns.  ``unitary`` must be below 1: a matrix with a zero
     column puts -1 on the diagonal of ``U†U - I``, so below 1 it can never
     pass as unitary.  ``unitary`` must also be at least
     ``UNITARY_FLOOR``, the rounding the package's own results carry.
@@ -43,10 +66,8 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            if not (isinstance(value, Real) and not isinstance(value, bool)
-                    and math.isfinite(value) and value >= 0):
-                raise ValueError(f"tolerance {name!r} must be finite and >= 0, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            value = check_real(value, f"tolerance {name!r}", 0, math.inf, "[)")
+            object.__setattr__(self, name, value)
         if self.unitary >= 1:
             raise ValueError(f"tolerance 'unitary' must be below 1, got {self.unitary!r}")
         if self.unitary < UNITARY_FLOOR:

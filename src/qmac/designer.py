@@ -14,7 +14,7 @@ import numpy as np
 
 from .adversary import best_message_attack, no_message_optimal, no_message_probability
 from .conditions import validate
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, Tolerances, check_real
 from .linalg import _SVD_ERRORS, _svd, check_count, check_rng, haar_random_unitary
 from .protocol import TaggingUnitary, as_tagging_unitary
 
@@ -46,9 +46,10 @@ def security_score(
     ``ceiling``.  A pruned score is at least ``ceiling`` and only a lower
     bound on the full one, and so is its ``pf_message_best``; a score below
     ``ceiling`` is exactly the unpruned score.  ``rng`` goes to
-    :func:`~qmac.adversary.best_message_attack`.  ``budget`` and ``rng``
-    (by :func:`~qmac.linalg.check_rng`) are checked first, so a candidate
-    that is never searched rejects them too.  Deterministic for a
+    :func:`~qmac.adversary.best_message_attack`.  ``budget``, ``rng`` (by
+    :func:`~qmac.linalg.check_rng`) and ``ceiling`` (by
+    :func:`~qmac.config.check_real`) are checked first, so a candidate that
+    is never searched rejects them too.  Deterministic for a
     fixed seed and budget.  :func:`optimize` rejects a candidate whose
     ``pf_no_message`` reaches ``ceiling`` on M0's SVD, before it builds the
     tagging this function takes.
@@ -56,6 +57,7 @@ def security_score(
     rng = check_rng(rng)
     u = as_tagging_unitary(u)
     budget = check_count(budget, "budget", 1)
+    ceiling = check_real(ceiling, "ceiling")
     pf_nm = no_message_optimal(u).probability
     if not validate(u, include_attacks=False).overall_secure:
         return SecurityScore(pf_nm, None, False, INSECURE)
@@ -96,7 +98,8 @@ def optimize(
     already reaches the incumbent's score is rejected on it, with no
     dilation, tagging, condition check or search, and any other candidate's
     dilation and tagging are built from it.  ``warm_start`` and every
-    candidate are checked under ``tol``, and ``rng`` by
+    candidate are checked under ``tol``, which must be a
+    :class:`~qmac.config.Tolerances`, and ``rng`` by
     :func:`~qmac.linalg.check_rng`.  Restart r's searches take the seed r.
     Reproducible per seed; ties between restarts break toward the lowest
     restart index.

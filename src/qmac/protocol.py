@@ -57,7 +57,8 @@ class TaggingUnitary:
     """The public 4×4 tagging operation and its top-left block M0.
 
     ``tol`` is the :class:`~qmac.config.Tolerances` in force for every
-    check on it.  Every attack sees the tagging through M0, so M0's analysis
+    check on it; anything else raises ``TypeError``.  Every attack sees the
+    tagging through M0, so M0's analysis
     (:attr:`m0_svd`, :attr:`m0_moduli`, :attr:`row_norms_sq`,
     :attr:`row_parameters`, :attr:`swap_mismatch`) is computed on first read
     and kept: U is read-only, and none of it depends on ``tol``.  A tagging
@@ -65,6 +66,8 @@ class TaggingUnitary:
     """
 
     def __init__(self, u: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+        if not isinstance(tol, Tolerances):
+            raise TypeError(f"tol must be a Tolerances, got {type(tol).__name__}")
         u = unitary_operand(u, "tagging unitary", 4, tol.unitary)
         self._u = u.copy()
         self._u.setflags(write=False)

@@ -30,8 +30,8 @@ from qmac.adversary import (
     reuse_forgery_probability,
     simulate_key_reuse,
 )
-from qmac.conditions import validate
-from qmac.config import DEFAULT_TOL, UNITARY_FLOOR
+from qmac.conditions import ec_gorda_lhs, validate
+from qmac.config import DEFAULT_TOL, UNITARY_FLOOR, Tolerances
 from qmac.fixtures import BUILTIN, secure_example_unitary
 from qmac.linalg import haar_random_unitary, halmos_dilation, is_unitary, tensor
 from qmac.protocol import (
@@ -231,9 +231,9 @@ class TestMessageAttack:
 
     @pytest.mark.parametrize("p0, p1", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.0)])
     def test_non_finite_priors_rejected(self, u_secure, p0, p1):
-        with pytest.raises(ValueError, match="priors must be nonnegative and sum to 1"):
+        with pytest.raises(ValueError, match=r"p[01] must be a real number in \[0, 1\], got"):
             message_attack_pf(u_secure, SWAP01, p0=p0, p1=p1)
-        with pytest.raises(ValueError, match="priors must be nonnegative and sum to 1"):
+        with pytest.raises(ValueError, match=r"p[01] must be a real number in \[0, 1\], got"):
             best_message_attack(u_secure, p0=p0, p1=p1, budget=10)
 
     def test_non_unitary_attack_rejected(self, u_identity):
@@ -1562,6 +1562,104 @@ def test_samplers_need_a_generator(u_secure, sampler, kind):
     check(u_secure, sampler, kind)
 
 
+# Every real-valued argument, checked by config.check_real: its name and
+# interval as the message states them, a call that passes it x with every
+# other argument valid, a value outside the interval (None when every real
+# number up to inf is in it), and a valid Python float.
+REALS = {
+    "attack-p0": ("p0", "[0, 1]", lambda u, x: best_message_attack(u, x, 0.0, budget=50),
+                  1.5, 1.0),
+    "attack-p1": ("p1", "[0, 1]", lambda u, x: best_message_attack(u, 0.0, x, budget=50),
+                  -0.5, 1.0),
+    "attack-stop_at": ("stop_at", "[-inf, inf]",
+                       lambda u, x: best_message_attack(u, budget=50, stop_at=x), None, 0.0),
+    "pf-p0": ("p0", "[0, 1]", lambda u, x: message_attack_pf(u, SWAP01, x, 0.0), 1.5, 1.0),
+    "pf-p1": ("p1", "[0, 1]", lambda u, x: message_attack_pf(u, SWAP01, 0.0, x), -0.5, 1.0),
+    "sim-p0": ("p0", "[0, 1]", lambda u, x: message_attack_sim(
+        u, SWAP01, 5, np.random.default_rng(0), x, 0.0), 1.5, 1.0),
+    "sim-p1": ("p1", "[0, 1]", lambda u, x: message_attack_sim(
+        u, SWAP01, 5, np.random.default_rng(0), 0.0, x), -0.5, 1.0),
+    "score-ceiling": ("ceiling", "[-inf, inf]",
+                      lambda u, x: designer.security_score(u, budget=50, ceiling=x), None, 1.0),
+    "restricted-abs_e0": ("abs_e0", "[0, 1]", lambda u, x: no_message_pf_restricted(u, x, 0.3),
+                          1.5, 0.75),
+    "restricted-theta": ("theta", "(-inf, inf)",
+                         lambda u, x: no_message_pf_restricted(u, 0.5, x), np.inf, 3.0),
+    "state-abs_e0": ("abs_e0", "[0, 1]", lambda u, x: eve_state_from_restricted(u, x, 0.3),
+                     -0.5, 1.0),
+    "state-theta": ("theta", "(-inf, inf)",
+                    lambda u, x: eve_state_from_restricted(u, 0.5, x), -np.inf, 0.25),
+    "lhs-x": ("x", "(-inf, inf)", lambda u, x: ec_gorda_lhs(x, 1.0, 0.25), np.inf, 0.5),
+    "lhs-y": ("y", "(0, inf)", lambda u, x: ec_gorda_lhs(0.5, x, 0.25), 0, 2.0),
+    "lhs-z": ("z", "(-inf, inf)", lambda u, x: ec_gorda_lhs(0.5, 1.0, x), -np.inf, 0.25),
+    "tol-unitary": ("tolerance 'unitary'", "[0, inf)", lambda u, x: Tolerances(unitary=x),
+                    -1, 0.5),
+    "tol-strict": ("tolerance 'strict'", "[0, inf)", lambda u, x: Tolerances(strict=x),
+                   np.inf, 1.0),
+    "tol-phase_equiv": ("tolerance 'phase_equiv'", "[0, inf)",
+                        lambda u, x: Tolerances(phase_equiv=x), -1e-9, 0.0),
+}
+NOT_REALS = {
+    "bool": True,
+    "numpy-bool": np.True_,
+    "complex": 0.5 + 0j,
+    "str": "0.5",
+    "None": None,
+    "nan": np.nan,
+    "huge-int": 10**400,
+}
+
+
+@pytest.mark.parametrize("case, bad", [
+    pytest.param(case, bad, id=f"{case}-{kind}")
+    for case, (_, _, _, outside, _) in sorted(REALS.items())
+    for kind, bad in [*NOT_REALS.items(), ("out-of-range", outside)]
+    if bad is not None or kind == "None"
+])
+def test_real_rejected(u_secure, case, bad):
+    name, interval, call, _, _ = REALS[case]
+    message = f"{name} must be a real number in {interval}, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(u_secure, bad)
+
+
+# Each valid value's exact numpy and integer forms.
+REAL_FORMS = {"float64": np.float64, "float32": np.float32, "int": int}
+
+
+@pytest.mark.parametrize("case, kind", [
+    (case, kind) for case, (_, _, _, _, value) in sorted(REALS.items())
+    for kind, form in REAL_FORMS.items() if form(value) == value
+])
+def test_real_accepted(u_secure, case, kind):
+    # Each form gives the Python float's result, bit for bit.
+    _, _, call, _, value = REALS[case]
+    x = REAL_FORMS[kind](value)
+    assert plain(call(u_secure, x)) == plain(call(u_secure, value))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda u: TaggingUnitary(u.u, None), id="tagging-None"),
+    pytest.param(lambda u: TaggingUnitary(u.u, {"unitary": 1e-10}), id="tagging-dict"),
+    pytest.param(lambda u: designer.optimize(restarts=1, budget=50, tol=None), id="optimize-None"),
+])
+def test_tol_must_be_tolerances(u_secure, call):
+    with pytest.raises(TypeError, match=r"^tol must be a Tolerances, got (NoneType|dict)$"):
+        call(u_secure)
+
+
+def test_validate_advisory_of_a_generator(u_secure):
+    # A Generator's stream belongs to the caller: the advisory records no
+    # seed for it, serialises, and holds the explicit Generator's search.
+    report = validate(u_secure, attack_budget=900, seed=np.random.default_rng(1))
+    advisory = json.loads(json.dumps(report.advisory, default=cli._json_default))
+    search = best_message_attack(u_secure, budget=900, rng=np.random.default_rng(1))
+    assert advisory["seed"] is None
+    assert advisory["message_attack_pf_best"] == search.probability
+    seed = validate(u_secure, attack_budget=900, seed=np.int64(1)).advisory["seed"]
+    assert seed == 1 and type(seed) is int
+
+
 probability_entries = st.one_of(
     st.just(0.0), st.floats(0, 1e-300), st.floats(0, 1), st.floats(0, 1e300)
 )
@@ -1640,17 +1738,17 @@ BAD_COUNTS = [
 
 
 @pytest.mark.parametrize("call, match", [
-    pytest.param(lambda u: no_message_pf_restricted(u, -0.1, 0.0), "abs_e0 must lie in",
+    pytest.param(lambda u: no_message_pf_restricted(u, -0.1, 0.0), "abs_e0 must be a real",
                  id="abs_e0-below-0"),
-    pytest.param(lambda u: no_message_pf_restricted(u, 1.1, 0.0), "abs_e0 must lie in",
+    pytest.param(lambda u: no_message_pf_restricted(u, 1.1, 0.0), "abs_e0 must be a real",
                  id="abs_e0-above-1"),
-    pytest.param(lambda u: no_message_pf_restricted(u, 0.5, np.nan), "theta be finite",
+    pytest.param(lambda u: no_message_pf_restricted(u, 0.5, np.nan), "theta must be a real",
                  id="theta-nan"),
-    pytest.param(lambda u: eve_state_from_restricted(u, 2.0, 0.3), "abs_e0 must lie in",
+    pytest.param(lambda u: eve_state_from_restricted(u, 2.0, 0.3), "abs_e0 must be a real",
                  id="state-abs_e0-above-1"),
-    pytest.param(lambda u: eve_state_from_restricted(u, np.nan, 0.3), "abs_e0 must lie in",
+    pytest.param(lambda u: eve_state_from_restricted(u, np.nan, 0.3), "abs_e0 must be a real",
                  id="state-abs_e0-nan"),
-    pytest.param(lambda u: eve_state_from_restricted(u, 0.5, np.inf), "theta be finite",
+    pytest.param(lambda u: eve_state_from_restricted(u, 0.5, np.inf), "theta must be a real",
                  id="state-theta-inf"),
     pytest.param(lambda u: message_attack_distribution(u, np.eye(3), 0),
                  r"must be 4x4, got \(3, 3\)", id="attack-distribution-3x3"),

@@ -169,7 +169,7 @@ class TestValidate:
             "--tol", override,
         )
         assert code == 2 and out == ""
-        assert "must be finite and >= 0" in err and override.split("=")[0] in err
+        assert "must be a real number in [0, inf), got" in err and override.split("=")[0] in err
 
     @pytest.mark.parametrize("value", ["abc", ""])
     def test_non_numeric_tolerance_names_the_flag(self, capsys, value):
@@ -353,7 +353,7 @@ class TestAttack:
             capsys, "attack", "--input", "secure_example", "--priors", priors
         )
         assert code == 2 and out == ""
-        assert "priors must be nonnegative and sum to 1" in err
+        assert "must be a real number in [0, 1], got" in err
 
     def test_secure_example_regression(self, capsys, secure_file):
         code, out, _ = run_cli(

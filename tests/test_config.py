@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from qmac.config import DEFAULT_TOL, UNITARY_FLOOR, Tolerances
     pytest.param(lambda: Tolerances(strict=1e-9j), "strict", id="strict-complex"),
 ])
 def test_bad_value_rejected(make, name):
-    with pytest.raises(ValueError, match=f"tolerance '{name}' must be finite and >= 0"):
+    message = f"tolerance '{name}' must be a real number in [0, inf), got"
+    with pytest.raises(ValueError, match=re.escape(message)):
         make()
 
 
