@@ -9,7 +9,6 @@ entangling attacks.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import inf, sqrt
 from typing import Optional
@@ -132,8 +131,11 @@ def forgery_operator(u) -> np.ndarray:
 
 
 def no_message_probability(sigma_max) -> float:
-    """The no-message optimum (1 + sigma_max(M0))/2, from M0's top singular value."""
-    return float((1 + sigma_max) / 2)
+    """The no-message optimum (1 + sigma_max(M0))/2, from M0's top singular
+    value.  ``sigma_max`` is checked by :func:`~qmac.config.check_real` to
+    lie in [0, inf), not [0, 1]: the designer scores a candidate M0 before
+    its dilation refuses a σ above 1."""
+    return (1 + check_real(sigma_max, "sigma_max", 0, inf, "[)")) / 2
 
 
 def no_message_optimal(u) -> AttackResult:
@@ -563,8 +565,11 @@ def _outcome_cdf(probs: list) -> list:
     Python floats with numpy's association: the sequential sum, the running
     sum of p_k / total, then each entry divided by the last.
 
-    ``bisect_right(cdf, rng.random())`` then draws the outcome that call
-    would, from the same single uniform, at a fraction of its cost.
+    With a uniform x from ``rng.random()``, the outcome that call draws is
+    the number of entries at or below x, and the CDF never decreases: 0 when
+    ``x < cdf[0]``, else 1 when ``x < cdf[1]``, else 2 or 3.  Two
+    comparisons then give Bob's accept outcomes from the same single uniform,
+    at a fraction of that call's cost.
     """
     p0, p1, p2, p3 = probs
     total = p0 + p1 + p2 + p3
@@ -594,9 +599,9 @@ def simulate_key_reuse(
 
     That state depends only on the trial's history of (bit, outcome) pairs,
     so the histories form a tree: each node is built from its normalised
-    state when a trial first reaches it, in its parent's child slot
-    ``2 * bit + outcome``, and a trial only walks the tree and draws.  Each
-    draw inverts a CDF with one uniform, as ``Generator.choice`` does, so
+    state when a trial first reaches it, in its parent's child slot for
+    (bit, outcome), and a trial only walks the tree and draws.  Each draw
+    compares one uniform with a CDF, as ``Generator.choice`` inverts it, so
     the random stream and the counts are those of sampling every trial
     afresh.  The draws read the bit generator directly: each uniform is its
     ``next_double``, the value ``rng.random()`` returns, and each honest
@@ -621,19 +626,22 @@ def simulate_key_reuse(
     next_uint32, next_double, state = bits.next_uint32, bits.next_double, bits.state
 
     def node(psi, completed):
-        """A completed history's key fidelity and forgery-outcome CDF; any
-        other's (phi, cdfs, children): phi[i, k] the state after bit i and
-        outcome k (unnormalised), the outcome CDF of each bit, and the
-        child slots 2 * i + k, each None until a trial reaches it."""
+        """A completed history's key fidelity and the forgery CDF's entry
+        for outcome 1, below which a uniform is an accepted forgery.  Any
+        other history's flat list [CDF for bit 0, CDF for bit 1, child slots
+        for (bit, outcome) (0, 0), (0, 1), (1, 0), (1, 1), phi]: each CDF is
+        Bob's outcome CDF after that honest bit, each child slot is None
+        until a trial reaches it, and phi[i, k] is the state after bit i and
+        outcome k (unnormalised)."""
         if completed:
             probs = np.einsum("kbe,abe->k", forge, np.abs(psi) ** 2).tolist()
-            return key_fidelity(psi.reshape(8)), _outcome_cdf(probs)
+            return key_fidelity(psi.reshape(8)), _outcome_cdf(probs)[1]
         phi = (maps @ psi[..., None])[..., 0]
         probs = (np.abs(phi) ** 2).sum(axis=(2, 3, 4)).tolist()
-        return phi, [_outcome_cdf(p) for p in probs], [None] * 4
+        return [_outcome_cdf(probs[0]), _outcome_cdf(probs[1]), None, None, None, None, phi]
 
     root = node(_START, False)
-    accept_counts = [0] * rounds
+    rejected = [0] * rounds  # rejected[r]: the trials whose round r + 1 rejected
     successes = 0
     fidelities = []
     with rng.bit_generator.lock:
@@ -641,29 +649,38 @@ def simulate_key_reuse(
             at = root
             for r in range(rounds):
                 bit = next_uint32(state) >> 31
-                phi, cdfs, children = at
-                outcome = bisect_right(cdfs[bit], next_double(state))
-                if outcome > 1:
+                cdf = at[bit]
+                x = next_double(state)
+                # Bob's outcome (see _outcome_cdf): 0 below cdf[0], 1 below
+                # cdf[1]; outcomes 2 and 3 reject.
+                if x < cdf[0]:
+                    outcome = 0
+                elif x < cdf[1]:
+                    outcome = 1
+                else:
+                    rejected[r] += 1
                     break
-                accept_counts[r] += 1
-                slot = 2 * bit + outcome
-                at = children[slot]
-                if at is None:
+                slot = 2 + 2 * bit + outcome
+                child = at[slot]
+                if child is None:
                     # Divided by np.linalg.norm's own arithmetic, without its wrapper.
-                    kept = phi[bit, outcome]
-                    x = kept.ravel()
-                    psi = kept / sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
-                    at = children[slot] = node(psi, r + 1 == rounds)
+                    kept = at[6][bit, outcome]
+                    v = kept.ravel()
+                    real, imag = v.real, v.imag
+                    psi = kept / sqrt(real.dot(real) + imag.dot(imag))
+                    child = at[slot] = node(psi, r + 1 == rounds)
+                at = child
             else:
-                fidelity, cdf = at
+                fidelity, accept_below = at
                 fidelities.append(fidelity)
-                successes += bisect_right(cdf, next_double(state)) < 2
+                successes += next_double(state) < accept_below
 
     # Every trial reaches round 1, and round r + 1 exactly when round r accepted.
-    per_round = [
-        accepted / reached if reached else float("nan")
-        for accepted, reached in zip(accept_counts, [trials, *accept_counts[:-1]])
-    ]
+    per_round, reached = [], trials
+    for failed in rejected:
+        accepted = reached - failed
+        per_round.append(accepted / reached if reached else float("nan"))
+        reached = accepted
     return KeyReuseStats(
         per_round_acceptance=per_round,
         final_key_fidelity=float(np.mean(fidelities)) if fidelities else float("nan"),

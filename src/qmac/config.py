@@ -25,8 +25,9 @@ def check_real(value, name: str, low: float = -math.inf, high: float = math.inf,
     got <value>")`` for ``ends``, ``low`` and ``high`` as given.  Here rather
     than next to :func:`~qmac.linalg.check_count` because ``linalg`` imports
     this module, whose :class:`Tolerances` calls it."""
-    # Python floats first: isinstance(value, Real) takes a microsecond for them.
-    if type(value) is float or isinstance(value, Real) and not isinstance(value, bool):
+    # Floats first, numpy's float64 (a float subclass) among them: the ABC
+    # check isinstance(value, Real) costs several times as much.
+    if isinstance(value, float) or isinstance(value, Real) and not isinstance(value, bool):
         try:
             x = float(value)
         except OverflowError:  # an integer beyond the float range

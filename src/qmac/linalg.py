@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, check_real
 
 # The package's one SVD routine: the gufunc np.linalg.svd calls on a stack of
 # complex matrices, giving (u, s, vh) for each, bit for bit, without the
@@ -71,22 +71,23 @@ def partial_trace(rho: np.ndarray, dims: list[int], keep) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     dims = list(dims)
-    total = math.prod(dims)
+    n = len(dims)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("partial_trace expects a square matrix")
-    if rho.shape[0] != total:
+    if rho.shape[0] != math.prod(dims):
         raise ValueError(
             f"dims {dims} are inconsistent with a {rho.shape[0]}-dim operator"
         )
     keep = sorted(set(keep))
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {len(dims)} subsystems")
+    if any(k < 0 or k >= n for k in keep):
+        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
 
-    n = len(dims)
     reshaped = rho.reshape(dims + dims)
-    # Contract the traced subsystems pairwise.
-    for sub in sorted(set(range(n)) - set(keep), reverse=True):
-        reshaped = reshaped.trace(axis1=sub, axis2=sub + reshaped.ndim // 2)
+    # One pass over the subsystems, the last first: each one not kept is
+    # contracted out of its (row, column) axis pair.
+    for sub in range(n - 1, -1, -1):
+        if sub not in keep:
+            reshaped = reshaped.trace(axis1=sub, axis2=sub + reshaped.ndim // 2)
     d_keep = math.prod(dims[k] for k in keep)
     return reshaped.reshape(d_keep, d_keep)
 
@@ -103,7 +104,9 @@ def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL.unitary):
     ``_UNSCALED_MAX`` is divided by s before the product, and the deviation
     of U†U = s² (U/s)†(U/s) is scaled back in Python floats: it is at least
     1e300, and beyond the float range it is inf, with no overflow warning.
+    ``tol`` is checked by :func:`~qmac.config.check_real` to lie in [0, inf).
     """
+    tol = check_real(tol, "tol", 0, math.inf, "[)")
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("is_unitary expects a square matrix")

@@ -45,6 +45,7 @@ def singlet() -> np.ndarray:
 
 
 _SINGLET = singlet()
+_SINGLET_BRA = _SINGLET.conj()
 
 
 def _read_only(arrays: tuple) -> tuple:
@@ -198,10 +199,12 @@ def key_fidelity(state: np.ndarray) -> float:
 
     ``state`` is key-A (2) ⊗ key-B (2) ⊗ the rest, flattened.
     """
-    state = np.asarray(state, dtype=complex)
-    dims = (2, 2, state.size // 4)
-    rho_key = partial_trace(np.outer(state, state.conj()), dims, keep={0, 1})
-    return float(np.real(_SINGLET.conj() @ rho_key @ _SINGLET))
+    state = np.asarray(state, dtype=complex).ravel()
+    # np.outer's own broadcast multiply, and <s|rho|s>'s real part, without
+    # their wrappers.
+    rho = state[:, None] * state.conj()[None, :]
+    rho_key = partial_trace(rho, (2, 2, state.size // 4), keep={0, 1})
+    return float((_SINGLET_BRA @ rho_key @ _SINGLET).real)
 
 
 def simulate_honest_batch(u, message: int, trials: int, rng):

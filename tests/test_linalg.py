@@ -1,4 +1,5 @@
 import math
+import re
 from functools import reduce
 
 import numpy as np
@@ -109,6 +110,78 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(6), [2, 2], {0})
+
+
+def previous_partial_trace(rho, dims, keep):
+    """partial_trace as it was before its single pass over the subsystems:
+    the traced subsystems from a sorted set difference."""
+    rho = np.asarray(rho, dtype=complex)
+    dims = list(dims)
+    total = math.prod(dims)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("partial_trace expects a square matrix")
+    if rho.shape[0] != total:
+        raise ValueError(f"dims {dims} are inconsistent with a {rho.shape[0]}-dim operator")
+    keep = sorted(set(keep))
+    if any(k < 0 or k >= len(dims) for k in keep):
+        raise ValueError(f"keep indices {keep} out of range for {len(dims)} subsystems")
+    n = len(dims)
+    reshaped = rho.reshape(dims + dims)
+    for sub in sorted(set(range(n)) - set(keep), reverse=True):
+        reshaped = reshaped.trace(axis1=sub, axis2=sub + reshaped.ndim // 2)
+    d_keep = math.prod(dims[k] for k in keep)
+    return reshaped.reshape(d_keep, d_keep)
+
+
+def signed_zeros(a, rng):
+    """``a`` with about a third of its entries set to one of the four
+    complex zeros, -0.0 parts among them."""
+    a = a.copy()
+    zeros = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+    hit = rng.random(a.shape) < 1 / 3
+    a[hit] = rng.choice(zeros, hit.sum())
+    return a
+
+
+def exact(x):
+    """An array or a float as bytes that compare equal only bit for bit."""
+    x = np.asarray(x)
+    return x.dtype.str, x.shape, x.tobytes()
+
+
+PARTIAL_TRACE_KEEPS = [set(), {0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}, [2, 0, 2], (1,)]
+
+
+@pytest.mark.parametrize("keep", PARTIAL_TRACE_KEEPS, ids=str)
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_partial_trace_equals_previous_formulation(k, keep):
+    # Seeded random operators on (2, 2, k), as they are and with signed
+    # zeros; each reduced operator is the previous formulation's, bit for bit.
+    rng = np.random.default_rng(4000 + k)
+    n = 4 * k
+    for _ in range(20):
+        rho = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for a in (rho, signed_zeros(rho, rng), np.outer(rho[0], rho[0].conj())):
+            assert exact(partial_trace(a, (2, 2, k), keep)) == exact(
+                previous_partial_trace(a, (2, 2, k), keep))
+
+
+@pytest.mark.parametrize("rho, dims, keep", [
+    pytest.param(np.ones((2, 4)), [2, 2], {0}, id="non-square"),
+    pytest.param(np.ones(4), [2, 2], {0}, id="vector"),
+    pytest.param(np.eye(6), [2, 2], {0}, id="dims-too-small"),
+    pytest.param(np.eye(8), (2, 2, 4), {0, 1}, id="dims-too-large"),
+    pytest.param(np.eye(8), (2, 2, 2), {3}, id="keep-3"),
+    pytest.param(np.eye(8), (2, 2, 2), {-1, 0}, id="keep-negative"),
+    pytest.param(np.eye(8), (2, 2, 2), {0.5}, id="keep-fraction"),
+    pytest.param(np.eye(8), (2, 2, 2), {1.0}, id="keep-float"),
+])
+def test_partial_trace_errors_equal_previous_formulation(rho, dims, keep):
+    # The same exception, with the same message, as before the single pass.
+    with pytest.raises((ValueError, TypeError)) as previous:
+        previous_partial_trace(rho, dims, keep)
+    with pytest.raises(previous.type, match=f"^{re.escape(str(previous.value))}$"):
+        partial_trace(rho, dims, keep)
 
 
 class TestIsUnitary:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,40 @@ class TestKeyFidelity:
         key = np.zeros(4, complex)
         key[0] = 1  # |00>
         assert key_fidelity(tensor(key, MESSAGE_BASIS[:, 0])) < 1e-12
+
+
+def previous_key_fidelity(state):
+    """key_fidelity as it was before it dropped np.outer and np.real."""
+    state = np.asarray(state, dtype=complex)
+    rho_key = partial_trace(np.outer(state, state.conj()), (2, 2, state.size // 4), keep={0, 1})
+    return float(np.real(singlet().conj() @ rho_key @ singlet()))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_key_fidelity_equals_previous_formulation(k):
+    # Seeded states on (2, 2, k): random, normalised, with signed zeros in
+    # about a third of the entries, and real; each fidelity is the previous
+    # formulation's, bit for bit.
+    rng = np.random.default_rng(5000 + k)
+    zeros = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+    for _ in range(200):
+        state = rng.standard_normal(4 * k) + 1j * rng.standard_normal(4 * k)
+        zeroed = state.copy()
+        hit = rng.random(4 * k) < 1 / 3
+        zeroed[hit] = rng.choice(zeros, hit.sum())
+        for psi in (state, state / np.linalg.norm(state), zeroed, state.real, -0.0 * state,
+                    state.reshape(-1, 1)):
+            assert key_fidelity(psi).hex() == previous_key_fidelity(psi).hex()
+
+
+@pytest.mark.parametrize("size", [2, 6, 10])
+def test_key_fidelity_error_equals_previous_formulation(size):
+    # A state that is not key ⊗ rest: partial_trace's message on its dims.
+    state = np.ones(size, complex)
+    with pytest.raises(ValueError) as previous:
+        previous_key_fidelity(state)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(previous.value))}$"):
+        key_fidelity(state)
 
 
 class TestHonestRun:
