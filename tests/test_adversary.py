@@ -231,8 +231,7 @@ class TestMessageAttack:
         with pytest.raises(ValueError):
             message_attack_pf(u_identity, SWAP01, p0=0.7, p1=0.7)
 
-    # A NaN prior is test_real_rejected's case; an infinite one is not.
-    @pytest.mark.parametrize("p0, p1", [(np.inf, 0.0)])
+    @pytest.mark.parametrize("p0, p1", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.0)])
     def test_non_finite_priors_rejected(self, u_secure, p0, p1):
         with pytest.raises(ValueError, match=r"p[01] must be a real number in \[0, 1\], got"):
             message_attack_pf(u_secure, SWAP01, p0=p0, p1=p1)
@@ -1769,8 +1768,12 @@ BAD_COUNTS = [
                  id="abs_e0-below-0"),
     pytest.param(lambda u: no_message_pf_restricted(u, 1.1, 0.0), "abs_e0 must be a real",
                  id="abs_e0-above-1"),
+    pytest.param(lambda u: no_message_pf_restricted(u, 0.5, np.nan), "theta must be a real",
+                 id="theta-nan"),
     pytest.param(lambda u: eve_state_from_restricted(u, 2.0, 0.3), "abs_e0 must be a real",
                  id="state-abs_e0-above-1"),
+    pytest.param(lambda u: eve_state_from_restricted(u, np.nan, 0.3), "abs_e0 must be a real",
+                 id="state-abs_e0-nan"),
     pytest.param(lambda u: eve_state_from_restricted(u, 0.5, np.inf), "theta must be a real",
                  id="state-theta-inf"),
     pytest.param(lambda u: message_attack_distribution(u, np.eye(3), 0),

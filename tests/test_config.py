@@ -7,13 +7,15 @@ import pytest
 from qmac.config import DEFAULT_TOL, UNITARY_FLOOR, Tolerances
 
 
-# The values test_adversary.py::test_real_rejected does not pass to each
-# tolerance, and a bad value reaching the check through override.
 @pytest.mark.parametrize("make, name", [
     (lambda: DEFAULT_TOL.override(strict=float("nan")), "strict"),
     (lambda: Tolerances(phase_equiv=-1), "phase_equiv"),
     (lambda: Tolerances(unitary=float("inf")), "unitary"),
+    pytest.param(lambda: Tolerances(strict=True), "strict", id="strict-bool"),
+    pytest.param(lambda: Tolerances(phase_equiv=np.True_), "phase_equiv",
+                 id="phase_equiv-numpy-bool"),
     pytest.param(lambda: Tolerances(strict="0.1"), "strict", id="strict-str"),
+    pytest.param(lambda: Tolerances(unitary=None), "unitary", id="unitary-none"),
     pytest.param(lambda: Tolerances(strict=1e-9j), "strict", id="strict-complex"),
 ])
 def test_bad_value_rejected(make, name):
