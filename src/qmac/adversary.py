@@ -10,7 +10,7 @@ entangling attacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, sqrt
+from math import inf, nan
 from typing import Optional
 
 import numpy as np
@@ -34,8 +34,8 @@ from .protocol import (
     as_tagging_unitary,
     check_bit,
     decode,
+    density_key_fidelity,
     encode,
-    key_fidelity,
     measurement_distribution,
     singlet,
 )
@@ -536,6 +536,7 @@ class KeyReuseStats:
 
 # psi[a, b, e] before the first round: the singlet key, Eve's ancilla in |0>.
 _START = np.multiply.outer(singlet().reshape(2, 2), [1, 0])
+_START.setflags(write=False)
 
 
 def _reuse_kernel(u: TaggingUnitary, interaction: np.ndarray, forge_bit: int):
@@ -560,24 +561,20 @@ def _reuse_kernel(u: TaggingUnitary, interaction: np.ndarray, forge_bit: int):
     return maps, forge
 
 
-def _outcome_cdf(probs: list) -> list:
-    """The CDF ``Generator.choice(4, p=probs / probs.sum())`` builds, in
-    Python floats with numpy's association: the sequential sum, the running
-    sum of p_k / total, then each entry divided by the last.
+def _outcome_cdfs(probs: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(4, p=row / row.sum())`` builds for each
+    row of ``probs``, a stack of outcome weights on its last axis: the
+    running sum of p_k / total, then each entry divided by the last, in
+    numpy's arithmetic, so each row is that call's CDF bit for bit.
 
     With a uniform x from ``rng.random()``, the outcome that call draws is
     the number of entries at or below x, and the CDF never decreases: 0 when
     ``x < cdf[0]``, else 1 when ``x < cdf[1]``, else 2 or 3.  Two
-    comparisons then give Bob's accept outcomes from the same single uniform,
-    at a fraction of that call's cost.
+    comparisons then give Bob's accept outcomes from the same uniform.
     """
-    p0, p1, p2, p3 = probs
-    total = p0 + p1 + p2 + p3
-    c0 = p0 / total
-    c1 = c0 + p1 / total
-    c2 = c1 + p2 / total
-    c3 = c2 + p3 / total
-    return [c0 / c3, c1 / c3, c2 / c3, c3 / c3]
+    cdf = np.add.accumulate(probs / np.add.reduce(probs, axis=-1, keepdims=True), axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
 
 
 def simulate_key_reuse(
@@ -597,96 +594,69 @@ def simulate_key_reuse(
     ancilla, and Bob verifies.  Each round samples Bob's outcome from the
     maps of :func:`_reuse_kernel` and renormalises the key ⊗ ancilla state.
 
-    That state depends only on the trial's history of (bit, outcome) pairs,
-    so the histories form a tree: each node is built from its normalised
-    state when a trial first reaches it, in its parent's child slot for
-    (bit, outcome), and a trial only walks the tree and draws.  Each draw
-    compares one uniform with a CDF, as ``Generator.choice`` inverts it, so
-    the random stream and the counts are those of sampling every trial
-    afresh.  The draws read the bit generator directly: each uniform is its
-    ``next_double``, the value ``rng.random()`` returns, and each honest
-    bit is the one ``rng.integers(2)`` gives.  They run under the bit
-    generator's lock, which is held for the whole call, so another thread
-    sharing ``rng`` waits until the call returns.  ``rounds`` and
-    ``trials`` must be integers of at least 1, and ``rng`` is checked by
-    :func:`~qmac.linalg.check_rng`.
+    The live trials advance together, round by round.  A trial's state
+    depends only on its history of (bit, outcome) pairs, so a round applies
+    the maps once to the distinct histories reached so far, which gives
+    each one's unnormalised next states and Bob's outcome CDF after either
+    honest bit (:func:`_outcome_cdfs`).  It then draws
+    ``rng.integers(2, size=L)``, the honest bits of the L live trials, and
+    ``rng.random(L)``, one uniform each, read against the trial's CDF as
+    ``Generator.choice`` reads it.  The accepted trials' new histories are
+    grouped, and each distinct one is normalised once.  After the last
+    round ``rng.random(A)`` draws the forgeries of the A completed trials,
+    and the final key fidelity is that of the count-weighted mixture of
+    their states, one partial trace: fidelity is linear in the density
+    operator, so this is the mean over the trials up to rounding.  Memory
+    is O(trials), as in :func:`~qmac.protocol.simulate_honest_batch`.
+
+    The draws are round-major: a round's honest bits, then its outcomes in
+    trial order, and at the end the forgeries.  A seeded call gives the
+    results of scalar ``rng.integers(2)`` and ``rng.choice(4, p)`` calls in
+    that order, which differ from those of versions that drew trial by
+    trial.  The call holds the bit generator's re-entrant lock throughout,
+    so another thread sharing ``rng`` waits until it returns.  ``rounds``
+    and ``trials`` must be integers of at least 1, and ``rng`` is checked
+    by :func:`~qmac.linalg.check_rng`.
     """
     rng = np.random.default_rng(check_rng(rng))
     u = as_tagging_unitary(u)
     rounds = check_count(rounds, "rounds", 1)
     trials = check_count(trials, "trials", 1)
     maps, forge = _reuse_kernel(u, interaction, forge_bit)
-    # int(rng.integers(2)) draws by Lemire's method on the bit generator's
-    # buffered 32-bit word x, which for two outcomes is (2x) >> 32, the top
-    # bit of x; rng.random() returns next_double.  Reading both through the
-    # bit generator's ctypes interface, under the lock the Generator's own
-    # draws take, gives the same values from the same stream without the
-    # calls' argument handling.
-    bits = rng.bit_generator.ctypes
-    next_uint32, next_double, state = bits.next_uint32, bits.next_double, bits.state
-
-    def node(psi, completed):
-        """A completed history's key fidelity and the forgery CDF's entry
-        for outcome 1, below which a uniform is an accepted forgery.  Any
-        other history's flat list [CDF for bit 0, CDF for bit 1, child slots
-        for (bit, outcome) (0, 0), (0, 1), (1, 0), (1, 1), phi]: each CDF is
-        Bob's outcome CDF after that honest bit, each child slot is None
-        until a trial reaches it, and phi[i, k] is the state after bit i and
-        outcome k (unnormalised)."""
-        if completed:
-            probs = np.einsum("kbe,abe->k", forge, np.abs(psi) ** 2).tolist()
-            return key_fidelity(psi.reshape(8)), _outcome_cdf(probs)[1]
-        phi = (maps @ psi[..., None])[..., 0]
-        probs = (np.abs(phi) ** 2).sum(axis=(2, 3, 4)).tolist()
-        return [_outcome_cdf(probs[0]), _outcome_cdf(probs[1]), None, None, None, None, phi]
-
-    root = node(_START, False)
-    rejected = [0] * rounds  # rejected[r]: the trials whose round r + 1 rejected
-    successes = 0
-    fidelities = []
+    # psi[n, a, b, e]: the n-th distinct history reached, normalised; at[j]:
+    # the history of live trial j.
+    psi, at = _START[None], np.zeros(trials, dtype=np.intp)
+    per_round = []
     with rng.bit_generator.lock:
-        for _ in range(trials):
-            at = root
-            for r in range(rounds):
-                bit = next_uint32(state) >> 31
-                cdf = at[bit]
-                x = next_double(state)
-                # Bob's outcome (see _outcome_cdf): 0 below cdf[0], 1 below
-                # cdf[1]; outcomes 2 and 3 reject.
-                if x < cdf[0]:
-                    outcome = 0
-                elif x < cdf[1]:
-                    outcome = 1
-                else:
-                    rejected[r] += 1
-                    break
-                slot = 2 + 2 * bit + outcome
-                child = at[slot]
-                if child is None:
-                    # Divided by np.linalg.norm's own arithmetic, without its wrapper.
-                    kept = at[6][bit, outcome]
-                    v = kept.ravel()
-                    real, imag = v.real, v.imag
-                    psi = kept / sqrt(real.dot(real) + imag.dot(imag))
-                    child = at[slot] = node(psi, r + 1 == rounds)
-                at = child
-            else:
-                fidelity, accept_below = at
-                fidelities.append(fidelity)
-                successes += next_double(state) < accept_below
-
-    # Every trial reaches round 1, and round r + 1 exactly when round r accepted.
-    per_round, reached = [], trials
-    for failed in rejected:
-        accepted = reached - failed
-        per_round.append(accepted / reached if reached else float("nan"))
-        reached = accepted
-    return KeyReuseStats(
-        per_round_acceptance=per_round,
-        final_key_fidelity=float(np.mean(fidelities)) if fidelities else float("nan"),
-        forgery_attempts=len(fidelities),
-        forgery_successes=successes,
-    )
+        for _ in range(rounds):
+            live = len(at)
+            if not live:
+                per_round.append(nan)
+                continue
+            # phi[8 n + 4 i + k] = maps[i, k] @ psi[n], flattened over (a, b, f).
+            s = psi[:, None, None, :, :, None]
+            phi = (maps[..., 0] * s[..., 0] + maps[..., 1] * s[..., 1]).reshape(-1, 8)
+            probs = np.add.reduce(abs(phi) ** 2, axis=1)
+            bits = rng.integers(2, size=live)
+            cdf = _outcome_cdfs(probs.reshape(-1, 2, 4))[at, bits]
+            x = rng.random(live)
+            # Outcome 0 below cdf[0], 1 below cdf[1]; outcomes 2 and 3 reject.
+            accepted = x < cdf[:, 1]
+            per_round.append(int(np.count_nonzero(accepted)) / live)
+            children = (8 * at + 4 * bits + (x >= cdf[:, 0]))[accepted]
+            reached = np.zeros(len(phi), dtype=bool)
+            reached[children] = True
+            at = (reached.cumsum() - 1)[children]
+            psi = (phi[reached] / np.sqrt(probs[reached])[:, None]).reshape(-1, 2, 2, 2)
+        attempts = len(at)
+        if not attempts:
+            return KeyReuseStats(per_round, nan, 0, 0)
+        forged = _outcome_cdfs(np.einsum("kbe,nabe->nk", forge, abs(psi) ** 2))[:, 1]
+        successes = int(np.count_nonzero(rng.random(attempts) < forged[at]))
+        # The completed histories' states, each weighted by its share of the trials.
+        flat = psi.reshape(-1, 8)
+        mixture = (flat.T * (np.bincount(at) / attempts)) @ flat.conj()
+        return KeyReuseStats(per_round, density_key_fidelity(mixture), attempts, successes)
 
 
 def reuse_forgery_probability(u, interaction: np.ndarray, forge_bit: int = 0) -> float:

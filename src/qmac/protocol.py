@@ -26,6 +26,15 @@ from .linalg import (
     unitary_operand,
 )
 
+
+def _read_only(arrays: tuple) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+# The module's constant arrays are read-only, like a tagging's analysis, so
+# a stray write cannot change every later result in the process.
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
 
@@ -46,12 +55,7 @@ def singlet() -> np.ndarray:
 
 _SINGLET = singlet()
 _SINGLET_BRA = _SINGLET.conj()
-
-
-def _read_only(arrays: tuple) -> tuple:
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+_read_only((I2, I4, MESSAGE_BASIS, ACCEPT_PROJECTOR, _SINGLET, _SINGLET_BRA))
 
 
 class TaggingUnitary:
@@ -200,10 +204,17 @@ def key_fidelity(state: np.ndarray) -> float:
     ``state`` is key-A (2) ⊗ key-B (2) ⊗ the rest, flattened.
     """
     state = np.asarray(state, dtype=complex).ravel()
-    # np.outer's own broadcast multiply, and <s|rho|s>'s real part, without
-    # their wrappers.
-    rho = state[:, None] * state.conj()[None, :]
-    rho_key = partial_trace(rho, (2, 2, state.size // 4), keep={0, 1})
+    # np.outer's own broadcast multiply, without its wrapper.
+    return density_key_fidelity(state[:, None] * state.conj()[None, :])
+
+
+def density_key_fidelity(rho: np.ndarray) -> float:
+    """Overlap of the reduced key state of the density operator ``rho`` on
+    key-A (2) ⊗ key-B (2) ⊗ the rest with the singlet: <s|Tr_rest rho|s>,
+    taken as a real part without the ``np.real`` wrapper.  It is linear in
+    ``rho``, so on a mixture it is the weighted mean of the parts'
+    :func:`key_fidelity`."""
+    rho_key = partial_trace(rho, (2, 2, len(rho) // 4), keep={0, 1})
     return float((_SINGLET_BRA @ rho_key @ _SINGLET).real)
 
 

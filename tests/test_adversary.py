@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmac import adversary, cli, designer, linalg
+from qmac import adversary, cli, designer, linalg, protocol
 from qmac.adversary import (
     AttackResult,
     best_message_attack,
@@ -1124,15 +1124,28 @@ class TestKeyReuseSimulation:
             simulate_key_reuse(u_secure, 2, np.eye(8), rng, trials=trials)
 
 
-def reuse_forgery_oracle(u, w, forge_bit):
-    """The single-round reuse forgery on key A ⊗ key B ⊗ message ⊗ ancilla
-    (32-dim), with every operator built by kron."""
+def kron_reuse_operators(u, w):
+    """Alice's encoding, Bob's decoding, Eve's interaction and her
+    ancilla-controlled forgery encoding on key A ⊗ key B ⊗ message ⊗ ancilla
+    (32-dim), every operator built by kron, and ``slot(m)``, the map key ⊗
+    ancilla -> key ⊗ |m> ⊗ ancilla."""
     p0, p1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
     i2, i4 = np.eye(2), np.eye(4)
     enc = tensor(p0, i2, i4, i2) + tensor(p1, i2, u, i2)
     dec = tensor(i2, p0, u.conj().T, i2) + tensor(i2, p1, i4, i2)
     eve = tensor(i2, i2, w)
     forge = tensor(i2, i2, tensor(i4, p0) + tensor(u, p1))
+
+    def slot(m):
+        return tensor(i2, i2, MESSAGE_BASIS[:, [m]], i2)
+
+    return enc, dec, eve, forge, slot
+
+
+def reuse_forgery_oracle(u, w, forge_bit):
+    """The single-round reuse forgery on key A ⊗ key B ⊗ message ⊗ ancilla
+    (32-dim), with every operator built by kron."""
+    enc, dec, eve, forge, _ = kron_reuse_operators(u, w)
     accepted = forged = 0.0
     for bit in (0, 1):
         start = tensor(singlet(), MESSAGE_BASIS[:, bit], np.array([1, 0]))
@@ -1162,32 +1175,80 @@ class TestKeyReuseOracle:
             simulate_key_reuse(u_secure, 1, np.eye(8), np.random.default_rng(0), forge_bit=-1)
 
 
-# simulate_key_reuse(u, rounds, w, default_rng(100 + seed), trials=60) from the
-# 32-dim joint simulation: forgery attempts, successes, per-round acceptance and
-# final key fidelity.  u is secure_example for seeds 0 and 1 and
-# haar_random_unitary(4, rng) for seed 2, then w = haar_random_unitary(8, rng),
-# with rng = default_rng(seed).
+def kron_key_reuse(u, rounds, w, rng, trials, forge_bit=0):
+    """simulate_key_reuse's trials one by one on the 32-dim joint state,
+    with every operator built by kron, drawing round-major with scalar
+    Generator calls: each live trial's honest bit, then each live trial's
+    outcome, then the completed trials' forgeries.  Returns the forgery
+    attempts and successes, the per-round acceptance and the mean key
+    fidelity over the completed trials."""
+    enc, dec, eve, forge, slot = kron_reuse_operators(u, w)
+    honest, forged = dec @ eve @ enc, dec @ forge
+    live = [tensor(singlet(), np.array([1, 0]))] * trials
+    acceptance = []
+    for _ in range(rounds):
+        bits = [int(rng.integers(2)) for _ in live]
+        kept = []
+        for psi, bit in zip(live, bits):
+            amps = (honest @ slot(bit) @ psi).reshape(2, 2, 4, 2)
+            probs = (np.abs(amps) ** 2).sum(axis=(0, 1, 3))
+            outcome = rng.choice(4, p=probs / probs.sum())
+            if outcome < 2:
+                psi = amps[:, :, outcome, :].reshape(8)
+                kept.append(psi / np.linalg.norm(psi))
+        acceptance.append(len(kept) / len(live) if live else float("nan"))
+        live = kept
+    successes = 0
+    for psi in live:
+        amps = (forged @ slot(forge_bit) @ psi).reshape(2, 2, 4, 2)
+        probs = (np.abs(amps) ** 2).sum(axis=(0, 1, 3))
+        successes += int(rng.choice(4, p=probs / probs.sum()) < 2)
+    fidelities = []
+    for psi in live:
+        key = np.trace(np.outer(psi, psi.conj()).reshape(4, 2, 4, 2), axis1=1, axis2=3)
+        fidelities.append((singlet().conj() @ key @ singlet()).real)
+    fidelity = float(np.mean(fidelities)) if live else float("nan")
+    return len(live), successes, acceptance, fidelity
+
+
+def reuse_32_dim_case(seed):
+    """The tagging and interaction of REUSE_32_DIM_STATS' ``seed``."""
+    rng = np.random.default_rng(seed)
+    u = secure_example_unitary() if seed != 2 else haar_random_unitary(4, rng)
+    return u, haar_random_unitary(8, rng)
+
+
+# simulate_key_reuse(u, rounds, w, default_rng(100 + seed), trials=60), from
+# kron_key_reuse on the 32-dim joint state: forgery attempts, successes,
+# per-round acceptance and final key fidelity.  u and w are reuse_32_dim_case(seed).
 REUSE_32_DIM_STATS = {
-    (0, 1): (25, 12, [0.4166666666666667], 0.499406327353149),
-    (0, 3): (6, 4, [0.4666666666666667, 0.4642857142857143, 0.46153846153846156],
-             0.38635476263629664),
-    (1, 1): (42, 27, [0.7], 0.6176967434419319),
-    (1, 3): (6, 2, [0.65, 0.46153846153846156, 0.3333333333333333], 0.4759160320938776),
-    (2, 1): (19, 17, [0.31666666666666665], 0.49067556369691784),
-    (2, 3): (4, 3, [0.31666666666666665, 0.42105263157894735, 0.5], 0.3925124929106301),
+    (0, 1): (26, 11, [0.43333333333333335], 0.49593606047738253),
+    (0, 3): (4, 4, [0.43333333333333335, 0.3076923076923077, 0.5], 0.4460626190576671),
+    (1, 1): (34, 27, [0.5666666666666667], 0.6129870064109152),
+    (1, 3): (14, 9, [0.5666666666666667, 0.6470588235294118, 0.6363636363636364],
+             0.4003513029141325),
+    (2, 1): (19, 17, [0.31666666666666665], 0.45710314858787954),
+    (2, 3): (7, 7, [0.31666666666666665, 0.7368421052631579, 0.5], 0.44789031285363945),
 }
 
 
 @pytest.mark.parametrize("seed, rounds", sorted(REUSE_32_DIM_STATS))
 def test_key_reuse_simulation_frozen(seed, rounds):
-    rng = np.random.default_rng(seed)
-    u = secure_example_unitary() if seed != 2 else haar_random_unitary(4, rng)
-    w = haar_random_unitary(8, rng)
+    u, w = reuse_32_dim_case(seed)
     stats = simulate_key_reuse(u, rounds, w, np.random.default_rng(100 + seed), trials=60)
     attempts, successes, acceptance, fidelity = REUSE_32_DIM_STATS[seed, rounds]
     assert (stats.forgery_attempts, stats.forgery_successes) == (attempts, successes)
-    assert stats.per_round_acceptance == pytest.approx(acceptance, abs=1e-12)
+    assert stats.per_round_acceptance == acceptance
     assert stats.final_key_fidelity == pytest.approx(fidelity, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed, rounds", sorted(REUSE_32_DIM_STATS))
+def test_frozen_key_reuse_stats_are_the_32_dim_simulation(seed, rounds):
+    u, w = reuse_32_dim_case(seed)
+    attempts, successes, acceptance, fidelity = kron_key_reuse(
+        u, rounds, w, np.random.default_rng(100 + seed), 60)
+    assert (attempts, successes, acceptance) == REUSE_32_DIM_STATS[seed, rounds][:3]
+    assert fidelity == pytest.approx(REUSE_32_DIM_STATS[seed, rounds][3], abs=1e-12)
 
 
 def reuse_rounds_oracle(u, w, rounds, forge_bit):
@@ -1197,16 +1258,7 @@ def reuse_rounds_oracle(u, w, rounds, forge_bit):
     key A ⊗ key B ⊗ message ⊗ ancilla (32-dim).  Returns the per-round
     acceptance, then the key fidelity and the forgery success rate given
     that every round was accepted."""
-    p0, p1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
-    i2, i4 = np.eye(2), np.eye(4)
-    enc = tensor(p0, i2, i4, i2) + tensor(p1, i2, u, i2)
-    dec = tensor(i2, p0, u.conj().T, i2) + tensor(i2, p1, i4, i2)
-    eve = tensor(i2, i2, w)
-    forge = tensor(i2, i2, tensor(i4, p0) + tensor(u, p1))
-
-    def slot(m):  # key ⊗ ancilla -> key ⊗ |m> ⊗ ancilla
-        return tensor(i2, i2, MESSAGE_BASIS[:, [m]], i2)
-
+    enc, dec, eve, forge, slot = kron_reuse_operators(u, w)
     honest = [np.sqrt(0.5) * slot(k).T @ dec @ eve @ enc @ slot(i)
               for i in (0, 1) for k in (0, 1)]
     forged = [slot(k).T @ dec @ forge @ slot(forge_bit) for k in (0, 1)]
@@ -1226,7 +1278,7 @@ def reuse_rounds_oracle(u, w, rounds, forge_bit):
 
 @pytest.mark.parametrize("forge_bit", [0, 1])
 def test_key_reuse_sampler_matches_exact_propagation(forge_bit):
-    trials, rounds = 4000, 3
+    trials = 40_000
     rng = np.random.default_rng(23)
     for u in [secure_example_unitary()] + [haar_random_unitary(4, rng) for _ in range(2)]:
         w = haar_random_unitary(8, rng)
@@ -1234,161 +1286,112 @@ def test_key_reuse_sampler_matches_exact_propagation(forge_bit):
         assert reuse_rounds_oracle(u, w, 1, forge_bit)[2] == pytest.approx(
             reuse_forgery_probability(u, w, forge_bit), abs=1e-12
         )
-        acceptance, fidelity, rate = reuse_rounds_oracle(u, w, rounds, forge_bit)
-        stats = simulate_key_reuse(u, rounds, w, rng, trials=trials, forge_bit=forge_bit)
-        reached = trials
-        for sampled, p in zip(stats.per_round_acceptance, acceptance):
-            assert abs(sampled - p) < 4 * np.sqrt(p * (1 - p) / reached)
-            reached = round(sampled * reached)
-        n = stats.forgery_attempts
-        assert n == reached > 100
-        # A fidelity lies in [0, 1], so its standard deviation is at most 1/2.
-        assert abs(stats.final_key_fidelity - fidelity) < 4 * 0.5 / np.sqrt(n)
-        assert abs(stats.forgery_success_rate - rate) < 4 * np.sqrt(rate * (1 - rate) / n)
+        for rounds in (1, 3, 5):
+            acceptance, fidelity, rate = reuse_rounds_oracle(u, w, rounds, forge_bit)
+            stats = simulate_key_reuse(u, rounds, w, rng, trials=trials, forge_bit=forge_bit)
+            reached = trials
+            for sampled, p in zip(stats.per_round_acceptance, acceptance):
+                assert abs(sampled - p) < 4 * np.sqrt(p * (1 - p) / reached)
+                reached = round(sampled * reached)
+            n = stats.forgery_attempts
+            assert n == reached > 100
+            # A fidelity lies in [0, 1], so its standard deviation is at most 1/2.
+            assert abs(stats.final_key_fidelity - fidelity) < 4 * 0.5 / np.sqrt(n)
+            assert abs(stats.forgery_success_rate - rate) < 4 * np.sqrt(rate * (1 - rate) / n)
 
 
-# simulate_key_reuse(BUILTIN[name](), 3, w, default_rng(5), trials=200) before
-# the sampler cached each outcome history: forgery attempts and successes, and
-# the final key fidelity, for either forge bit; every round accepted every
-# trial.  These interactions leave outcomes of probability zero.
+# simulate_key_reuse(BUILTIN[name](), 3, w, default_rng(5), trials=200), from
+# kron_key_reuse on the 32-dim joint state: forgery attempts and successes,
+# and the final key fidelity, for either forge bit; every round accepted
+# every trial.  These interactions leave outcomes of probability zero.
 ZERO_BRANCH_STATS = {
     ("identity", "none"): (200, 200, 1.0),
     ("identity", "swap"): (200, 200, 1.0),
-    ("x_block", "none"): (200, 110, 1.0),
-    ("x_block", "swap"): (200, 90, 0.49999999999999994),
+    ("x_block", "none"): (200, 92, 1.0),
+    ("x_block", "swap"): (200, 95, 0.49999999999999994),
 }
+
+
+def zero_branch_interaction(eve):
+    return tensor(SWAP01 if eve == "swap" else E, np.eye(2))
 
 
 @pytest.mark.parametrize("name, eve", sorted(ZERO_BRANCH_STATS))
 @pytest.mark.parametrize("forge_bit", [0, 1])
 def test_key_reuse_zero_probability_branches(name, eve, forge_bit):
-    w = tensor(SWAP01 if eve == "swap" else E, np.eye(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        stats = simulate_key_reuse(
-            BUILTIN[name](), 3, w, np.random.default_rng(5), trials=200, forge_bit=forge_bit
-        )
+        stats = simulate_key_reuse(BUILTIN[name](), 3, zero_branch_interaction(eve),
+                                   np.random.default_rng(5), trials=200, forge_bit=forge_bit)
     attempts, successes, fidelity = ZERO_BRANCH_STATS[name, eve]
     assert (stats.forgery_attempts, stats.forgery_successes) == (attempts, successes)
     assert stats.per_round_acceptance == [1.0, 1.0, 1.0]
-    assert stats.final_key_fidelity == fidelity
+    assert stats.final_key_fidelity == pytest.approx(fidelity, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, eve", sorted(ZERO_BRANCH_STATS))
+@pytest.mark.parametrize("forge_bit", [0, 1])
+def test_zero_branch_stats_are_the_32_dim_simulation(name, eve, forge_bit):
+    attempts, successes, acceptance, fidelity = kron_key_reuse(
+        BUILTIN[name](), 3, zero_branch_interaction(eve), np.random.default_rng(5), 200,
+        forge_bit)
+    assert (attempts, successes) == ZERO_BRANCH_STATS[name, eve][:2]
+    assert acceptance == [1.0, 1.0, 1.0]
+    assert fidelity == pytest.approx(ZERO_BRANCH_STATS[name, eve][2], abs=1e-12)
 
 
 def reference_key_reuse(u, rounds, w, rng, trials, forge_bit):
-    """simulate_key_reuse with no caching: each trial runs afresh from
-    _START through _reuse_kernel's maps and draws with Generator.choice.
-    Returns the forgery counts, per-round acceptance and final key fidelity,
-    with None for NaN, and the set of (bit, outcome) histories the trials
-    reached, the empty one included."""
+    """simulate_key_reuse with no grouping: each trial keeps its own state,
+    from _START through _reuse_kernel's maps, and the draws are scalar
+    Generator calls, round-major: each live trial's ``integers(2)``, then
+    each live trial's ``choice(4, p)`` in trial order, then the completed
+    trials' forgery ``choice``.  A trial's next states, outcome weights and
+    normalisation take the sampler's arithmetic on its one state, so the
+    CDFs that ``choice`` builds are the sampler's bit for bit.  Returns the
+    forgery counts, per-round acceptance and the mean key fidelity over the
+    completed trials, with None for NaN, and the set of (bit, outcome)
+    histories the trials reached, the empty one included."""
     u = TaggingUnitary(u)
     maps, forge = adversary._reuse_kernel(u, w, forge_bit)
-    accepted, reached = [0] * rounds, [0] * rounds
-    successes, fidelities = 0, []
-    visited = {()}
-    for _ in range(trials):
-        psi, history = adversary._START, ()
-        for r in range(rounds):
-            bit = int(rng.integers(2))
-            phi = (maps[bit] @ psi[..., None])[..., 0]
-            probs = (np.abs(phi) ** 2).sum(axis=(1, 2, 3))
-            outcome = rng.choice(4, p=probs / probs.sum())
-            reached[r] += 1
-            if outcome > 1:
-                break
-            accepted[r] += 1
-            psi = phi[outcome] / np.linalg.norm(phi[outcome])
-            history += (bit, int(outcome))
-            visited.add(history)
-        else:
-            fidelities.append(key_fidelity(psi.reshape(8)))
-            probs = np.einsum("kbe,abe->k", forge, np.abs(psi) ** 2)
-            successes += int(rng.choice(4, p=probs / probs.sum()) < 2)
-    acceptance = [a / n if n else None for a, n in zip(accepted, reached)]
+    live = [(adversary._START, ())] * trials
+    acceptance, visited = [], {()}
+    for _ in range(rounds):
+        if not live:
+            acceptance.append(None)
+            continue
+        bits = [int(rng.integers(2)) for _ in live]
+        kept = []
+        for (psi, history), bit in zip(live, bits):
+            s = psi[:, :, None]
+            phi = (maps[bit, ..., 0] * s[..., 0] + maps[bit, ..., 1] * s[..., 1]).reshape(4, 8)
+            probs = np.add.reduce(abs(phi) ** 2, axis=1)
+            outcome = int(rng.choice(4, p=probs / probs.sum()))
+            if outcome < 2:
+                history += (bit, outcome)
+                visited.add(history)
+                kept.append(((phi[outcome] / np.sqrt(probs[outcome])).reshape(2, 2, 2),
+                             history))
+        acceptance.append(len(kept) / len(live))
+        live = kept
+    successes = 0
+    for psi, _ in live:
+        probs = np.einsum("kbe,abe->k", forge, abs(psi) ** 2)
+        successes += int(rng.choice(4, p=probs / probs.sum()) < 2)
+    fidelities = [key_fidelity(psi.reshape(8)) for psi, _ in live]
     fidelity = float(np.mean(fidelities)) if fidelities else None
-    return (len(fidelities), successes, acceptance, fidelity), visited
+    return (len(live), successes, acceptance, fidelity), visited
 
 
-def sampler_summary(stats):
-    def plain(x):
-        return None if np.isnan(x) else x
-
-    return (stats.forgery_attempts, stats.forgery_successes,
-            [plain(a) for a in stats.per_round_acceptance], plain(stats.final_key_fidelity))
-
-
-@pytest.mark.parametrize("forge_bit", [0, 1])
-def test_key_reuse_sampler_equals_uncached_reference(forge_bit):
-    # The same random stream as sampling every trial afresh, so the counts,
-    # the per-round acceptance and the fidelity are equal, not just close.
-    rng = np.random.default_rng(31)
-    taggings = [BUILTIN[name]() for name in ("identity", "x_block", "secure_example")]
-    taggings += [haar_random_unitary(4, rng) for _ in range(2)]
-    cases = [(u, haar_random_unitary(8, rng), rounds, int(rng.integers(2**31)))
-             for u in taggings for rounds in (1, 2, 3, 4)]
-    # The interactions that leave outcomes of probability zero.
-    cases += [(BUILTIN[name](), tensor(eve, np.eye(2)), 3, 5)
-              for name in ("identity", "x_block") for eve in (E, SWAP01)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for u, w, rounds, seed in cases:
-            stats = simulate_key_reuse(u, rounds, w, np.random.default_rng(seed),
-                                       trials=100, forge_bit=forge_bit)
-            ref, _ = reference_key_reuse(u, rounds, w, np.random.default_rng(seed),
-                                         100, forge_bit)
-            assert sampler_summary(stats) == ref
-
-
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM,
-                                           np.random.MT19937, np.random.Philox,
-                                           np.random.SFC64])
-def test_key_reuse_bits_on_every_bit_generator(bit_generator):
-    # Each honest bit is read off the bit generator's buffered 32-bit word;
-    # it must be int(rng.integers(2))'s bit, interleaved with the uniforms
-    # of the outcome draws, whatever the bit generator.
-    rng = np.random.default_rng(41)
-    for rounds in (1, 3):
-        u, w = haar_random_unitary(4, rng), haar_random_unitary(8, rng)
-        seed = int(rng.integers(2**31))
-        stats = simulate_key_reuse(u, rounds, w, np.random.Generator(bit_generator(seed)),
-                                   trials=100)
-        ref, _ = reference_key_reuse(u, rounds, w, np.random.Generator(bit_generator(seed)),
-                                     100, 0)
-        assert sampler_summary(stats) == ref
-
-
-@pytest.mark.parametrize("forge_bit", [0, 1])
-@pytest.mark.parametrize("case", ["haar", "zero_branch"])
-def test_key_reuse_builds_each_reached_node_once(monkeypatch, case, forge_bit):
-    # One node per history a trial reached, each built once: a completed
-    # history costs one key fidelity and one forgery CDF, any other history
-    # one outcome CDF per honest bit.
-    rounds, seed = 3, 7
-    if case == "haar":
-        u = secure_example_unitary()
-        w = haar_random_unitary(8, np.random.default_rng(seed))
+def assert_matches_reference(stats, ref):
+    """The counts and the per-round acceptance equal the reference's, and the
+    key fidelity, a mixture's rather than a mean, agrees to within 1e-12."""
+    attempts, successes, acceptance, fidelity = ref
+    assert (stats.forgery_attempts, stats.forgery_successes) == (attempts, successes)
+    assert [None if np.isnan(a) else a for a in stats.per_round_acceptance] == acceptance
+    if fidelity is None:
+        assert np.isnan(stats.final_key_fidelity)
     else:
-        u, w = BUILTIN["x_block"](), tensor(SWAP01, np.eye(2))
-    _, visited = reference_key_reuse(u, rounds, w, np.random.default_rng(seed), 100, forge_bit)
-    completed = sum(len(h) == 2 * rounds for h in visited)
-    calls = {"key_fidelity": 0, "_outcome_cdf": 0}
-
-    def counted(name):
-        real = getattr(adversary, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(adversary, name, counted(name))
-    simulate_key_reuse(u, rounds, w, np.random.default_rng(seed), trials=100,
-                       forge_bit=forge_bit)
-    assert completed > 1
-    assert calls == {
-        "key_fidelity": completed,
-        "_outcome_cdf": 2 * (len(visited) - completed) + completed,
-    }
+        assert stats.final_key_fidelity == pytest.approx(fidelity, abs=1e-12)
 
 
 BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
@@ -1412,12 +1415,89 @@ def plain(x):
     return x
 
 
+def zero_branch_cases():
+    """The interactions that leave outcomes of probability zero."""
+    return [(BUILTIN[name](), zero_branch_interaction(eve))
+            for name in ("identity", "x_block") for eve in ("none", "swap")]
+
+
+@pytest.mark.parametrize("forge_bit", [0, 1])
+def test_key_reuse_sampler_equals_uncached_reference(forge_bit):
+    # The same random stream as drawing trial by trial within each round, so
+    # the counts and the per-round acceptance are equal, not just close.
+    rng = np.random.default_rng(31)
+    taggings = [BUILTIN[name]() for name in ("identity", "x_block", "secure_example")]
+    taggings += [haar_random_unitary(4, rng) for _ in range(2)]
+    cases = [(u, haar_random_unitary(8, rng), rounds, int(rng.integers(2**31)))
+             for u in taggings for rounds in (1, 2, 3, 4)]
+    cases += [(u, w, 3, 5) for u, w in zero_branch_cases()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u, w, rounds, seed in cases:
+            sampled, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            stats = simulate_key_reuse(u, rounds, w, sampled, trials=100, forge_bit=forge_bit)
+            ref, _ = reference_key_reuse(u, rounds, w, reference, 100, forge_bit)
+            assert_matches_reference(stats, ref)
+            assert plain(sampled.bit_generator.state) == plain(reference.bit_generator.state)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_key_reuse_bits_on_every_bit_generator(bit_generator):
+    # A round's rng.integers(2, size=L) must give the L bits of L scalar
+    # integers(2) calls, and its rng.random(L) the uniforms of L choice
+    # draws, whatever the bit generator.
+    rng = np.random.default_rng(41)
+    for rounds in (1, 3):
+        u, w = haar_random_unitary(4, rng), haar_random_unitary(8, rng)
+        seed = int(rng.integers(2**31))
+        sampled, reference = (np.random.Generator(bit_generator(seed)) for _ in "ab")
+        stats = simulate_key_reuse(u, rounds, w, sampled, trials=100)
+        ref, _ = reference_key_reuse(u, rounds, w, reference, 100, 0)
+        assert_matches_reference(stats, ref)
+        assert plain(sampled.bit_generator.state) == plain(reference.bit_generator.state)
+
+
+@pytest.mark.parametrize("forge_bit", [0, 1])
+@pytest.mark.parametrize("case", ["haar", "zero_branch"])
+def test_key_reuse_builds_each_reached_node_once(monkeypatch, case, forge_bit):
+    # Each round takes the distinct histories reached so far, each normalised
+    # once, and reads one outcome CDF per history and honest bit; the
+    # forgery reads one per completed history; the call takes one partial
+    # trace, for the mixture's key fidelity.
+    rounds, seed = 3, 7
+    if case == "haar":
+        u = secure_example_unitary()
+        w = haar_random_unitary(8, np.random.default_rng(seed))
+    else:
+        u, w = BUILTIN["x_block"](), zero_branch_interaction("swap")
+    _, visited = reference_key_reuse(u, rounds, w, np.random.default_rng(seed), 100, forge_bit)
+    reached = [sum(len(h) == 2 * r for h in visited) for r in range(rounds + 1)]
+    shapes, traces = [], []
+    outcome_cdfs, partial_trace = adversary._outcome_cdfs, protocol.partial_trace
+
+    def counted_cdfs(probs):
+        shapes.append(probs.shape[:-1])
+        return outcome_cdfs(probs)
+
+    def counted_trace(*args, **kwargs):
+        traces.append(args[0].shape)
+        return partial_trace(*args, **kwargs)
+
+    monkeypatch.setattr(adversary, "_outcome_cdfs", counted_cdfs)
+    monkeypatch.setattr(protocol, "partial_trace", counted_trace)
+    simulate_key_reuse(u, rounds, w, np.random.default_rng(seed), trials=100,
+                       forge_bit=forge_bit)
+    assert reached[-1] > 1
+    assert shapes == [(n, 2) for n in reached[:-1]] + [(reached[-1],)]
+    assert traces == [(8, 8)]
+
+
 @pytest.mark.parametrize("rounds", [1, 3])
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
 def test_key_reuse_leaves_the_reference_stream_position(bit_generator, rounds):
-    # The raw draws take the words the Generator's own calls would: after the
-    # call its full state, the buffered 32-bit word of the honest bits
-    # included, is the uncached reference's.
+    # The batched draws take the words the scalar calls would: after the
+    # call the bit generator's full state, its buffered 32-bit word
+    # included, is the reference's.
     rng = np.random.default_rng(43)
     buffered = set()
     for trials in range(36, 46):
@@ -1438,17 +1518,15 @@ def test_key_reuse_leaves_the_reference_stream_position(bit_generator, rounds):
 def test_key_reuse_zero_branches_on_every_bit_generator(bit_generator, forge_bit):
     # The interactions that leave outcomes of probability zero give CDFs with
     # repeated entries, where the sampler's comparisons and the reference's
-    # Generator.choice could part: the counts, the fidelity and the bit
-    # generator's state after the call are the reference's.
-    cases = [(BUILTIN[name](), tensor(eve, np.eye(2)))
-             for name in ("identity", "x_block") for eve in (E, SWAP01)]
+    # Generator.choice could part: the counts, the per-round acceptance and
+    # the bit generator's state after the call are the reference's.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for (u, w), rounds in itertools.product(cases, (1, 3)):
+        for (u, w), rounds in itertools.product(zero_branch_cases(), (1, 3)):
             sampled, reference = (np.random.Generator(bit_generator(5)) for _ in "ab")
             stats = simulate_key_reuse(u, rounds, w, sampled, trials=100, forge_bit=forge_bit)
             ref, _ = reference_key_reuse(u, rounds, w, reference, 100, forge_bit)
-            assert sampler_summary(stats) == ref
+            assert_matches_reference(stats, ref)
             assert plain(sampled.bit_generator.state) == plain(reference.bit_generator.state)
 
 
@@ -1473,18 +1551,21 @@ def test_key_reuse_releases_the_generator_lock(monkeypatch, u_secure):
     lock = rng.bit_generator.lock
     with lock:
         assert not lock_is_free(lock)
+        # The sampler's own draws take the lock again inside: it must be re-entrant.
+        assert lock.acquire(blocking=False)
+        lock.release()
     w = haar_random_unitary(8, rng)
     simulate_key_reuse(u_secure, 2, w, rng, trials=20)
     assert lock_is_free(lock)
 
-    # An error inside the draw loop propagates, and the lock, held there, is freed.
+    # An error inside the call propagates, and the lock, held there, is freed.
     held = []
 
-    def fails(state):
+    def fails(rho):
         held.append(not lock_is_free(lock))
         raise RuntimeError("no key fidelity")
 
-    monkeypatch.setattr(adversary, "key_fidelity", fails)
+    monkeypatch.setattr(adversary, "density_key_fidelity", fails)
     with pytest.raises(RuntimeError, match="no key fidelity"):
         simulate_key_reuse(u_secure, 2, w, rng, trials=20)
     assert held == [True]
@@ -1691,12 +1772,17 @@ probability_entries = st.one_of(
 )
 
 
-@given(st.lists(probability_entries, min_size=4, max_size=4).filter(any))
-def test_outcome_cdf_is_generator_choice_cdf(probs):
-    p = np.array(probs)
-    cdf = np.cumsum(p / p.sum())
-    want = (cdf / cdf[-1]).tolist()
-    assert [x.hex() for x in adversary._outcome_cdf(probs)] == [x.hex() for x in want]
+@given(st.lists(st.lists(probability_entries, min_size=4, max_size=4).filter(any),
+                min_size=1, max_size=6))
+def test_outcome_cdf_is_generator_choice_cdf(rows):
+    # Each row of the batched CDF is the one Generator.choice(4, p=row / row.sum())
+    # builds from that row alone, bit for bit.
+    want = []
+    for row in rows:
+        p = np.array(row)
+        cdf = np.cumsum(p / p.sum())
+        want.append(cdf / cdf[-1])
+    assert plain(adversary._outcome_cdfs(np.array(rows))) == plain(np.array(want))
 
 
 class TestKeyReuseStats:

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from qmac import adversary, protocol
 from qmac.adversary import reuse_forgery_probability, simulate_key_reuse
 from qmac.fixtures import BUILTIN
 from qmac.linalg import _svd, dagger, haar_random_unitary, halmos_dilation, partial_trace, tensor
@@ -11,6 +12,7 @@ from qmac.protocol import (
     TaggingUnitary,
     channel_density,
     decode,
+    density_key_fidelity,
     encode,
     key_fidelity,
     measurement_distribution,
@@ -252,6 +254,37 @@ def test_key_fidelity_error_equals_previous_formulation(size):
         previous_key_fidelity(state)
     with pytest.raises(ValueError, match=f"^{re.escape(str(previous.value))}$"):
         key_fidelity(state)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_density_key_fidelity_of_a_mixture_is_the_mean(k):
+    # Fidelity is linear in the density operator: a weighted mixture's is the
+    # weighted mean of its states' key_fidelity, up to rounding.
+    rng = np.random.default_rng(6000 + k)
+    states = rng.standard_normal((5, 4 * k)) + 1j * rng.standard_normal((5, 4 * k))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    weights = rng.random(5)
+    weights /= weights.sum()
+    mixture = (states.T * weights) @ states.conj()
+    mean = sum(p * key_fidelity(psi) for p, psi in zip(weights, states))
+    assert density_key_fidelity(mixture) == pytest.approx(mean, abs=1e-12)
+    assert density_key_fidelity(np.outer(states[0], states[0].conj())) == key_fidelity(states[0])
+
+
+@pytest.mark.parametrize("module, name", [
+    (protocol, "I2"), (protocol, "I4"), (protocol, "MESSAGE_BASIS"),
+    (protocol, "ACCEPT_PROJECTOR"), (protocol, "_SINGLET"), (protocol, "_SINGLET_BRA"),
+    (adversary, "_START"),
+])
+def test_module_constant_arrays_are_read_only(module, name):
+    # A write would change every later result in the process: I4[0, 0] = 0.5
+    # once dropped best_message_attack(secure_example, budget=500, rng=0)
+    # from 0.8599751 to 0.5704214.
+    array = getattr(module, name)
+    before = array.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        array[(0,) * array.ndim] = 0.5
+    assert array.tobytes() == before.tobytes()
 
 
 class TestHonestRun:
